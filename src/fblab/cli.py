@@ -5,7 +5,8 @@ a short human summary to stderr (suppressed by --json-only).  Reports are
 deterministic: the payload depends only on argv (including --seed), never
 on wall time, which is reported outside the payload.
 
-Exit codes: 0 on pass, 1 when a checked property fails, 2 on usage errors.
+Exit codes: 0 on pass, 1 when a checked property fails, 2 on usage errors
+and on any other error, which is reported as one line on stderr.
 """
 
 from __future__ import annotations
@@ -310,10 +311,6 @@ def _cmd_replay(args) -> int:
 
 def _add_common(p, budget_default=None):
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=None,
-                   help="display-only echo; internal tolerances are fixed")
-    p.add_argument("--exact", action="store_true",
-                   help="rational arithmetic where supported")
     p.add_argument("--json-only", action="store_true", dest="json_only")
     if budget_default is not None:
         p.add_argument("--budget", type=int, default=budget_default)
@@ -331,6 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expr", required=True)
     p.add_argument("--space", choices=("l1", "linf"), default="l1")
     p.add_argument("--cert", default=None, help="write certificate JSON here")
+    p.add_argument("--exact", action="store_true",
+                   help="rational arithmetic throughout")
     _add_common(p)
     p.set_defaults(func=_cmd_norm)
 
@@ -393,6 +392,9 @@ def run(argv) -> int:
             fblnorm.SpaceError, plfan.FanError, OSError, KeyError,
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -342,9 +342,12 @@ def exact_fbl_norm(
     rows = []
     for v in reps:
         rows.append([abs(sum(dc * vc for dc, vc in zip(d, v))) for d in rays])
+    # The float simplex compares reduced costs with an absolute tolerance, so
+    # the objective is solved at unit scale; the weights do not depend on it.
+    c_scale = 1 if exact else max(cvec, default=0.0) or 1.0
 
     res = solve_lp(
-        cvec,
+        [c / c_scale for c in cvec],
         A_ub=rows,
         b_ub=[1] * len(rows),
         bounds=[(0, None)] * len(rays),
@@ -375,7 +378,7 @@ def exact_fbl_norm(
         upper = res.value
     else:
         lower = config_value(lambda x: plfan.pl_value(f, x), config)
-        upper = float(res.value)
+        upper = float(res.value) * c_scale
     return NormBracket(
         lower=lower,
         certificate=config,

@@ -5,14 +5,23 @@ cell is recorded as its sign vector over the (deduplicated, canonically
 scaled) hyperplane list together with a strictly interior witness point in
 the open cube.  A PLFunction attaches one linear piece per cell.
 
-Cell discovery is randomized seeding plus completion: random samples propose
-sign vectors, every candidate is confirmed by a small LP that also produces
-the witness, and a breadth-first closure over single-sign flips finishes the
-job.  After deduplication two adjacent cells of a central arrangement differ
-in exactly one sign and the adjacency graph is connected, so the flip
-closure reaches every cell regardless of what sampling found.  The result
-is therefore independent of the seed; the seed only steers how discovery
-proceeds.
+Cell discovery takes one of two routes, chosen by the number of generators:
+
+- Two generators: every line a*s + b*t = 0 contributes the two rays
+  +/-(-b, a), scaled to sup norm 1.  Sorting the rays by angle (half-plane
+  test, then cross product, so Fractions stay exact) lists the cells as the
+  open sectors between consecutive rays; the witness of a sector is the sum
+  of its two bounding rays times 1/4, and a single line gives the two
+  half-planes.  No LP and no sampling.
+- Any other number: random samples propose sign vectors, every candidate
+  is confirmed by a small LP that also produces the witness, and a
+  breadth-first closure over single-sign flips finishes the job.  After
+  deduplication two adjacent cells of a central arrangement differ in
+  exactly one sign and the adjacency graph is connected, so the flip
+  closure reaches every cell regardless of what sampling found.
+
+Either way the result does not depend on the seed, and cells are sorted by
+sign string.
 
 Lower-dimensional faces are never materialized; evaluation on a boundary
 picks any incident cell, which is safe because adjacent pieces agree there.
@@ -22,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 
 import numpy as np
 
@@ -166,6 +176,54 @@ def _witness_lp(normal_vectors, signs, n, exact):
     return witness, margin
 
 
+def _angle_order(p, q) -> int:
+    """Counter-clockwise order of plane vectors, starting at angle 0.
+
+    Upper half-plane (angle in [0, pi)) first, then by cross product within
+    a half; no trigonometry, so Fraction inputs compare exactly.
+    """
+    hp = 0 if p[1] > 0 or (p[1] == 0 and p[0] > 0) else 1
+    hq = 0 if q[1] > 0 or (q[1] == 0 and q[0] > 0) else 1
+    if hp != hq:
+        return hp - hq
+    cross = p[0] * q[1] - p[1] * q[0]
+    return -1 if cross > 0 else (1 if cross < 0 else 0)
+
+
+def _planar_cells(vectors) -> dict:
+    """Sign string -> witness for the sectors of a central line arrangement.
+
+    Exact for Fraction coefficients: only division, sums and products.
+    """
+    rays = []
+    for a, b in vectors:
+        scale = max(abs(a), abs(b))
+        r = (-b / scale, a / scale)
+        rays += [r, (-r[0], -r[1])]
+    if len(vectors) == 1:
+        # the two half-planes, witnessed by +/- half the sup-scaled normal
+        witnesses = [(y / 2, -x / 2) for x, y in rays]
+    else:
+        rays.sort(key=cmp_to_key(_angle_order))
+        witnesses = [
+            ((p[0] + q[0]) / 4, (p[1] + q[1]) / 4)
+            for p, q in zip(rays, rays[1:] + rays[:1])
+        ]
+    cells = {}
+    for w in witnesses:
+        chars = []
+        for a, b in vectors:
+            m = a * w[0] + b * w[1]
+            if m == 0:
+                raise FanError(f"sector witness {w!r} lies on a line")
+            chars.append("+" if m > 0 else "-")
+        signs = "".join(chars)
+        if signs in cells:
+            raise FanError(f"two sectors share the sign vector {signs}")
+        cells[signs] = w
+    return cells
+
+
 def arrangement_fan(
     normals,
     generators,
@@ -177,7 +235,8 @@ def arrangement_fan(
 
     Raises DegenerateNormalError on a zero normal and FanSizeError past the
     cell cap.  Deterministic: the discovered cell set does not depend on the
-    seed, and witnesses come from the LP alone.
+    seed, which only steers the sampling of the LP route (three or more
+    generators, or one).
     """
     generators = tuple(generators)
     n = len(generators)
@@ -191,6 +250,13 @@ def arrangement_fan(
         return Fan(generators, (), (Cone("", witness),))
 
     vectors = [list(hp.vector(generators)) for hp in hyps]
+    if n == 2:
+        if 2 * h > max_cells:
+            raise FanSizeError(f"cell count exceeds cap {max_cells}")
+        cells = _planar_cells(vectors)
+        cones = tuple(Cone(s, cells[s]) for s in sorted(cells))
+        return Fan(generators, tuple(hyps), cones)
+
     float_rows = np.array(
         [[float(v) for v in row] for row in vectors], dtype=float
     )

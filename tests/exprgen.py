@@ -1,8 +1,8 @@
 """Seeded random lattice expressions for the property tests.
 
 The generator favors small trees: scalars are rounded so printed forms stay
-readable, and anything whose max-min normal form exceeds the size cap is
-regenerated.  All randomness flows through the numpy Generator passed in, so
+readable (or, on request, badly scaled), and anything whose max-min normal
+form exceeds the size cap is regenerated.  All randomness flows through the numpy Generator passed in, so
 test runs are reproducible from their seeds.
 """
 
@@ -20,29 +20,40 @@ from fblab.expr import (
 )
 
 
-def random_expr(rng, gens, depth):
+def rounded_scalar(rng):
+    c = round(float(rng.uniform(-2.5, 2.5)), 3)
+    return 1.0 if c == 0.0 else c
+
+
+def badly_scaled_scalar(rng):
+    """+-1e-7, +-1e6 or +-(1 +- 1e-10)."""
+    c = float(rng.choice((1e-7, 1e6, 1 + 1e-10, 1 - 1e-10)))
+    return c * float(rng.choice((1.0, -1.0)))
+
+
+def random_expr(rng, gens, depth, scalar=rounded_scalar):
     """One random tree of at most the given depth over the generator names."""
     if depth <= 0 or rng.random() < 0.3:
         return Gen(str(rng.choice(list(gens))))
     r = rng.random()
     if r < 0.25:
-        c = round(float(rng.uniform(-2.5, 2.5)), 3)
-        if c == 0.0:
-            c = 1.0
-        return Scale(c, random_expr(rng, gens, depth - 1))
+        return Scale(scalar(rng), random_expr(rng, gens, depth - 1, scalar))
     if r < 0.50:
-        return Sum(random_expr(rng, gens, depth - 1), random_expr(rng, gens, depth - 1))
+        return Sum(random_expr(rng, gens, depth - 1, scalar),
+                   random_expr(rng, gens, depth - 1, scalar))
     if r < 0.70:
-        return Join(random_expr(rng, gens, depth - 1), random_expr(rng, gens, depth - 1))
+        return Join(random_expr(rng, gens, depth - 1, scalar),
+                    random_expr(rng, gens, depth - 1, scalar))
     if r < 0.85:
-        return Meet(random_expr(rng, gens, depth - 1), random_expr(rng, gens, depth - 1))
-    return absval(random_expr(rng, gens, depth - 1))
+        return Meet(random_expr(rng, gens, depth - 1, scalar),
+                    random_expr(rng, gens, depth - 1, scalar))
+    return absval(random_expr(rng, gens, depth - 1, scalar))
 
 
-def random_expr_capped(rng, gens, depth=4, max_size=40):
+def random_expr_capped(rng, gens, depth=4, max_size=40, scalar=rounded_scalar):
     """Regenerate until the max-min form stays within max_size functionals."""
     while True:
-        e = random_expr(rng, gens, depth)
+        e = random_expr(rng, gens, depth, scalar)
         try:
             m = to_maxmin(e, cap=max(max_size, 64))
         except MaxMinSizeError:

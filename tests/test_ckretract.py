@@ -260,6 +260,13 @@ def test_norm_bound_random_targets():
         assert rep["norm_upper"] <= float(sup_norm(h)) + 1e-9
 
 
+def test_slice_sup_is_exact_at_an_off_grid_breakpoint():
+    K = interval01()
+    b = build_section(K, H(K, (0, 0), (Fraction(1, 32), 3), (1, -1)))
+    rep = verify_norm_bound(b)
+    assert rep["slice_sup"] == rep["h_sup"] == 3.0
+
+
 # ---------------------------------------------------------------------------
 # homomorphism laws
 

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from fblab import cli
+from fblab import cli, fblnorm
+from fblab.lp import LPError
 
 
 def run_cli(capsys, argv):
@@ -301,3 +302,29 @@ def test_bad_kspec_exits_two(capsys):
     )
     assert code == 2
     assert "error:" in err
+
+
+def test_exact_is_rejected_where_it_is_not_honoured(capsys):
+    code, rep, _ = run_cli(
+        capsys, ["oracle", "--expr", "d(a)", "--exact", "--json-only"]
+    )
+    assert code == 2
+    assert rep is None
+    code, _, _ = run_cli(
+        capsys, ["ck-section", "--k", "interval", "--h", "0:0,1:1", "--exact"]
+    )
+    assert code == 2
+    # --tol only ever echoed its value and is gone
+    code, _, _ = run_cli(capsys, ["norm", "--expr", "d(a)", "--tol", "1e-6"])
+    assert code == 2
+
+
+def test_internal_error_exits_two_without_traceback(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise LPError("phase 1 cannot be unbounded")
+
+    monkeypatch.setattr(fblnorm, "exact_fbl_norm", broken)
+    code, rep, err = run_cli(capsys, ["norm", "--expr", "d(a) v d(b)"])
+    assert code == 2
+    assert rep is None
+    assert err == "error: LPError: phase 1 cannot be unbounded\n"

@@ -26,7 +26,7 @@ from fblab.fblnorm import (
     replay_certificate,
 )
 from fblab import plfan
-from exprgen import random_expr_capped
+from exprgen import badly_scaled_scalar, random_expr_capped
 
 
 def brute_force_lower(F, space, rng, tries=3000, max_points=3):
@@ -223,6 +223,34 @@ def test_exact_mode_returns_fractions():
     assert isinstance(bracket.upper, Fraction)
     assert bracket.upper == Fraction(7, 4)
     assert bracket.exact
+
+
+# Expressions on which the float route once raised LPError inside the
+# witness LP of the two-generator fan.
+BADLY_SCALED = (
+    "d(b) + 1e-07*d(a) ^ 1e-07*(d(b) v -1.0*d(b))",
+    "d(b) + 1e-07*d(a) ^ 1e-07*|d(b)|",
+    "d(c) + 1e-07*d(a) ^ 1e-07*(d(c) v -1.0*d(c))",
+)
+
+
+def test_float_norm_matches_rational_on_badly_scaled_expressions():
+    rng = np.random.default_rng(59)
+    cases = [(parse_expr(t), tuple(sorted({g for g in "abc" if f"d({g})" in t})))
+             for t in BADLY_SCALED]
+    cases += [
+        (random_expr_capped(rng, ("a", "b"), max_size=12, scalar=badly_scaled_scalar),
+         ("a", "b"))
+        for _ in range(60)
+    ]
+    for e, gens in cases:
+        space = fbl_space(gens)
+        fl = exact_fbl_norm(plfan.pl_from_maxmin(to_maxmin(e), gens), space)
+        ra = exact_fbl_norm(
+            plfan.pl_from_maxmin(to_maxmin(e), gens, exact=True), space, exact=True
+        )
+        assert fl.upper == pytest.approx(float(ra.upper), rel=1e-6, abs=0), to_text(e)
+        assert fl.lower == pytest.approx(float(ra.upper), rel=1e-6, abs=0), to_text(e)
 
 
 # ---------------------------------------------------------------------------

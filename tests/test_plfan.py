@@ -98,6 +98,71 @@ def test_cell_cap():
         arrangement_fan(normals, ("a", "b"), max_cells=4)
 
 
+# ---------------------------------------------------------------------------
+# the two-generator kernel, checked by direct sign computation
+
+
+def random_lines(rng, h, exact):
+    """h pairwise non-parallel lines through the origin, as normals over (a, b)."""
+    pairs = []
+    while len(pairs) < h:
+        a, b = (int(v) for v in rng.integers(-6, 7, 2))
+        if (a, b) != (0, 0) and all(a * q - b * p != 0 for p, q in pairs):
+            pairs.append((a, b))
+    num = Fraction if exact else float
+    return [fn(a=num(a), b=num(b)) for a, b in pairs]
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_planar_fan_has_two_cells_per_line(exact):
+    rng = np.random.default_rng(61)
+    for h in (1, 1, 2, 3, 4, 5, 6, 8, 10):
+        fan = arrangement_fan(random_lines(rng, h, exact), ("a", "b"), exact=exact)
+        assert len(fan.hyperplanes) == h
+        assert len(fan.cells) == 2 * h
+        assert len(cell_signs(fan)) == 2 * h
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_planar_witnesses_are_strictly_inside(exact):
+    rng = np.random.default_rng(67)
+    for h in (1, 2, 3, 5, 8):
+        fan = arrangement_fan(random_lines(rng, h, exact), ("a", "b"), exact=exact)
+        for cell in fan.cells:
+            assert all(-1 < v < 1 for v in cell.witness)
+            if exact:
+                assert all(isinstance(v, Fraction) for v in cell.witness)
+            point = dict(zip(("a", "b"), cell.witness))
+            for hp, s in zip(fan.hyperplanes, cell.signs):
+                m = hp.evaluate(point)
+                assert m > 0 if s == "+" else m < 0
+
+
+def test_planar_fan_contains_every_sampled_sign_vector():
+    rng = np.random.default_rng(71)
+    for exact in (False, True):
+        for h in (1, 3, 6, 9):
+            fan = arrangement_fan(random_lines(rng, h, exact), ("a", "b"), exact=exact)
+            theta = rng.uniform(0.0, 2.0 * np.pi, 2000)
+            pts = np.column_stack((np.cos(theta), np.sin(theta)))
+            margins = pts @ fan.normal_rows().T
+            clear = np.abs(margins).min(axis=1) > 1e-9
+            sampled = {
+                "".join("+" if v > 0 else "-" for v in row) for row in margins[clear]
+            }
+            assert sampled <= cell_signs(fan)
+
+
+def test_planar_fan_badly_scaled_lines():
+    normals = [fn(a=1.0, b=1e-7), fn(b=1.0), fn(a=1.0, b=1.0 + 1e-10), fn(a=1e6, b=-1.0)]
+    fan = arrangement_fan(normals, ("a", "b"))
+    assert len(fan.cells) == 8
+    rows = fan.normal_rows()
+    for cell in fan.cells:
+        margins = rows @ np.array(cell.witness)
+        assert "".join("+" if m > 0 else "-" for m in margins) == cell.signs
+
+
 def coverage_count(fan, point):
     rows = fan.normal_rows()
     margins = rows @ point

@@ -319,8 +319,7 @@ class SectionBundle:
         return float(plfan.pl_value(self.Sh, (float(x[0]), float(x[1]))))
 
 
-def build_section(K: KSpec, h: TargetFunction, exact: bool = False,
-                  seed: int = 0) -> SectionBundle:
+def build_section(K: KSpec, h: TargetFunction, exact: bool = False) -> SectionBundle:
     """Assemble Sh symbolically as a PLFunction over ("one", "id").
 
     Fan hyperplanes: s, t, t - s, t + s, and t - c*s for every interior
@@ -347,7 +346,7 @@ def build_section(K: KSpec, h: TargetFunction, exact: bool = False,
             normals.append(
                 LinearFunctional.from_map({"id": num(Fraction(1)), "one": num(-c)})
             )
-    fan = plfan.arrangement_fan(normals, GENERATORS, seed=seed, exact=exact)
+    fan = plfan.arrangement_fan(normals, GENERATORS, exact=exact)
 
     pieces = []
     for cell in fan.cells:
@@ -474,14 +473,14 @@ def verify_hom_laws(
     """
     results = []
     for h1, h2 in pairs:
-        b1 = build_section(K, h1, seed=seed)
-        b2 = build_section(K, h2, seed=seed)
-        bj = build_section(K, target_join(h1, h2), seed=seed)
+        b1 = build_section(K, h1)
+        b2 = build_section(K, h2)
+        bj = build_section(K, target_join(h1, h2))
         pmax = plfan.pl_pointwise_max(b1.Sh, b2.Sh)
         join_exact = plfan.pl_equal(bj.Sh, pmax)
         join_dev = _dense_agree(bj.Sh, pmax, samples, seed, tol)
 
-        bl = build_section(K, target_lincomb(2, h1, -1, h2), seed=seed)
+        bl = build_section(K, target_lincomb(2, h1, -1, h2))
         plin = plfan.pl_lincomb(2.0, b1.Sh, -1.0, b2.Sh)
         lin_exact = plfan.pl_equal(bl.Sh, plin)
         lin_dev = _dense_agree(bl.Sh, plin, samples, seed, tol)

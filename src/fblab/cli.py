@@ -88,7 +88,7 @@ def _cmd_norm(args) -> int:
     gens = tuple(sorted(support(e)))
     space = _space_for(args.space, gens)
     m = to_maxmin(e)
-    f = plfan.pl_from_maxmin(m, gens, seed=args.seed, exact=args.exact)
+    f = plfan.pl_from_maxmin(m, gens, exact=args.exact)
     bracket = fblnorm.exact_fbl_norm(f, space, exact=args.exact)
     cert_path = _write_cert_if_asked(
         args, space, bracket.certificate, float(bracket.upper), "exact",
@@ -262,7 +262,7 @@ def _cmd_ck_section(args) -> int:
     started = time.monotonic()
     K = _parse_kspec(args.k)
     h = _parse_target(K, args.h)
-    bundle = ckretract.build_section(K, h, seed=args.seed)
+    bundle = ckretract.build_section(K, h)
     sec = ckretract.verify_section(bundle, samples=args.samples, seed=args.seed)
     nb = ckretract.verify_norm_bound(bundle)
     bracket = nb.pop("bracket")

@@ -60,7 +60,7 @@ from .expr import (
     to_text,
 )
 from .lp import OPTIMAL, solve_lp
-from .numeric import as_fraction, canonical_ray, null_direction
+from .numeric import as_fraction, candidate_rays
 
 __all__ = [
     "AdmissibilitySpace",
@@ -276,37 +276,6 @@ def _vertex_functionals(space: AdmissibilitySpace, exact: bool):
     return out
 
 
-def _candidate_rays(hyps, generators, exact: bool):
-    """All +/- null directions of (n-1)-subsets of the hyperplane normals."""
-    n = len(generators)
-    vectors = [list(h.vector(generators)) for h in hyps]
-    seen = set()
-    rays = []
-
-    def push(d):
-        canon = canonical_ray(d, exact)
-        if canon is None:
-            return
-        key = tuple(canon) if exact else tuple(round(float(v), 10) for v in canon)
-        if key not in seen:
-            seen.add(key)
-            rays.append(tuple(canon))
-
-    if n == 1:
-        one = Fraction(1) if exact else 1.0
-        push((one,))
-        push((-one,))
-        return rays
-    for subset in itertools.combinations(range(len(vectors)), n - 1):
-        rows = [vectors[i] for i in subset]
-        d = null_direction(rows, n, exact)
-        if d is None:
-            continue
-        push(d)
-        push([-v for v in d])
-    return rays
-
-
 def exact_fbl_norm(
     f: plfan.PLFunction,
     space: AdmissibilitySpace,
@@ -330,7 +299,7 @@ def exact_fbl_norm(
     hyps += _vertex_functionals(space, exact)
     hyps = plfan.dedup_normals(hyps, exact)
 
-    rays = _candidate_rays(hyps, gens, exact)
+    rays = candidate_rays([list(h.vector(gens)) for h in hyps], n, exact)
     reps = space.representatives()
     if exact:
         reps = [tuple(as_fraction(c) for c in v) for v in reps]
@@ -528,14 +497,13 @@ def oracle_lower_bound(
 def norm_of_expression(
     e: LatticeExpr,
     space: Optional[AdmissibilitySpace] = None,
-    seed: int = 0,
     exact: bool = False,
 ) -> NormBracket:
     """Convenience pipeline: expression -> max-min -> fan -> exact norm."""
     if space is None:
         space = fbl_space(sorted(support_of(e)))
     m = to_maxmin(e)
-    f = plfan.pl_from_maxmin(m, space.generators, seed=seed, exact=exact)
+    f = plfan.pl_from_maxmin(m, space.generators, exact=exact)
     return exact_fbl_norm(f, space, exact=exact)
 
 
@@ -566,7 +534,7 @@ def check_lemma34(
     if space is None:
         space = fbl_space(gens)
     m = to_maxmin(e)
-    f = plfan.pl_from_maxmin(m, gens, seed=seed)
+    f = plfan.pl_from_maxmin(m, gens)
     sup = float(plfan.sup_norm_on_cube(f))
     F = MaxMinEvaluator(m, gens)
     product = abs_coordinate_product(F, gens.index(a))
@@ -598,7 +566,7 @@ def fbl_vs_polyhedral_check(
     """
     gens = tuple(generators) if generators is not None else tuple(sorted(support_of(e)))
     m = to_maxmin(e)
-    f = plfan.pl_from_maxmin(m, gens, seed=seed)
+    f = plfan.pl_from_maxmin(m, gens)
 
     space_l1 = fbl_space(gens)
     space_l1_again = AdmissibilitySpace(gens, space_l1.ball_vertices)

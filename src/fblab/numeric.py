@@ -7,14 +7,23 @@ rational mode reproduces whatever doubles the expression layer produced.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 __all__ = [
+    "NULL_RTOL",
     "as_number",
     "as_fraction",
+    "pivot_columns",
+    "negligible",
     "null_direction",
     "canonical_ray",
+    "candidate_rays",
 ]
+
+# Relative zero test of float mode: a product counts as zero when it is at
+# most NULL_RTOL times the product of its factors' sup norms.
+NULL_RTOL = 1e-8
 
 
 def as_fraction(v) -> Fraction:
@@ -25,15 +34,12 @@ def as_number(v, exact: bool):
     return as_fraction(v) if exact else float(v)
 
 
-def null_direction(rows, n, exact: bool):
-    """One-dimensional null space of a stack of row vectors, or None.
+def _row_reduce(rows, n, exact: bool):
+    """Reduced row echelon form and its pivot columns.
 
-    rows: sequence of length-n sequences.  Returns a direction vector when
-    the null space has dimension exactly one, else None.  Gaussian
-    elimination with partial pivoting; exact mode uses Fractions and a zero
-    tolerance.  Float results are checked against the original rows, since
-    a nearly singular stack can slip past the pivot tolerance and emit a
-    direction that annihilates nothing.
+    Gaussian elimination with partial pivoting; exact mode uses Fractions and
+    a zero pivot tolerance.  The pivot columns index a basis of the column
+    space, so their count is the rank.
     """
     if exact:
         mat = [[as_fraction(v) for v in row] for row in rows]
@@ -41,11 +47,12 @@ def null_direction(rows, n, exact: bool):
     else:
         mat = [[float(v) for v in row] for row in rows]
         tol = 1e-11
-    orig = [list(row) for row in mat]
     m = len(mat)
     pivot_cols = []
     r = 0
     for col in range(n):
+        if r == m:
+            break
         best = None
         best_abs = tol
         for i in range(r, m):
@@ -64,9 +71,35 @@ def null_direction(rows, n, exact: bool):
                 mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
         pivot_cols.append(col)
         r += 1
-        if r == m:
-            break
-    if n - r != 1:
+    return mat, pivot_cols
+
+
+def pivot_columns(rows, n, exact: bool):
+    """Indices of n-coordinate columns that span the column space of rows."""
+    return _row_reduce(rows, n, exact)[1]
+
+
+def negligible(value, scale, exact: bool) -> bool:
+    """Whether value counts as zero next to scale (a product of sup norms).
+
+    Exact mode tests == 0; float mode allows a relative NULL_RTOL.
+    """
+    if exact:
+        return value == 0
+    return abs(value) <= NULL_RTOL * scale
+
+
+def null_direction(rows, n, exact: bool):
+    """One-dimensional null space of a stack of row vectors, or None.
+
+    rows: sequence of length-n sequences.  Returns a direction vector when
+    the null space has dimension exactly one, else None.  Float results are
+    checked against the original rows, since a nearly singular stack can
+    slip past the pivot tolerance and emit a direction that annihilates
+    nothing.
+    """
+    mat, pivot_cols = _row_reduce(rows, n, exact)
+    if n - len(pivot_cols) != 1:
         return None
     free = next(c for c in range(n) if c not in pivot_cols)
     zero = Fraction(0) if exact else 0.0
@@ -77,9 +110,10 @@ def null_direction(rows, n, exact: bool):
         d[col] = -mat[i][free]
     if not exact:
         d_sup = max(abs(v) for v in d)
-        for row in orig:
+        for row in rows:
+            row = [float(v) for v in row]
             row_sup = max((abs(v) for v in row), default=0.0)
-            if abs(sum(a * b for a, b in zip(row, d))) > 1e-8 * row_sup * d_sup:
+            if not negligible(sum(a * b for a, b in zip(row, d)), row_sup * d_sup, False):
                 return None
     return d
 
@@ -100,3 +134,36 @@ def canonical_ray(d, exact: bool):
     if not exact:
         scaled = [float(v) for v in scaled]
     return scaled
+
+
+def candidate_rays(vectors, n, exact: bool):
+    """All +/- null directions of (n-1)-subsets of the row vectors.
+
+    Each direction is scaled to sup norm 1 (canonical_ray) and listed once,
+    in subset order, d before -d.  Float directions are deduplicated on a
+    10-digit rounding.  With n == 1 the two rays are +1 and -1.
+    """
+    seen = set()
+    rays = []
+
+    def push(d):
+        canon = canonical_ray(d, exact)
+        if canon is None:
+            return
+        key = tuple(canon) if exact else tuple(round(float(v), 10) for v in canon)
+        if key not in seen:
+            seen.add(key)
+            rays.append(tuple(canon))
+
+    if n == 1:
+        one = Fraction(1) if exact else 1.0
+        push((one,))
+        push((-one,))
+        return rays
+    for subset in itertools.combinations(range(len(vectors)), n - 1):
+        d = null_direction([vectors[i] for i in subset], n, exact)
+        if d is None:
+            continue
+        push(d)
+        push([-v for v in d])
+    return rays

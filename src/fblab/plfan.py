@@ -5,23 +5,27 @@ cell is recorded as its sign vector over the (deduplicated, canonically
 scaled) hyperplane list together with a strictly interior witness point in
 the open cube.  A PLFunction attaches one linear piece per cell.
 
-Cell discovery takes one of two routes, chosen by the number of generators:
+Cell discovery needs no LP and no sampling, and is exact in Fractions:
 
 - Two generators: every line a*s + b*t = 0 contributes the two rays
   +/-(-b, a), scaled to sup norm 1.  Sorting the rays by angle (half-plane
-  test, then cross product, so Fractions stay exact) lists the cells as the
-  open sectors between consecutive rays; the witness of a sector is the sum
-  of its two bounding rays times 1/4, and a single line gives the two
-  half-planes.  No LP and no sampling.
-- Any other number: random samples propose sign vectors, every candidate
-  is confirmed by a small LP that also produces the witness, and a
-  breadth-first closure over single-sign flips finishes the job.  After
-  deduplication two adjacent cells of a central arrangement differ in
-  exactly one sign and the adjacency graph is connected, so the flip
-  closure reaches every cell regardless of what sampling found.
+  test, then cross product) lists the cells as the open sectors between
+  consecutive rays; the witness of a sector is the sum of its two bounding
+  rays times 1/4, and a single line gives the two half-planes.
+- Any other number: the normals are first restricted to a basis of columns,
+  which keeps their rank r and their sign vectors.  Rank 1 gives two
+  half-lines and rank 2 the planar sort above.  From rank 3 up, every cell
+  is pointed and so has an extreme ray d, a null direction of r-1 normals
+  (the candidate rays of numeric.candidate_rays).  Near d the cells are
+  those of the local arrangement of normals that vanish on d, one dimension
+  lower, so the recursion runs on rank; a local cell point y lifts to
+  d + eps*y with eps small enough that no other normal changes sign.
+  Witnesses are scaled into the open cube and their signs read there.
 
-Either way the result does not depend on the seed, and cells are sorted by
-sign string.
+Whether a normal vanishes on a ray is decided exactly in Fractions and up
+to the relative numeric.NULL_RTOL in floats; parallel rows are merged on
+the key of dedup_normals.  Cells are sorted by sign string, so fans are
+deterministic.
 
 Lower-dimensional faces are never materialized; evaluation on a boundary
 picks any incident cell, which is safe because adjacent pieces agree there.
@@ -37,7 +41,7 @@ import numpy as np
 
 from .expr import LinearFunctional, MaxMinForm
 from .lp import OPTIMAL, solve_lp
-from .numeric import as_fraction
+from .numeric import as_fraction, candidate_rays, negligible, pivot_columns
 
 __all__ = [
     "Cone",
@@ -65,7 +69,6 @@ __all__ = [
 ]
 
 SIGN_TOL = 1e-9
-_WITNESS_MIN_MARGIN = 1e-7
 MAX_CELLS_DEFAULT = 100_000
 
 
@@ -125,10 +128,15 @@ def canonical_normal(fn: LinearFunctional, exact: bool) -> LinearFunctional:
     return LinearFunctional(tuple((g, float(c) / lead) for g, c in fn.items))
 
 
-def _normal_key(fn: LinearFunctional, exact: bool):
+def _rounded(values, exact: bool) -> tuple:
+    """Dedup key of a coefficient tuple: exact, or rounded to 12 digits."""
     if exact:
-        return fn.items
-    return tuple((g, round(c, 12)) for g, c in fn.items)
+        return tuple(values)
+    return tuple(round(v, 12) for v in values)
+
+
+def _normal_key(fn: LinearFunctional, exact: bool):
+    return tuple(g for g, _ in fn.items), _rounded((c for _, c in fn.items), exact)
 
 
 def dedup_normals(fns, exact: bool):
@@ -142,38 +150,6 @@ def dedup_normals(fns, exact: bool):
             seen[key] = True
             out.append(cn)
     return out
-
-
-def _witness_lp(normal_vectors, signs, n, exact):
-    """Search for x in the open cone with the given signs.
-
-    Maximizes the worst signed margin t subject to x in the cube and t <= 1;
-    the cone is scale invariant, so strict feasibility is equivalent to a
-    positive optimum.  Returns (witness tuple, margin) or (None, margin).
-    """
-    rows = []
-    for vec, s in zip(normal_vectors, signs):
-        sgn = 1 if s == "+" else -1
-        rows.append([-sgn * v for v in vec] + [1])
-    c = [0] * n + [1]
-    bounds = [(-1, 1)] * n + [(None, 1)]
-    res = solve_lp(
-        c,
-        A_ub=rows,
-        b_ub=[0] * len(rows),
-        bounds=bounds,
-        maximize=True,
-        exact=exact,
-    )
-    if res.status != OPTIMAL:
-        return None, None
-    margin = res.value
-    threshold = 0 if exact else _WITNESS_MIN_MARGIN
-    if margin <= threshold:
-        return None, margin
-    half = Fraction(1, 2) if exact else 0.5
-    witness = tuple(v * half for v in res.x[:n])
-    return witness, margin
 
 
 def _angle_order(p, q) -> int:
@@ -224,19 +200,132 @@ def _planar_cells(vectors) -> dict:
     return cells
 
 
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _sup(v):
+    return max(abs(x) for x in v)
+
+
+def _distinct_cells(rows, points, exact, max_cells=None) -> dict:
+    """Sign string -> witness for the cells that contain the given points.
+
+    Each point is scaled into the open cube as x / (2 max|x|) and its signs
+    are read there.  Points that land in a cell already seen are dropped,
+    and the cap counts distinct cells only.  A point with a zero margin is
+    dropped too: exact points never have one, and a float point gets one
+    only when its cell is thinner than rounding at that point, so its sign
+    string cannot be read.
+    """
+    cells = {}
+    for x in points:
+        scale = 2 * _sup(x)
+        w = tuple(v / scale for v in x)
+        margins = [_dot(row, w) for row in rows]
+        if any(m == 0 for m in margins):
+            continue
+        signs = "".join("+" if m > 0 else "-" for m in margins)
+        if signs not in cells:
+            cells[signs] = w
+            if max_cells is not None and len(cells) > max_cells:
+                raise FanSizeError(f"cell count exceeds cap {max_cells}")
+    return cells
+
+
+def _merge_parallel(rows, exact):
+    """Keep the first of every family of parallel rows.
+
+    Rows are compared after scaling the first nonzero entry to +1, on the
+    key dedup_normals uses (12 digits in float mode).
+    """
+    merged = {}
+    for row in rows:
+        lead = next(v for v in row if v != 0)
+        merged.setdefault(_rounded((v / lead for v in row), exact), row)
+    return list(merged.values())
+
+
+def _cell_points(rows, exact):
+    """Points that together hit every cell of the central arrangement of rows.
+
+    rows are nonzero and of one length.  They keep their rank r on a basis
+    of columns, and the sign vectors of the arrangement only depend on the
+    image of the rows, so the cells are found in those r coordinates and
+    lifted back with zeros.  Rank 1 gives two half-lines, rank 2 the planar
+    sort, and rank 3 and up a localization at every ray (_points_at_rays).
+    """
+    dim = len(rows[0])
+    cols = pivot_columns(rows, dim, exact)
+    sub = [[row[j] for j in cols] for row in rows]
+    zero, one = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
+    if len(cols) == 0:
+        raise FanError("normals are numerically zero")
+    if len(cols) == 1:
+        points = [(one,), (-one,)]
+    elif len(cols) == 2:
+        points = _planar_cells(_merge_parallel(sub, exact)).values()
+    else:
+        points = _points_at_rays(sub, exact)
+    for y in points:
+        x = [zero] * dim
+        for j, v in zip(cols, y):
+            x[j] = v
+        yield x
+
+
+def _points_at_rays(rows, exact):
+    """Cell points of an essential arrangement of rank r >= 3 in R^r.
+
+    Every cell is pointed, so it has an extreme ray d, the null direction of
+    some r-1 rows.  Near d the cell is a cell of the local arrangement (the
+    rows that vanish on d) with the sign of h.d on every other row h.  The
+    local rows vanish on d, so dropping a coordinate k with |d_k| = 1 loses
+    nothing; their cells are found in r-1 dimensions, and a local cell point
+    y (zero at k) lifts to d + eps*y, with eps small enough that no other
+    row changes sign.
+    """
+    r = len(rows[0])
+    zero, one = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
+    sups = [_sup(h) for h in rows]
+    for d in candidate_rays(rows, r, exact):
+        k = next(j for j, v in enumerate(d) if abs(v) == 1)
+        local, far = [], []
+        for h, h_sup in zip(rows, sups):
+            hd = _dot(h, d)
+            if negligible(hd, h_sup, exact):
+                local.append([v for j, v in enumerate(h) if j != k])
+            else:
+                far.append((h, hd))
+        if not local:  # sup-scaling d can lift even its own rows past NULL_RTOL
+            yield list(d)
+            continue
+        for y in _distinct_cells(local, _cell_points(local, exact), exact).values():
+            y = list(y)
+            y.insert(k, zero)
+            eps = one
+            for h, hd in far:
+                hy = _dot(h, y)
+                if hy * hd < 0:
+                    eps = min(eps, abs(hd) / (2 * abs(hy)))
+            yield [dv + eps * yv for dv, yv in zip(d, y)]
+
+
 def arrangement_fan(
     normals,
     generators,
-    seed: int = 0,
     exact: bool = False,
     max_cells: int = MAX_CELLS_DEFAULT,
 ) -> Fan:
     """Fan of the central arrangement of the given normals.
 
-    Raises DegenerateNormalError on a zero normal and FanSizeError past the
-    cell cap.  Deterministic: the discovered cell set does not depend on the
-    seed, which only steers the sampling of the LP route (three or more
-    generators, or one).
+    Two generators take the planar sort (_planar_cells).  Any other number
+    reduces the normals to a basis of columns and localizes at rays
+    (_cell_points): no LP and no sampling, exact in Fractions.  Cells are
+    sorted by sign string, so the result is deterministic.  Raises
+    DegenerateNormalError on a zero normal and FanSizeError past the cell
+    cap.  In float mode a cell thinner than rounding can be missed (see
+    _distinct_cells); exact mode finds every cell.
     """
     generators = tuple(generators)
     n = len(generators)
@@ -254,49 +343,10 @@ def arrangement_fan(
         if 2 * h > max_cells:
             raise FanSizeError(f"cell count exceeds cap {max_cells}")
         cells = _planar_cells(vectors)
-        cones = tuple(Cone(s, cells[s]) for s in sorted(cells))
-        return Fan(generators, tuple(hyps), cones)
-
-    float_rows = np.array(
-        [[float(v) for v in row] for row in vectors], dtype=float
-    )
-    unit_rows = float_rows / np.linalg.norm(float_rows, axis=1, keepdims=True)
-
-    rng = np.random.default_rng(seed)
-    n_samples = min(50 * 3**h, 20_000)
-    samples = rng.standard_normal((n_samples, n))
-    margins = samples @ unit_rows.T
-    keep = np.abs(margins).min(axis=1) > 1e-6
-    sign_matrix = margins[keep] > 0
-
-    candidates = sorted(
-        {"".join("+" if s else "-" for s in row) for row in sign_matrix}
-    )
-
-    cells = {}
-    rejected = set()
-    queue = list(candidates)
-    qi = 0
-    while qi < len(queue):
-        signs = queue[qi]
-        qi += 1
-        if signs in cells or signs in rejected:
-            continue
-        witness, _ = _witness_lp(vectors, signs, n, exact)
-        if witness is None:
-            rejected.add(signs)
-            continue
-        cells[signs] = witness
-        if len(cells) > max_cells:
-            raise FanSizeError(f"cell count exceeds cap {max_cells}")
-        for k in range(h):
-            flipped = signs[:k] + ("-" if signs[k] == "+" else "+") + signs[k + 1 :]
-            if flipped not in cells and flipped not in rejected:
-                queue.append(flipped)
-
-    if not cells:
-        raise FanError("no cell survived confirmation; degenerate input")
-
+    else:
+        cells = _distinct_cells(
+            vectors, _cell_points(vectors, exact), exact, max_cells
+        )
     cones = tuple(Cone(s, cells[s]) for s in sorted(cells))
     return Fan(generators, tuple(hyps), cones)
 
@@ -308,7 +358,6 @@ def _exactify(fn: LinearFunctional) -> LinearFunctional:
 def pl_from_maxmin(
     m: MaxMinForm,
     generators,
-    seed: int = 0,
     exact: bool = False,
     max_cells: int = MAX_CELLS_DEFAULT,
 ) -> PLFunction:
@@ -329,7 +378,7 @@ def pl_from_maxmin(
             d = funcs[i].minus(funcs[j])
             if not d.is_zero:
                 diffs.append(d)
-    fan = arrangement_fan(diffs, generators, seed=seed, exact=exact, max_cells=max_cells)
+    fan = arrangement_fan(diffs, generators, exact=exact, max_cells=max_cells)
     pieces = []
     for cell in fan.cells:
         point = dict(zip(generators, cell.witness))
@@ -466,7 +515,6 @@ def pl_value_many(f: PLFunction, points: np.ndarray) -> np.ndarray:
 
 def refine_by_zero_set(
     f: PLFunction,
-    seed: int = 0,
     exact: bool = False,
     max_cells: int = MAX_CELLS_DEFAULT,
 ) -> PLFunction:
@@ -478,9 +526,7 @@ def refine_by_zero_set(
     """
     extra = [p for p in f.pieces if not p.is_zero]
     normals = list(f.fan.hyperplanes) + extra
-    fan2 = arrangement_fan(
-        normals, f.fan.generators, seed=seed, exact=exact, max_cells=max_cells
-    )
+    fan2 = arrangement_fan(normals, f.fan.generators, exact=exact, max_cells=max_cells)
     pieces = []
     for cell in fan2.cells:
         idx = locate_cell(f, cell.witness, exact)

@@ -225,12 +225,17 @@ def test_exact_mode_returns_fractions():
     assert bracket.exact
 
 
-# Expressions on which the float route once raised LPError inside the
-# witness LP of the two-generator fan.
+# Expressions on which the float route once failed: the first three raised
+# LPError inside the witness LP of the two-generator fan, the fourth raised
+# FanError because its three-generator fan missed a cell, and the last two
+# raised LPError inside the witness LP of a three-generator fan.
 BADLY_SCALED = (
     "d(b) + 1e-07*d(a) ^ 1e-07*(d(b) v -1.0*d(b))",
     "d(b) + 1e-07*d(a) ^ 1e-07*|d(b)|",
     "d(c) + 1e-07*d(a) ^ 1e-07*(d(c) v -1.0*d(c))",
+    "((0.9999999999*(0.9999999999*(d(a)))) ^ (d(b))) + ((-1000000.0*(d(c))) v (d(a)))",
+    "((d(b) v d(c)) ^ 1e-07*d(a)) v -1.0*((d(b) v d(c)) ^ 1e-07*d(a))",
+    "d(a) ^ 1e-07*(d(b) v d(c)) ^ d(b)",
 )
 
 
@@ -238,11 +243,11 @@ def test_float_norm_matches_rational_on_badly_scaled_expressions():
     rng = np.random.default_rng(59)
     cases = [(parse_expr(t), tuple(sorted({g for g in "abc" if f"d({g})" in t})))
              for t in BADLY_SCALED]
-    cases += [
-        (random_expr_capped(rng, ("a", "b"), max_size=12, scalar=badly_scaled_scalar),
-         ("a", "b"))
-        for _ in range(60)
-    ]
+    for gens, count in ((("a", "b"), 60), (("a", "b", "c"), 30)):
+        cases += [
+            (random_expr_capped(rng, gens, max_size=12, scalar=badly_scaled_scalar), gens)
+            for _ in range(count)
+        ]
     for e, gens in cases:
         space = fbl_space(gens)
         fl = exact_fbl_norm(plfan.pl_from_maxmin(to_maxmin(e), gens), space)

@@ -1,11 +1,14 @@
 """Fans and piecewise-linear calculus: enumeration, norms, refinement."""
 
+import itertools
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
 
 from fblab.expr import Gen, LinearFunctional, absval, parse_expr, to_maxmin
+from fblab.lp import OPTIMAL, solve_lp
 from fblab.plfan import (
     DegenerateNormalError,
     FanSizeError,
@@ -40,8 +43,10 @@ def cell_signs(fan):
 
 
 def test_one_hyperplane_two_cells():
-    fan = arrangement_fan([fn(a=1.0)], ("a",))
-    assert cell_signs(fan) == {"+", "-"}
+    for num, exact in ((float, False), (Fraction, True)):
+        fan = arrangement_fan([fn(a=num(1)), fn(a=num(-3))], ("a",), exact=exact)
+        assert cell_signs(fan) == {"+", "-"}
+        assert len(fan.cells) == 2
 
 
 def test_two_hyperplanes_four_quadrants():
@@ -75,11 +80,12 @@ def test_witnesses_satisfy_their_signs():
             assert m > 0 if s == "+" else m < 0
 
 
-def test_fan_is_seed_independent():
+def test_fan_is_deterministic():
     normals = [fn(a=1.0, b=0.5), fn(b=1.0), fn(a=-1.0, b=2.0)]
-    f0 = arrangement_fan(normals, ("a", "b"), seed=0)
-    f9 = arrangement_fan(normals, ("a", "b"), seed=99)
-    assert f0 == f9
+    assert arrangement_fan(normals, ("a", "b")) == arrangement_fan(normals, ("a", "b"))
+    normals += [fn(c=1.0), fn(a=0.3, b=-1.0, c=2.0), fn(b=1.0, c=-0.7)]
+    gens = ("a", "b", "c")
+    assert arrangement_fan(normals, gens) == arrangement_fan(normals, gens)
 
 
 def test_duplicate_normals_collapse():
@@ -96,6 +102,15 @@ def test_cell_cap():
     normals = [fn(a=1.0), fn(b=1.0), fn(a=1.0, b=1.0)]
     with pytest.raises(FanSizeError):
         arrangement_fan(normals, ("a", "b"), max_cells=4)
+
+
+def test_cell_cap_counts_distinct_cells_in_three_dimensions():
+    # three coordinate planes: 8 octants, each reached from several rays
+    normals = [fn(a=1.0), fn(b=1.0), fn(c=1.0)]
+    gens = ("a", "b", "c")
+    assert len(arrangement_fan(normals, gens, max_cells=8).cells) == 8
+    with pytest.raises(FanSizeError):
+        arrangement_fan(normals, gens, max_cells=7)
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +176,133 @@ def test_planar_fan_badly_scaled_lines():
     for cell in fan.cells:
         margins = rows @ np.array(cell.witness)
         assert "".join("+" if m > 0 else "-" for m in margins) == cell.signs
+
+
+# ---------------------------------------------------------------------------
+# the rank recursion, checked against referees that do not use it
+
+
+def generic_normals(rng, n, h, exact):
+    """h integer normals in R^n, every min(n, h) of them independent."""
+    gens = "abcd"[:n]
+    num = Fraction if exact else float
+    while True:
+        rows = rng.integers(-5, 6, (h, n))
+        k = min(n, h)
+        if all(
+            np.linalg.matrix_rank(rows[list(sub)]) == k
+            for sub in itertools.combinations(range(h), k)
+        ):
+            return [fn(**{g: num(int(v)) for g, v in zip(gens, row) if v}) for row in rows]
+
+
+def zaslavsky_generic(n, h):
+    """Cells of a generic central arrangement of h hyperplanes in R^n."""
+    return 2 * sum(comb(h - 1, k) for k in range(n))
+
+
+def confirmed_by_lp(fan, cell):
+    """Exact LP: some x in the cube has margin >= t > 0 on every signed row."""
+    n = len(fan.generators)
+    rows = []
+    for hp, s in zip(fan.hyperplanes, cell.signs):
+        sgn = 1 if s == "+" else -1
+        rows.append([-sgn * Fraction(v) for v in hp.vector(fan.generators)] + [1])
+    res = solve_lp(
+        [0] * n + [1],
+        A_ub=rows,
+        b_ub=[0] * len(rows),
+        bounds=[(-1, 1)] * n + [(None, 1)],
+        maximize=True,
+        exact=True,
+    )
+    return res.status == OPTIMAL and res.value > 0
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_generic_fans_match_zaslavsky_count(exact):
+    rng = np.random.default_rng(73)
+    for n, hs in ((3, (1, 2, 3, 4, 5, 7)), (4, (2, 4, 5, 6))):
+        gens = "abcd"[:n]
+        for h in hs:
+            fan = arrangement_fan(generic_normals(rng, n, h, exact), gens, exact=exact)
+            assert len(fan.hyperplanes) == h
+            assert len(cell_signs(fan)) == len(fan.cells) == zaslavsky_generic(n, h)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_rank_two_arrangement_in_three_dimensions_is_planar(exact):
+    rng = np.random.default_rng(79)
+    for h in (1, 2, 4, 7):
+        lines = random_lines(rng, h, exact)
+        fan3 = arrangement_fan(lines, ("a", "b", "c"), exact=exact)
+        fan2 = arrangement_fan(lines, ("a", "b"), exact=exact)
+        assert len(fan3.cells) == 2 * h
+        assert cell_signs(fan3) == cell_signs(fan2)
+
+
+def random_integer_normals(rng, n, h, exact):
+    """h distinct integer normals in R^n, degenerate positions allowed."""
+    gens = "abcd"[:n]
+    num = Fraction if exact else float
+    out = []
+    while len(out) < h:
+        row = rng.integers(-2, 3, n)
+        if row.any():
+            out.append(fn(**{g: num(int(v)) for g, v in zip(gens, row) if v}))
+    return out
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_rank_recursion_witnesses_are_strictly_inside(exact):
+    rng = np.random.default_rng(83)
+    for n, h in ((1, 2), (3, 3), (3, 6), (4, 4), (4, 7)):
+        gens = "abcd"[:n]
+        fan = arrangement_fan(random_integer_normals(rng, n, h, exact), gens, exact=exact)
+        for cell in fan.cells:
+            assert all(-1 < v < 1 for v in cell.witness)
+            if exact:
+                assert all(isinstance(v, Fraction) for v in cell.witness)
+            point = dict(zip(gens, cell.witness))
+            for hp, s in zip(fan.hyperplanes, cell.signs):
+                m = hp.evaluate(point)
+                assert m > 0 if s == "+" else m < 0
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_rank_recursion_contains_every_sampled_sign_vector(exact):
+    rng = np.random.default_rng(89)
+    for n, h in ((3, 4), (3, 8), (4, 5), (4, 8)):
+        gens = "abcd"[:n]
+        fan = arrangement_fan(random_integer_normals(rng, n, h, exact), gens, exact=exact)
+        pts = rng.standard_normal((4000, n))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        rows = fan.normal_rows()
+        margins = pts @ (rows / np.linalg.norm(rows, axis=1, keepdims=True)).T
+        clear = np.abs(margins).min(axis=1) > 1e-6
+        sampled = {"".join("+" if v > 0 else "-" for v in row) for row in margins[clear]}
+        assert sampled <= cell_signs(fan)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_rank_recursion_cells_confirmed_by_exact_lp(exact):
+    rng = np.random.default_rng(97)
+    for n, h in ((3, 5), (4, 5)):
+        gens = "abcd"[:n]
+        fan = arrangement_fan(random_integer_normals(rng, n, h, exact), gens, exact=exact)
+        assert all(confirmed_by_lp(fan, cell) for cell in fan.cells)
+
+
+def test_thin_cells_between_nearly_parallel_planes():
+    # planes x = y and x = 0.9999999999*y (likewise for z) bound thin cells
+    # that a margin threshold of 1e-7 dropped (12 cells)
+    e = parse_expr("(0.9999999999*(((d(b)) v (d(b))) ^ ((d(a)) v (d(c))))) ^ (d(a))")
+    gens = ("a", "b", "c")
+    fan = pl_from_maxmin(to_maxmin(e), gens).fan
+    exact_fan = pl_from_maxmin(to_maxmin(e), gens, exact=True).fan
+    assert len(fan.cells) == 20
+    assert cell_signs(fan) <= cell_signs(exact_fan)
+    assert all(confirmed_by_lp(fan, cell) for cell in fan.cells)
 
 
 def coverage_count(fan, point):

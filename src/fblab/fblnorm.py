@@ -56,6 +56,7 @@ from .expr import (
     LinearFunctional,
     evaluate,
     parse_expr,
+    support,
     to_maxmin,
     to_text,
 )
@@ -199,20 +200,29 @@ def config_value(F, config: DualConfig) -> float:
 
 
 class MaxMinEvaluator:
-    """Vectorized evaluator of a max-min form over a fixed generator order."""
+    """Vectorized evaluator of a max-min form over a fixed generator order.
+
+    Each group's row indices are padded with its own first index to one
+    width, so a single fancy index gathers every group; min and max do not
+    round, so the padding changes no value.
+    """
 
     def __init__(self, m: MaxMinForm, generators):
         self.generators = tuple(generators)
-        self.rows, self.group_idx = m.matrix(self.generators)
+        self.rows, group_idx = m.matrix(self.generators)
+        width = max(len(idx) for idx in group_idx)
+        self.idx = np.array(
+            [np.concatenate((idx, np.full(width - len(idx), idx[0]))) for idx in group_idx]
+        )
 
     def __call__(self, x) -> float:
         vals = self.rows @ np.asarray(x, dtype=float)
-        return float(max(vals[idx].min() for idx in self.group_idx))
+        return float(vals[self.idx].min(axis=1).max())
 
     def batch(self, X: np.ndarray) -> np.ndarray:
+        """Values at the points of X, shape (..., n), stacked on leading axes."""
         vals = np.asarray(X, dtype=float) @ self.rows.T
-        per_group = [vals[:, idx].min(axis=1) for idx in self.group_idx]
-        return np.max(np.stack(per_group, axis=1), axis=1)
+        return vals[..., self.idx].min(axis=-1).max(axis=-1)
 
 
 def expr_evaluator(e: LatticeExpr, generators) -> MaxMinEvaluator:
@@ -227,7 +237,12 @@ class _PLEvaluator:
         return float(plfan.pl_value(self.f, tuple(float(v) for v in x)))
 
     def batch(self, X: np.ndarray) -> np.ndarray:
-        return plfan.pl_value_many(self.f, np.asarray(X, dtype=float))
+        X = np.asarray(X, dtype=float)
+        if X.ndim == 2:
+            return plfan.pl_value_many(self.f, X)
+        # One call per (k, n) slice: pl_value_many multiplies the points of a
+        # cell together, and BLAS picks its kernel by how many there are.
+        return np.array([self.batch(x) for x in X])
 
 
 def pl_evaluator(f: plfan.PLFunction) -> _PLEvaluator:
@@ -247,9 +262,9 @@ class abs_coordinate_product:
     def batch(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         inner = self.F.batch(X) if hasattr(self.F, "batch") else np.array(
-            [self.F(row) for row in X]
-        )
-        return inner * np.abs(X[:, self.idx])
+            [self.F(row) for row in X.reshape(-1, X.shape[-1])]
+        ).reshape(X.shape[:-1])
+        return inner * np.abs(X[..., self.idx])
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +410,17 @@ def oracle_lower_bound(
     counts configuration evaluations; the result is deterministic given
     (input, seed, budget), and ties prefer the earliest restart.  The upper
     field is +infinity: this route never claims an upper bound.
+
+    The search is first-improvement: a member's coordinates are visited in
+    random order, and a move is kept as soon as it improves the value.  The
+    moves of all coordinates still to visit in a member are evaluated
+    together, in one stacked call, and the acceptance rule is replayed over
+    those values in order.  After a kept move the remaining coordinates are
+    evaluated afresh, and values past the budget are dropped uncounted, so
+    the trajectory, the counts and the result are those of evaluating one
+    move at a time.  F takes one point; a batch method, if F has one, takes
+    an (m, k, n) stack of configurations and returns their (m, k) values,
+    each (k, n) slice computed as F.batch would compute it alone.
     """
     gens = space.generators
     n = len(gens)
@@ -403,21 +429,23 @@ def oracle_lower_bound(
     _homogeneity_spot_check(F, n, degree, rng)
 
     has_batch = hasattr(F, "batch")
-    evals = 0
 
-    def config_val(X: np.ndarray) -> float:
-        nonlocal evals
-        evals += 1
-        sums = np.abs(X @ reps.T).sum(axis=0)
-        sigma = sums.max()
-        if sigma <= 1e-300:
-            return 0.0
-        Xs = X / sigma
+    def values(Xc: np.ndarray) -> np.ndarray:
+        """Value of each configuration Xc[j] (shape (m, k, n)) on the boundary.
+
+        F.batch gets the stack itself, not its rows flattened: numpy's matmul
+        treats each (k, n) slice as it treats that configuration alone, while
+        flattened one-member families go through another BLAS kernel, whose
+        last bits differ and can flip an accept decision.
+        """
+        sigma = np.abs(Xc @ reps.T).sum(axis=1).max(axis=1)
+        live = sigma > 1e-300
+        Xs = Xc / np.where(live, sigma, 1.0)[:, None, None]
         if has_batch:
             vals = F.batch(Xs)
         else:
-            vals = np.array([F(row) for row in Xs])
-        return float(np.abs(vals).sum())
+            vals = np.array([F(row) for row in Xs.reshape(-1, n)]).reshape(Xs.shape[:2])
+        return np.where(live, np.abs(vals).sum(axis=1), 0.0)
 
     sizes = list(range(1, len(reps) + 2))
     per_restart = max(250, budget // 12)
@@ -426,6 +454,11 @@ def oracle_lower_bound(
     best_val = 0.0
     best_X = np.zeros((0, n))
     restart = 0
+    evals = start_evals = accepted = 0
+
+    def spent() -> bool:
+        return evals >= budget or evals - start_evals >= per_restart
+
     while evals < budget:
         k = sizes[restart % len(sizes)]
         if restart % 2 == 0:
@@ -436,32 +469,46 @@ def oracle_lower_bound(
             for i in range(k):
                 X[i, rng.integers(0, n)] = rng.choice((-1.0, 1.0))
             X += 0.01 * rng.standard_normal((k, n))
-        val = config_val(X)
+        val = float(values(X[None])[0])
+        evals += 1
         start_evals = evals
         step_i = 0
-        while evals < budget and evals - start_evals < per_restart:
+        while not spent():
             improved = False
             delta = steps[min(step_i, len(steps) - 1)]
             for i in range(k):
-                for a in rng.permutation(n):
-                    base = X[i, a]
-                    for cand in (0.0, 1.0, -1.0, base + delta, base - delta):
-                        if cand == base:
-                            continue
-                        X[i, a] = cand
-                        v2 = config_val(X)
-                        if v2 > val + 1e-15:
-                            val = v2
-                            base = cand
-                            improved = True
-                        else:
-                            X[i, a] = base
-                        if evals >= budget or evals - start_evals >= per_restart:
+                order = rng.permutation(n)
+                pos = 0
+                while pos < n and not spent():
+                    # All five moves of every coordinate left in the member.
+                    # A move changes its own coordinate only, so the values
+                    # hold until a coordinate keeps one.
+                    todo = order[pos:]
+                    base = X[i, todo]
+                    one = np.ones_like(base)
+                    moves = np.stack(
+                        (np.zeros_like(base), one, -one, base + delta, base - delta), axis=1
+                    )
+                    Xc = np.repeat(X[None], moves.size, axis=0)
+                    Xc[np.arange(moves.size), i, np.repeat(todo, 5)] = moves.ravel()
+                    vals = values(Xc).reshape(moves.shape)
+                    moved = False
+                    for a, cands, v2s in zip(todo, moves.tolist(), vals.tolist()):
+                        pos += 1
+                        for cand, v2 in zip(cands, v2s):
+                            if cand == X[i, a]:
+                                continue
+                            evals += 1
+                            if v2 > val + 1e-15:
+                                X[i, a] = cand
+                                val = v2
+                                accepted += 1
+                                improved = moved = True
+                            if spent():
+                                break
+                        if moved or spent():
                             break
-                    X[i, a] = base
-                    if evals >= budget or evals - start_evals >= per_restart:
-                        break
-                if evals >= budget or evals - start_evals >= per_restart:
+                if spent():
                     break
             if not improved:
                 step_i += 1
@@ -486,7 +533,12 @@ def oracle_lower_bound(
         certificate=config,
         upper=math.inf,
         exact=False,
-        diagnostics={"evaluations": evals, "restarts": restart, "budget": budget},
+        diagnostics={
+            "evaluations": evals,
+            "restarts": restart,
+            "budget": budget,
+            "accepted_moves": accepted,
+        },
     )
 
 
@@ -501,16 +553,10 @@ def norm_of_expression(
 ) -> NormBracket:
     """Convenience pipeline: expression -> max-min -> fan -> exact norm."""
     if space is None:
-        space = fbl_space(sorted(support_of(e)))
+        space = fbl_space(sorted(support(e)))
     m = to_maxmin(e)
     f = plfan.pl_from_maxmin(m, space.generators, exact=exact)
     return exact_fbl_norm(f, space, exact=exact)
-
-
-def support_of(e: LatticeExpr):
-    from .expr import support
-
-    return support(e)
 
 
 def check_lemma34(
@@ -528,7 +574,7 @@ def check_lemma34(
     report dict with the best oracle lower bound, the sup norm, and the
     verdict.
     """
-    gens = tuple(sorted(support_of(e))) if space is None else space.generators
+    gens = tuple(sorted(support(e))) if space is None else space.generators
     if a not in gens:
         raise SpaceError(f"generator {a!r} not in the generator set")
     if space is None:
@@ -564,7 +610,7 @@ def fbl_vs_polyhedral_check(
     last bit.  The sign-vector ball gives a genuinely different norm, which
     is reported along with an oracle run for agreement.
     """
-    gens = tuple(generators) if generators is not None else tuple(sorted(support_of(e)))
+    gens = tuple(generators) if generators is not None else tuple(sorted(support(e)))
     m = to_maxmin(e)
     f = plfan.pl_from_maxmin(m, gens)
 

@@ -54,6 +54,7 @@ def test_payload_is_deterministic(capsys):
     _, r2, _ = run_cli(capsys, argv)
     assert r1["payload"] == r2["payload"]
     assert r1["config"] == r2["config"]
+    assert r1["payload"]["diagnostics"]["accepted_moves"] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +162,8 @@ def test_oracle_single_generator(capsys):
     assert p["upper"] == "inf"
     assert abs(p["lower"] - 1.0) <= 1e-6
     assert p["diagnostics"]["evaluations"] <= 2000
+    # |x_a| over the boundary scale is 1 for every family: no move improves.
+    assert p["diagnostics"]["accepted_moves"] == 0
 
 
 # ---------------------------------------------------------------------------

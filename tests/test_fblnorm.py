@@ -6,12 +6,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fblab.expr import Gen, Scale, Sum, parse_expr, to_maxmin, to_text
+from fblab.expr import Gen, Scale, Sum, evaluate, parse_expr, to_maxmin, to_text
 from fblab.fblnorm import (
     AdmissibilitySpace,
     DualConfig,
     MaxMinEvaluator,
+    NormBracket,
     SpaceError,
+    _homogeneity_spot_check,
     abs_coordinate_product,
     admissible,
     check_lemma34,
@@ -23,10 +25,11 @@ from fblab.fblnorm import (
     linf_vertex_space,
     make_certificate,
     oracle_lower_bound,
+    pl_evaluator,
     replay_certificate,
 )
 from fblab import plfan
-from exprgen import badly_scaled_scalar, random_expr_capped
+from exprgen import badly_scaled_scalar, random_expr_capped, rounded_scalar
 
 
 def brute_force_lower(F, space, rng, tries=3000, max_points=3):
@@ -294,6 +297,9 @@ def test_oracle_is_deterministic_given_seed():
     b2 = oracle_lower_bound(F, space, budget=3000, seed=7)
     assert b1.lower == b2.lower
     assert b1.certificate == b2.certificate
+    assert b1.diagnostics == b2.diagnostics
+    assert set(b1.diagnostics) == {"evaluations", "restarts", "budget", "accepted_moves"}
+    assert b1.diagnostics["accepted_moves"] > 0
 
 
 def test_oracle_certificate_is_sound():
@@ -311,6 +317,248 @@ def test_oracle_rejects_inhomogeneous_evaluator():
     space = fbl_space(("a",))
     with pytest.raises(ValueError):
         oracle_lower_bound(lambda x: float(x[0]) + 1.0, space, budget=100, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# the batched oracle against the search that evaluated one move at a time
+
+
+# The oracle's loop as it was before moves were evaluated in batches, kept
+# verbatim: one config_val call per move, each on a (k, n) array.
+def reference_oracle(
+    F,
+    space: AdmissibilitySpace,
+    budget: int = 10_000,
+    seed: int = 0,
+    degree: int = 1,
+) -> NormBracket:
+    gens = space.generators
+    n = len(gens)
+    reps = np.array(space.representatives(), dtype=float)
+    rng = np.random.default_rng(seed)
+    _homogeneity_spot_check(F, n, degree, rng)
+
+    has_batch = hasattr(F, "batch")
+    evals = 0
+
+    def config_val(X: np.ndarray) -> float:
+        nonlocal evals
+        evals += 1
+        sums = np.abs(X @ reps.T).sum(axis=0)
+        sigma = sums.max()
+        if sigma <= 1e-300:
+            return 0.0
+        Xs = X / sigma
+        if has_batch:
+            vals = F.batch(Xs)
+        else:
+            vals = np.array([F(row) for row in Xs])
+        return float(np.abs(vals).sum())
+
+    sizes = list(range(1, len(reps) + 2))
+    per_restart = max(250, budget // 12)
+    steps = (1.0, 0.4, 0.15, 0.05, 0.015, 0.005, 0.0015, 5e-4, 1.5e-4, 5e-5)
+
+    best_val = 0.0
+    best_X = np.zeros((0, n))
+    restart = 0
+    while evals < budget:
+        k = sizes[restart % len(sizes)]
+        if restart % 2 == 0:
+            X = rng.uniform(-1.0, 1.0, (k, n))
+        else:
+            # Sparse signed-axis start: good corners for free-lattice spaces.
+            X = np.zeros((k, n))
+            for i in range(k):
+                X[i, rng.integers(0, n)] = rng.choice((-1.0, 1.0))
+            X += 0.01 * rng.standard_normal((k, n))
+        val = config_val(X)
+        start_evals = evals
+        step_i = 0
+        while evals < budget and evals - start_evals < per_restart:
+            improved = False
+            delta = steps[min(step_i, len(steps) - 1)]
+            for i in range(k):
+                for a in rng.permutation(n):
+                    base = X[i, a]
+                    for cand in (0.0, 1.0, -1.0, base + delta, base - delta):
+                        if cand == base:
+                            continue
+                        X[i, a] = cand
+                        v2 = config_val(X)
+                        if v2 > val + 1e-15:
+                            val = v2
+                            base = cand
+                            improved = True
+                        else:
+                            X[i, a] = base
+                        if evals >= budget or evals - start_evals >= per_restart:
+                            break
+                    X[i, a] = base
+                    if evals >= budget or evals - start_evals >= per_restart:
+                        break
+                if evals >= budget or evals - start_evals >= per_restart:
+                    break
+            if not improved:
+                step_i += 1
+                if step_i >= len(steps):
+                    break
+        if val > best_val + 1e-15:
+            best_val = val
+            best_X = X.copy()
+        restart += 1
+
+    # Rescale the winner onto the boundary and drop zero members.
+    if best_X.shape[0]:
+        sums = np.abs(best_X @ reps.T).sum(axis=0)
+        sigma = sums.max()
+        if sigma > 0:
+            best_X = best_X / sigma
+        best_X = best_X[np.abs(best_X).max(axis=1) > 0]
+    config = DualConfig(tuple(tuple(float(v) for v in row) for row in best_X))
+    value = config_value(F, config) if config.points else 0.0
+    return NormBracket(
+        lower=value,
+        certificate=config,
+        upper=math.inf,
+        exact=False,
+        diagnostics={"evaluations": evals, "restarts": restart, "budget": budget},
+    )
+
+
+def _bits(bracket):
+    return (
+        bracket.lower.hex(),
+        tuple(tuple(c.hex() for c in x) for x in bracket.certificate.points),
+        bracket.diagnostics["evaluations"],
+        bracket.diagnostics["restarts"],
+    )
+
+
+ORACLE_CASE_FORMS = {
+    1: ("2.5*d(a)", "d(a) v -0.3*d(a)"),
+    2: ("(d(a) v d(b)) ^ (0.37*d(a) - 1.3*d(b))",
+        "1000000.0*d(a) ^ (0.9999999999*d(b) v -1e-07*d(a))"),
+    3: ("(d(a) ^ d(b)) v (d(c) - 0.41*d(a)) v -1.7*d(b)",
+        "|d(a) - 1.0000000001*d(c)| ^ d(b)"),
+    4: ("(d(a) v d(d)) ^ (d(b) - 0.6*d(c))",
+        "0.37*d(a) + 1.3*d(b) - 2.9*d(c) + 0.11*d(d)"),
+}
+
+
+def _oracle_cases():
+    """(label, F, space, degree) over both spaces, n = 1-4, four evaluators."""
+    cases = []
+    for n, texts in ORACLE_CASE_FORMS.items():
+        gens = ("a", "b", "c", "d")[:n]
+        for s, space in enumerate((fbl_space(gens), linf_vertex_space(gens))):
+            for j, kind in enumerate(("maxmin", "product", "pl", "lambda")):
+                e = parse_expr(texts[(s + j) % 2])
+                m = to_maxmin(e)
+                F, degree = MaxMinEvaluator(m, gens), 1
+                if kind == "product":
+                    F, degree = abs_coordinate_product(F, j % n), 2
+                elif kind == "pl":
+                    F = pl_evaluator(plfan.pl_from_maxmin(m, gens))
+                elif kind == "lambda":
+                    F = lambda x, G=F: G(x)  # no batch method
+                label = f"{kind} {to_text(e)} {len(space.ball_vertices)} vertices"
+                cases.append((label, F, space, degree))
+    zero = parse_expr("d(a) - d(a)")
+    for gens in (("a",), ("a", "b")):
+        F = MaxMinEvaluator(to_maxmin(zero), gens)
+        cases.append((f"zero over {gens}", F, fbl_space(gens), 1))
+    # Plateau moves in c with values above 16, where val + 1e-15 == val: a
+    # last-bit difference between a stacked and a lone evaluation is enough
+    # to accept a move the one-at-a-time search rejected.
+    gens = ("a", "b", "c", "d")
+    e = parse_expr("37.3*d(a) + 11.9*d(b) - 5.3*d(d)")
+    cases.append(("plateau", MaxMinEvaluator(to_maxmin(e), gens), fbl_space(gens), 1))
+    return cases
+
+
+@pytest.mark.parametrize("budget", [1, 7, 257, 1001, 3001])
+def test_oracle_trajectory_matches_one_move_at_a_time(budget):
+    for j, (label, F, space, degree) in enumerate(_oracle_cases()):
+        seed = 1000 * budget + j
+        got = oracle_lower_bound(F, space, budget=budget, seed=seed, degree=degree)
+        want = reference_oracle(F, space, budget=budget, seed=seed, degree=degree)
+        assert _bits(got) == _bits(want), label
+        accepted = got.diagnostics["accepted_moves"]
+        assert 0 <= accepted <= got.diagnostics["evaluations"] - got.diagnostics["restarts"]
+
+
+def test_oracle_plateau_trajectory_over_seeds():
+    gens = ("a", "b", "c", "d")
+    F = MaxMinEvaluator(to_maxmin(parse_expr("37.3*d(a) + 11.9*d(b) - 5.3*d(d)")), gens)
+    space = fbl_space(gens)
+    for seed in range(6):
+        got = oracle_lower_bound(F, space, budget=3001, seed=seed)
+        want = reference_oracle(F, space, budget=3001, seed=seed)
+        assert _bits(got) == _bits(want), seed
+
+
+# ---------------------------------------------------------------------------
+# MaxMinEvaluator
+
+
+UNEQUAL_GROUP_FORMS = (
+    "(d(a) ^ d(b) ^ -0.5*d(c)) v d(b) v (2*d(a) ^ d(c))",
+    "((d(a) v d(b) v d(c)) ^ 1.25*d(c)) v -d(a)",
+    "(d(a) ^ d(b)) v d(c) v (d(a) ^ -d(c) ^ 0.75*d(b))",
+)
+
+
+def test_maxmin_batch_equals_call_bit_for_bit():
+    """Dyadic coefficients and points keep every product and sum exact, so
+    the comparison checks the padded group gather, not BLAS rounding."""
+    rng = np.random.default_rng(11)
+    gens = ("a", "b", "c")
+    for text in UNEQUAL_GROUP_FORMS:
+        m = to_maxmin(parse_expr(text))
+        assert len({len(g) for g in m.groups}) > 1, text
+        F = MaxMinEvaluator(m, gens)
+        X = rng.integers(-16, 17, (200, 3)) / 8.0
+        got = F.batch(X)
+        assert got.shape == (200,)
+        assert [v.hex() for v in got.tolist()] == [F(x).hex() for x in X], text
+
+
+def test_maxmin_evaluator_matches_evaluate():
+    rng = np.random.default_rng(12)
+    gens = ("a", "b", "c")
+    forms = [parse_expr(t) for t in UNEQUAL_GROUP_FORMS]
+    forms += [random_expr_capped(rng, gens, depth=4, max_size=30) for _ in range(20)]
+    for e in forms:
+        F = MaxMinEvaluator(to_maxmin(e), gens)
+        X = rng.uniform(-1.0, 1.0, (50, 3))
+        batch = F.batch(X)
+        for x, b in zip(X, batch):
+            want = evaluate(e, dict(zip(gens, x)))
+            assert abs(b - want) <= 1e-12 * (1.0 + abs(want)), to_text(e)
+            assert abs(F(x) - want) <= 1e-12 * (1.0 + abs(want)), to_text(e)
+
+
+def test_maxmin_batch_of_no_points():
+    F = MaxMinEvaluator(to_maxmin(parse_expr(UNEQUAL_GROUP_FORMS[0])), ("a", "b", "c"))
+    assert F.batch(np.zeros((0, 3))).shape == (0,)
+
+
+def test_batch_of_a_stack_equals_batch_of_each_configuration():
+    """The oracle evaluates (m, k, n) stacks and relies on each (k, n) slice
+    coming out as it would alone, to the last bit."""
+    rng = np.random.default_rng(13)
+    gens = ("a", "b", "c")
+    m = to_maxmin(parse_expr("(0.37*d(a) + 1.3*d(b)) v (d(c) ^ -2.9*d(a)) v 0.11*d(b)"))
+    M = MaxMinEvaluator(m, gens)
+    evaluators = (M, abs_coordinate_product(M, 1), pl_evaluator(plfan.pl_from_maxmin(m, gens)))
+    for F in evaluators:
+        for k in (1, 2, 5):
+            S = rng.uniform(-1.0, 1.0, (30, k, 3))
+            got = F.batch(S)
+            assert got.shape == (30, k)
+            for j in range(30):
+                assert got[j].tobytes() == np.asarray(F.batch(S[j].copy())).tobytes()
 
 
 # ---------------------------------------------------------------------------

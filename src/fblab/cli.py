@@ -263,7 +263,7 @@ def _cmd_ck_section(args) -> int:
     K = _parse_kspec(args.k)
     h = _parse_target(K, args.h)
     bundle = ckretract.build_section(K, h)
-    sec = ckretract.verify_section(bundle, samples=args.samples, seed=args.seed)
+    sec = ckretract.verify_section(bundle)
     nb = ckretract.verify_norm_bound(bundle)
     bracket = nb.pop("bracket")
     cert_path = _write_cert_if_asked(
@@ -367,7 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", required=True,
                    help="interval | twopoints | union:a1,b1;a2,b2")
     p.add_argument("--h", required=True, help="breakpoints as c:v,c:v,...")
-    p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--cert", default=None)
     _add_common(p)
     p.set_defaults(func=_cmd_ck_section)

@@ -254,7 +254,7 @@ def test_criterion_6_section_suite(acceptance_log, cert_store):
         for i in range(20):
             h = _random_target(K, rng, max_interior=2)
             b = ckretract.build_section(K, h)
-            sec = ckretract.verify_section(b, samples=1000)
+            sec = ckretract.verify_section(b)
             nb = ckretract.verify_norm_bound(b)
             worst_identity = max(worst_identity, sec["worst_deviation"])
             if not sec["pass"] or sec["worst_deviation"] > 1e-12:

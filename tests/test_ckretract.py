@@ -1,5 +1,6 @@
 """Interval retract sections: pipeline, symbolic assembly, bounds, laws."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +23,8 @@ from fblab.ckretract import (
     verify_norm_bound,
     verify_section,
 )
-from fblab.plfan import pl_value
+from fblab.expr import LinearFunctional
+from fblab.plfan import PLFunction, pl_value, pl_value_many
 from fblab.fblnorm import DualConfig, admissible, config_value, fbl_space
 
 
@@ -141,7 +143,7 @@ def test_identity_section_on_interval():
     K = interval01()
     b = build_section(K, H(K, (0, 0), (1, 1)))
     assert pl_value(b.Sh, (1.0, 0.25)) == pytest.approx(0.25, abs=1e-12)
-    rep = verify_section(b, samples=1000)
+    rep = verify_section(b)
     assert rep["pass"], rep["failures"]
     assert rep["worst_deviation"] <= 1e-12
 
@@ -151,7 +153,7 @@ def test_two_point_section_values():
     b = build_section(K, H(K, (0, 3), (1, -2)))
     assert pl_value(b.Sh, (1.0, 0.0)) == pytest.approx(3.0, abs=1e-12)
     assert pl_value(b.Sh, (1.0, 1.0)) == pytest.approx(-2.0, abs=1e-12)
-    rep = verify_section(b, samples=500)
+    rep = verify_section(b)
     assert rep["pass"]
 
 
@@ -170,8 +172,129 @@ def test_union_section_identity():
     K = union_of_intervals([(0, Fraction(1, 4)), (Fraction(1, 2), 1)])
     h = H(K, (0, 1), (Fraction(1, 8), 2), (Fraction(1, 4), 0), (Fraction(1, 2), -1), (1, 1))
     b = build_section(K, h)
-    rep = verify_section(b, samples=1000)
+    rep = verify_section(b)
     assert rep["pass"], rep["failures"]
+
+
+# Sections whose pieces are mutated one cell at a time below: every kind of
+# K, and a target whose float coefficients round at the 1e-10 level.
+MUTATION_CASES = [
+    (interval01(), ((0, 0), (Fraction(1, 3), 2), (1, -1))),
+    (interval01(), ((0, 0), (Fraction(1, 3), 10**6), (1, 7))),
+    (two_points(), ((0, 3), (1, -2))),
+    (
+        union_of_intervals([(0, Fraction(1, 4)), (Fraction(1, 2), 1)]),
+        ((0, 1), (Fraction(1, 8), 2), (Fraction(1, 4), 0), (Fraction(1, 2), -1), (1, 1)),
+    ),
+]
+
+
+def _with_piece(b, idx, piece):
+    pieces = list(b.Sh.pieces)
+    pieces[idx] = piece
+    return dataclasses.replace(b, Sh=PLFunction(b.Sh.fan, tuple(pieces)))
+
+
+def _slice_ranges(fan, idx, K):
+    """[p, q] with {1} x [p, q] = closed cell idx meet {1} x I, per interval I of K.
+
+    Computed in Fractions from the cell's two boundary rays r1, r2 (counter-
+    clockwise): the sector is cross(r1, x) >= 0 and cross(x, r2) >= 0.
+    """
+    rows = [[Fraction(v) for v in hp.vector(fan.generators)] for hp in fan.hyperplanes]
+    signs = fan.cells[idx].signs
+
+    def in_cell(x):
+        margins = (a * x[0] + c * x[1] for a, c in rows)
+        return all(m >= 0 if ch == "+" else m <= 0 for m, ch in zip(margins, signs))
+
+    r1, r2 = [r for a, c in rows for r in ((-c, a), (c, -a)) if in_cell(r)]
+    if r1[0] * r2[1] - r1[1] * r2[0] < 0:
+        r1, r2 = r2, r1
+    out = []
+    for lo, hi in K.intervals:
+        # at x = (1, k): r1.s * k >= r1.t and r2.t >= r2.s * k
+        for alpha, beta in ((r1[0], r1[1]), (-r2[0], -r2[1])):
+            if alpha > 0:
+                lo = max(lo, beta / alpha)
+            elif alpha < 0:
+                hi = min(hi, beta / alpha)
+            elif beta > 0:
+                hi = lo - 1
+        if lo <= hi:
+            out.append((lo, hi))
+    return out
+
+
+@pytest.mark.parametrize("K, pairs", MUTATION_CASES)
+def test_identity_fails_exactly_on_cells_meeting_K(K, pairs):
+    b = build_section(K, H(K, *pairs))
+    assert verify_section(b)["pass"]
+    bump = LinearFunctional.from_map({"one": 1e-9 * max(1.0, float(b.h_sup))})
+    meets = []
+    for idx in range(len(b.Sh.fan.cells)):
+        meets.append(bool(_slice_ranges(b.Sh.fan, idx, K)))
+        rep = verify_section(_with_piece(b, idx, b.Sh.pieces[idx].plus(bump)))
+        assert rep["pass"] is not meets[-1], (idx, b.Sh.fan.cells[idx].signs)
+    assert any(meets) and not all(meets)
+
+
+@pytest.mark.parametrize(
+    "K, pairs", [case for case in MUTATION_CASES if case[0].kind != "two_points"]
+)
+def test_identity_reads_each_segments_own_piece(K, pairs):
+    """A piece turned about its segment's midpoint, or about one end, agrees
+    with h at that point only; every such mutant fails."""
+    b = build_section(K, H(K, *pairs))
+    scale = max(1.0, float(b.h_sup))
+    turned = 0
+    for idx in range(len(b.Sh.fan.cells)):
+        for p, q in _slice_ranges(b.Sh.fan, idx, K):
+            if p == q:
+                continue
+            delta = 2e-6 * scale / float(q - p)
+            for pivot in (p, (p + q) / 2, q):
+                turn = LinearFunctional.from_map({"id": delta, "one": -delta * float(pivot)})
+                mutant = _with_piece(b, idx, b.Sh.pieces[idx].plus(turn))
+                assert not verify_section(mutant)["pass"], (idx, p, q, pivot)
+            turned += 1
+    assert turned >= len(K.intervals)
+
+
+def _random_union_target(rng):
+    """2-3 disjoint intervals on the 1/16 grid; breakpoints on the 1/32 grid
+    with values k/4."""
+    parts = int(rng.integers(2, 4))
+    ends = sorted(int(e) for e in rng.choice(17, size=2 * parts, replace=False))
+    K = union_of_intervals(
+        [(Fraction(a, 16), Fraction(b, 16)) for a, b in zip(ends[0::2], ends[1::2])]
+    )
+    pts = {p for iv in K.intervals for p in iv}
+    pts |= {Fraction(int(k), 32) for k in rng.integers(0, 33, 4)
+            if K.contains(Fraction(int(k), 32))}
+    vals = {p: Fraction(int(rng.integers(-8, 9)), 4) for p in pts}
+    return K, target_from_pairs(K, sorted(vals.items()))
+
+
+def test_union_sections_property():
+    rng = np.random.default_rng(613)
+    for _ in range(20):
+        K, h = _random_union_target(rng)
+        b = build_section(K, h)
+        h_sup = float(sup_norm(h))
+        tol = 1e-12 * max(1.0, h_sup)
+        sec = verify_section(b)
+        assert sec["pass"], (K, h, sec["failures"])
+        assert sec["worst_deviation"] <= tol
+        nb = verify_norm_bound(b)
+        assert nb["pass"], (K, h, nb)
+        assert abs(nb["norm_upper"] - h_sup) <= 1e-9 * max(1.0, h_sup)
+        # independent reference: float evaluation at sampled points of K
+        ks = np.array(sample_K(K, rng, 2000))
+        got = pl_value_many(b.Sh, np.column_stack([np.ones_like(ks), ks]))
+        want = np.interp(ks, [float(p) for p, _ in h.breakpoints],
+                         [float(v) for _, v in h.breakpoints])
+        assert np.max(np.abs(got - want)) <= tol
 
 
 # ---------------------------------------------------------------------------

@@ -253,7 +253,7 @@ def test_ck_section_twopoints(tmp_path, capsys):
     code, rep, _ = run_cli(
         capsys,
         ["ck-section", "--k", "twopoints", "--h", "0:0,1:1",
-         "--samples", "200", "--cert", str(cert), "--json-only"],
+         "--cert", str(cert), "--json-only"],
     )
     assert code == 0
     p = rep["payload"]
@@ -274,11 +274,24 @@ def test_ck_section_union(capsys):
     code, rep, _ = run_cli(
         capsys,
         ["ck-section", "--k", "union:0,1/4;1/2,1",
-         "--h", "0:1,1/4:-1,1/2:2,1:0", "--samples", "200", "--json-only"],
+         "--h", "0:1,1/4:-1,1/2:2,1:0", "--json-only"],
     )
     assert code == 0
     assert rep["payload"]["K"]["kind"] == "union_of_intervals"
     assert rep["payload"]["norm_bound"]["norm_upper"] <= 2.0 + 1e-9
+
+
+@pytest.mark.parametrize("scale", [10**6, 10**9, 10**12])
+def test_ck_section_tolerances_are_relative_to_sup_h(capsys, scale):
+    """Rounding of large float coefficients is not a failed identity or bound."""
+    for k, h in (("interval", f"0:0,1/3:{scale},1:7"),
+                 ("union:0,1/3;2/3,1", f"0:1/3,1/3:{scale}/3,2/3:5,1:7")):
+        code, rep, _ = run_cli(capsys, ["ck-section", "--k", k, "--h", h, "--json-only"])
+        p = rep["payload"]
+        assert code == 0, p
+        assert p["section_check"]["pass"] and p["norm_bound"]["pass"]
+        assert p["section_check"]["worst_deviation"] <= 1e-12 * p["h_sup"]
+        assert abs(p["norm_bound"]["norm_upper"] - p["h_sup"]) <= 1e-9 * p["h_sup"]
 
 
 # ---------------------------------------------------------------------------

@@ -492,7 +492,9 @@ def verify_hom_laws(
 
     Joins are built both ways: through the target functions (crossing
     breakpoints inserted) and through the PL pointwise max; equality is
-    decided by pl_equal with a dense-sampling fallback report.
+    decided by pl_equal with a dense-sampling fallback report, whose
+    deviation may be at most tol * max(1, sup|target|) for the join or
+    combination target.
     """
     results = []
     for h1, h2 in pairs:
@@ -514,8 +516,8 @@ def verify_hom_laws(
                 "join_sample_dev": join_dev,
                 "linear_pl_equal": bool(lin_exact),
                 "linear_sample_dev": lin_dev,
-                "pass": (join_exact or join_dev <= tol)
-                and (lin_exact or lin_dev <= tol),
+                "pass": (join_exact or join_dev <= tol * max(1.0, float(bj.h_sup)))
+                and (lin_exact or lin_dev <= tol * max(1.0, float(bl.h_sup))),
             }
         )
     return {"pass": all(r["pass"] for r in results), "pairs": results}

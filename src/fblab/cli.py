@@ -2,8 +2,9 @@
 
 Every workflow is a subcommand that prints one JSON RunReport to stdout and
 a short human summary to stderr (suppressed by --json-only).  Reports are
-deterministic: the payload depends only on argv (including --seed), never
-on wall time, which is reported outside the payload.
+deterministic: the payload depends only on argv (including --seed, which
+only the randomized subcommands take), never on wall time, which is
+reported outside the payload.
 
 Exit codes: 0 on pass, 1 when a checked property fails, 2 on usage errors
 and on any other error, which is reported as one line on stderr.
@@ -48,7 +49,7 @@ def _report(args, payload, started: float) -> dict:
         "config": {
             k: _jsonable(v) for k, v in sorted(vars(args).items()) if k != "func"
         },
-        "seed": getattr(args, "seed", 0),
+        "seed": getattr(args, "seed", None),
         "arithmetic": "rational" if getattr(args, "exact", False) else "float",
         "payload": _jsonable(payload),
         "wall_time_s": round(time.monotonic() - started, 6),
@@ -309,8 +310,9 @@ def _cmd_replay(args) -> int:
 # parser assembly
 
 
-def _add_common(p, budget_default=None):
-    p.add_argument("--seed", type=int, default=0)
+def _add_common(p, budget_default=None, seeded=False):
+    if seeded:
+        p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json-only", action="store_true", dest="json_only")
     if budget_default is not None:
         p.add_argument("--budget", type=int, default=budget_default)
@@ -337,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expr", required=True)
     p.add_argument("--space", choices=("l1", "linf"), default="l1")
     p.add_argument("--cert", default=None)
-    _add_common(p, budget_default=10_000)
+    _add_common(p, budget_default=10_000, seeded=True)
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser(
@@ -346,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--expr", required=True)
     p.add_argument("--gen", required=True)
-    _add_common(p, budget_default=4000)
+    _add_common(p, budget_default=4000, seeded=True)
     p.set_defaults(func=_cmd_lemma34)
 
     p = sub.add_parser("phi-demo", help="subset-family homomorphism demo")
@@ -360,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--len", type=int, default=4)
-    _add_common(p)
+    _add_common(p, seeded=True)
     p.set_defaults(func=_cmd_extract)
 
     p = sub.add_parser("ck-section", help="build and verify an interval section")

@@ -411,16 +411,21 @@ def oracle_lower_bound(
     (input, seed, budget), and ties prefer the earliest restart.  The upper
     field is +infinity: this route never claims an upper bound.
 
-    The search is first-improvement: a member's coordinates are visited in
-    random order, and a move is kept as soon as it improves the value.  The
-    moves of all coordinates still to visit in a member are evaluated
-    together, in one stacked call, and the acceptance rule is replayed over
-    those values in order.  After a kept move the remaining coordinates are
-    evaluated afresh, and values past the budget are dropped uncounted, so
-    the trajectory, the counts and the result are those of evaluating one
-    move at a time.  F takes one point; a batch method, if F has one, takes
-    an (m, k, n) stack of configurations and returns their (m, k) values,
-    each (k, n) slice computed as F.batch would compute it alone.
+    The search is first-improvement: a sweep visits the members in order and
+    each member's coordinates in random order, and a move is kept as soon as
+    it improves the value.  A move changes one coordinate only, so its value
+    does not depend on the visiting order: one stacked call evaluates the
+    five moves of every coordinate of the members left in the sweep, and the
+    acceptance rule is replayed over that table.  Only a kept move makes the
+    table stale; the sweep then evaluates afresh from the member's next
+    coordinate, or from the next member if none is left.  Each member's
+    permutation is drawn when the replay reaches it, and values past the
+    budget are dropped uncounted, so the RNG stream, the trajectory, the
+    counts and the result are those of evaluating one move at a time.
+    diagnostics["stacked_calls"] counts the stacked calls, each restart's
+    start value included.  F takes one point; a batch method, if F has one,
+    takes an (m, k, n) stack of configurations and returns their (m, k)
+    values, each (k, n) slice computed as F.batch would compute it alone.
     """
     gens = space.generators
     n = len(gens)
@@ -429,6 +434,7 @@ def oracle_lower_bound(
     _homogeneity_spot_check(F, n, degree, rng)
 
     has_batch = hasattr(F, "batch")
+    calls = 0
 
     def values(Xc: np.ndarray) -> np.ndarray:
         """Value of each configuration Xc[j] (shape (m, k, n)) on the boundary.
@@ -438,6 +444,8 @@ def oracle_lower_bound(
         flattened one-member families go through another BLAS kernel, whose
         last bits differ and can flip an accept decision.
         """
+        nonlocal calls
+        calls += 1
         sigma = np.abs(Xc @ reps.T).sum(axis=1).max(axis=1)
         live = sigma > 1e-300
         Xs = Xc / np.where(live, sigma, 1.0)[:, None, None]
@@ -450,14 +458,30 @@ def oracle_lower_bound(
     sizes = list(range(1, len(reps) + 2))
     per_restart = max(250, budget // 12)
     steps = (1.0, 0.4, 0.15, 0.05, 0.015, 0.005, 0.0015, 5e-4, 1.5e-4, 5e-5)
+    scatter = {}  # (k, i) -> flat positions in the stack of each move of members i..
+
+    def move_table(X: np.ndarray, i: int, delta: float):
+        """Moves and values, each (k - i, n, 5) nested lists, of members i.. of X."""
+        k = X.shape[0]
+        flat = scatter.get((k, i))
+        if flat is None:
+            # Move slot s sets coordinate s // 5 of the flattened X[i:].
+            slot = np.arange(5 * n * (k - i))
+            flat = scatter[k, i] = slot * (k * n) + i * n + slot // 5
+        base = X[i:].reshape(-1)
+        moves = np.empty((base.size, 5))
+        moves[:, :3] = (0.0, 1.0, -1.0)
+        moves[:, 3] = base + delta
+        moves[:, 4] = base - delta
+        Xc = np.repeat(X[None], flat.size, axis=0)
+        Xc.reshape(-1)[flat] = moves.reshape(-1)
+        shape = (k - i, n, 5)
+        return moves.reshape(shape).tolist(), values(Xc).reshape(shape).tolist()
 
     best_val = 0.0
     best_X = np.zeros((0, n))
     restart = 0
-    evals = start_evals = accepted = 0
-
-    def spent() -> bool:
-        return evals >= budget or evals - start_evals >= per_restart
+    evals = accepted = 0
 
     while evals < budget:
         k = sizes[restart % len(sizes)]
@@ -471,44 +495,39 @@ def oracle_lower_bound(
             X += 0.01 * rng.standard_normal((k, n))
         val = float(values(X[None])[0])
         evals += 1
-        start_evals = evals
+        limit = min(budget, evals + per_restart)
         step_i = 0
-        while not spent():
+        while evals < limit:
             improved = False
             delta = steps[min(step_i, len(steps) - 1)]
+            first = None  # member the move table starts at; None when stale
             for i in range(k):
-                order = rng.permutation(n)
+                order = rng.permutation(n).tolist()
                 pos = 0
-                while pos < n and not spent():
-                    # All five moves of every coordinate left in the member.
-                    # A move changes its own coordinate only, so the values
-                    # hold until a coordinate keeps one.
-                    todo = order[pos:]
-                    base = X[i, todo]
-                    one = np.ones_like(base)
-                    moves = np.stack(
-                        (np.zeros_like(base), one, -one, base + delta, base - delta), axis=1
-                    )
-                    Xc = np.repeat(X[None], moves.size, axis=0)
-                    Xc[np.arange(moves.size), i, np.repeat(todo, 5)] = moves.ravel()
-                    vals = values(Xc).reshape(moves.shape)
+                while pos < n and evals < limit:
+                    if first is None:
+                        first = i
+                        moves, vals = move_table(X, i, delta)
+                    row = X[i].tolist()
                     moved = False
-                    for a, cands, v2s in zip(todo, moves.tolist(), vals.tolist()):
+                    for a in order[pos:]:
                         pos += 1
-                        for cand, v2 in zip(cands, v2s):
-                            if cand == X[i, a]:
+                        for cand, v2 in zip(moves[i - first][a], vals[i - first][a]):
+                            if cand == row[a]:
                                 continue
                             evals += 1
                             if v2 > val + 1e-15:
-                                X[i, a] = cand
+                                X[i, a] = row[a] = cand
                                 val = v2
                                 accepted += 1
                                 improved = moved = True
-                            if spent():
+                            if evals >= limit:
                                 break
-                        if moved or spent():
+                        if moved or evals >= limit:
                             break
-                if spent():
+                    if moved:
+                        first = None
+                if evals >= limit:
                     break
             if not improved:
                 step_i += 1
@@ -538,6 +557,7 @@ def oracle_lower_bound(
             "restarts": restart,
             "budget": budget,
             "accepted_moves": accepted,
+            "stacked_calls": calls,
         },
     )
 

@@ -538,7 +538,8 @@ def _pieces_equal(a: LinearFunctional, b: LinearFunctional, exact: bool) -> bool
     d = a.minus(b)
     if exact:
         return d.is_zero
-    return all(abs(c) <= 1e-9 for _, c in d.items)
+    scale = max([1.0] + [abs(c) for _, c in a.items + b.items])
+    return all(abs(c) <= 1e-9 * scale for _, c in d.items)
 
 
 def pl_equal(f: PLFunction, g: PLFunction, exact: bool = False) -> bool:
@@ -546,8 +547,8 @@ def pl_equal(f: PLFunction, g: PLFunction, exact: bool = False) -> bool:
 
     Both inputs must live over the same ordered generator tuple.  On every
     cell of the joint arrangement the two pieces are compared coefficient
-    by coefficient (exactly in rational mode, within 1e-9 per coefficient in
-    float mode).
+    by coefficient (exactly in rational mode; in float mode within 1e-9
+    times max(1, the largest |coefficient| of either piece)).
     """
     if f.fan.generators != g.fan.generators:
         raise FanError("pl_equal needs a shared generator tuple")

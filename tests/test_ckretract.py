@@ -23,6 +23,7 @@ from fblab.ckretract import (
     verify_norm_bound,
     verify_section,
 )
+from fblab import plfan
 from fblab.expr import LinearFunctional
 from fblab.plfan import PLFunction, pl_value, pl_value_many
 from fblab.fblnorm import DualConfig, admissible, config_value, fbl_space
@@ -408,6 +409,63 @@ def test_hom_laws_idempotent_pair():
     rep = verify_hom_laws(K, [(h, h)])
     assert rep["pass"]
     assert rep["pairs"][0]["join_pl_equal"]
+
+
+LARGE_PAIR_SPACES = [
+    (interval01(), Fraction(1, 2)),
+    (union_of_intervals([(0, Fraction(1, 3)), (Fraction(2, 3), 1)]), Fraction(2, 3)),
+]
+
+
+def _large_pair(K, mid, big):
+    """Targets with values near +-big/3 and a third breakpoint at mid in K."""
+    h1 = H(K, (0, Fraction(1, 3)), (Fraction(1, 3), Fraction(big, 3)),
+           (mid, Fraction(5, 7)), (1, 7))
+    h2 = H(K, (0, Fraction(5, 3)), (Fraction(1, 3), Fraction(-big, 7)),
+           (mid, Fraction(-big, 11)), (1, 1))
+    return h1, h2
+
+
+@pytest.mark.parametrize("big", [10**6, 10**9, 10**12])
+@pytest.mark.parametrize("K, mid", LARGE_PAIR_SPACES)
+def test_hom_laws_tolerances_are_relative_to_sup_target(K, mid, big):
+    h1, h2 = _large_pair(K, mid, big)
+    for pair in ((h1, h2), (h2, h1)):
+        rep = verify_hom_laws(K, [pair])
+        assert rep["pass"], rep
+        assert rep["pairs"][0]["linear_pl_equal"], rep
+
+
+def _bump_top_piece(build):
+    """build's result with the piece at its largest |value| scaled by 1 + 1e-8."""
+
+    def bumped(*args, **kwargs):
+        f = build(*args, **kwargs)
+        angles = np.linspace(0.0, 2 * np.pi, 720, endpoint=False)
+        pts = np.stack((np.cos(angles), np.sin(angles)), axis=1)
+        top = pts[int(np.argmax(np.abs(pl_value_many(f, pts))))]
+        j = plfan.locate_cell(f, tuple(top))
+        pieces = list(f.pieces)
+        pieces[j] = LinearFunctional.from_map(
+            {g: c * (1 + 1e-8) for g, c in pieces[j].items}
+        )
+        return dataclasses.replace(f, pieces=tuple(pieces))
+
+    return bumped
+
+
+@pytest.mark.parametrize("build, law", [
+    ("pl_pointwise_max", "join_pl_equal"), ("pl_lincomb", "linear_pl_equal"),
+])
+@pytest.mark.parametrize("big", [10**6, 10**9, 10**12])
+@pytest.mark.parametrize("K, mid", LARGE_PAIR_SPACES)
+def test_hom_laws_catch_a_relative_bump_of_one_piece(K, mid, big, build, law,
+                                                     monkeypatch):
+    h1, h2 = _large_pair(K, mid, big)
+    monkeypatch.setattr(plfan, build, _bump_top_piece(getattr(plfan, build)))
+    rep = verify_hom_laws(K, [(h1, h2)])
+    assert not rep["pass"], rep
+    assert not rep["pairs"][0][law], rep
 
 
 def test_join_with_negation_is_abs():

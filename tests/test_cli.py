@@ -33,7 +33,7 @@ def test_report_keys_and_config(capsys):
     }
     assert rep["schema"] == 1
     assert rep["subcommand"] == "norm"
-    assert rep["seed"] == 0
+    assert rep["seed"] is None
     assert rep["arithmetic"] == "float"
     assert "func" not in rep["config"]
     assert rep["config"]["expr"] == "d(a)"
@@ -333,6 +333,25 @@ def test_exact_is_rejected_where_it_is_not_honoured(capsys):
     # --tol only ever echoed its value and is gone
     code, _, _ = run_cli(capsys, ["norm", "--expr", "d(a)", "--tol", "1e-6"])
     assert code == 2
+
+
+def test_seed_is_taken_only_where_a_seed_is_read(capsys):
+    for argv in (["norm", "--expr", "d(a)"],
+                 ["ck-section", "--k", "interval", "--h", "0:0,1:1"],
+                 ["phi-demo", "--n", "2"]):
+        code, rep, _ = run_cli(capsys, argv + ["--seed", "1", "--json-only"])
+        assert code == 2, argv
+        assert rep is None
+        code, rep, _ = run_cli(capsys, argv + ["--json-only"])
+        assert code == 0, argv
+        assert rep["seed"] is None
+        assert "seed" not in rep["config"]
+    code, rep, _ = run_cli(
+        capsys, ["extract-l1", "--n", "4", "--len", "2", "--seed", "3", "--json-only"]
+    )
+    assert code == 0
+    assert rep["seed"] == 3
+    assert rep["config"]["seed"] == 3
 
 
 def test_internal_error_exits_two_without_traceback(capsys, monkeypatch):

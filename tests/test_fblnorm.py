@@ -298,8 +298,11 @@ def test_oracle_is_deterministic_given_seed():
     assert b1.lower == b2.lower
     assert b1.certificate == b2.certificate
     assert b1.diagnostics == b2.diagnostics
-    assert set(b1.diagnostics) == {"evaluations", "restarts", "budget", "accepted_moves"}
+    assert set(b1.diagnostics) == {
+        "evaluations", "restarts", "budget", "accepted_moves", "stacked_calls"
+    }
     assert b1.diagnostics["accepted_moves"] > 0
+    assert 1 <= b1.diagnostics["stacked_calls"] <= b1.diagnostics["evaluations"]
 
 
 def test_oracle_certificate_is_sound():
@@ -496,6 +499,24 @@ def test_oracle_plateau_trajectory_over_seeds():
         got = oracle_lower_bound(F, space, budget=3001, seed=seed)
         want = reference_oracle(F, space, budget=3001, seed=seed)
         assert _bits(got) == _bits(want), seed
+
+
+@pytest.mark.parametrize("space_of", [fbl_space, linf_vertex_space])
+def test_oracle_trajectory_at_bench_size(space_of):
+    """n = 3 at budget 20000: sweeps over up to five members, cut short by the
+    per-restart cap of 1666 evaluations, in both spaces."""
+    gens = ("a", "b", "c")
+    space = space_of(gens)
+    m = to_maxmin(parse_expr("(d(a) ^ d(b)) v (d(c) - 0.41*d(a)) v -1.7*d(b)"))
+    for j, (F, degree) in enumerate(
+        ((MaxMinEvaluator(m, gens), 1),
+         (abs_coordinate_product(MaxMinEvaluator(m, gens), 2), 2))
+    ):
+        seed = 20_000 + j
+        got = oracle_lower_bound(F, space, budget=20_000, seed=seed, degree=degree)
+        want = reference_oracle(F, space, budget=20_000, seed=seed, degree=degree)
+        assert _bits(got) == _bits(want), (space_of.__name__, degree)
+        assert 1 <= got.diagnostics["stacked_calls"] <= got.diagnostics["evaluations"]
 
 
 # ---------------------------------------------------------------------------

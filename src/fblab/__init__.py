@@ -3,7 +3,7 @@
 Layers, bottom up:
 
   expr      lattice expressions over named generators, max-min normal form
-  lp        dense two-phase simplex, float or exact rational
+  lp        slack-basis simplex for the norm LP, float or exact rational
   plfan     hyperplane-arrangement fans and piecewise-linear functions
   fblnorm   exact norms by LP over candidate rays, oracle lower bounds,
             replayable certificates
@@ -35,7 +35,7 @@ from .expr import (
     to_maxmin,
     to_text,
 )
-from .lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPError, LPResult, solve_lp
+from .lp import OPTIMAL, UNBOUNDED, LPError, LPResult, solve_lp
 from .plfan import (
     Cone,
     Fan,
@@ -54,7 +54,6 @@ from .plfan import (
     pl_value_many,
     plfunction_from_json,
     plfunction_to_json,
-    refine_by_zero_set,
     sup_norm_on_cube,
 )
 from .fblnorm import (

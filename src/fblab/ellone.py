@@ -37,6 +37,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
+from .homs import build_phi, subset_name
+
 __all__ = [
     "EpsilonSchedule",
     "ExtractionInput",
@@ -328,20 +330,13 @@ def verify_lower_bound(res: ExtractionResult, fs, lambdas: Sequence[float]) -> d
 # demo instance families over the subset generators
 
 
-def _subset_generators(N: int):
-    from .homs import build_phi
-
-    inst = build_phi(N)
-    return inst
-
-
 def build_disjoint_instance(N: int = 8) -> ExtractionInput:
     """f_n = delta over the singleton {n}; x_n = the subset indicator point.
 
     Truncating x_n to F = {singleton n} leaves the unit coordinate vector,
     so every stage lands on f value exactly 1 with slack 0.
     """
-    inst = _subset_generators(N)
+    inst = build_phi(N)
     gens = inst.generators
     fs = []
     xs = []
@@ -363,9 +358,7 @@ def build_perturbed_instance(N: int = 10) -> ExtractionInput:
     once the singleton coordinate joins F and the prefix coordinate stays
     out (or contributes within tolerance).
     """
-    from .homs import subset_name
-
-    inst = _subset_generators(N)
+    inst = build_phi(N)
     gens = inst.generators
     fs = []
     xs = []

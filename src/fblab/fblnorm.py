@@ -334,8 +334,6 @@ def exact_fbl_norm(
         [c / c_scale for c in cvec],
         A_ub=rows,
         b_ub=[1] * len(rows),
-        bounds=[(0, None)] * len(rays),
-        maximize=True,
         exact=exact,
     )
     if res.status != OPTIMAL:
@@ -625,19 +623,15 @@ def fbl_vs_polyhedral_check(
 ) -> dict:
     """Same expression, two admissibility spaces.
 
-    The free-lattice vertex set and the explicit +/- unit-vector polyhedral
-    space are the same space, so those two exact norms must agree to the
-    last bit.  The sign-vector ball gives a genuinely different norm, which
-    is reported along with an oracle run for agreement.
+    The free-lattice norm is reported next to the norm of the sign-vector
+    ball, a genuinely different norm, and an oracle run on that ball that
+    must agree with it.
     """
     gens = tuple(generators) if generators is not None else tuple(sorted(support(e)))
     m = to_maxmin(e)
     f = plfan.pl_from_maxmin(m, gens)
 
-    space_l1 = fbl_space(gens)
-    space_l1_again = AdmissibilitySpace(gens, space_l1.ball_vertices)
-    b1 = exact_fbl_norm(f, space_l1)
-    b2 = exact_fbl_norm(f, space_l1_again)
+    b1 = exact_fbl_norm(f, fbl_space(gens))
 
     space_sign = linf_vertex_space(gens)
     b3 = exact_fbl_norm(f, space_sign)
@@ -646,8 +640,6 @@ def fbl_vs_polyhedral_check(
 
     return {
         "free_norm": b1.upper,
-        "free_norm_repeat": b2.upper,
-        "free_route_consistent": b1.upper == b2.upper,
         "sign_ball_norm": b3.upper,
         "sign_ball_oracle": oracle.lower,
         "sign_ball_agreement": b3.lower - 1e-3 <= oracle.lower <= b3.upper + 1e-9,
@@ -731,7 +723,9 @@ def replay_certificate(cert: Mapping) -> dict:
 
     Returns a report dict; "pass" is True iff the family is admissible, the
     recomputed value equals the recorded one exactly (same arithmetic), and
-    the value is consistent with the claimed norm for the recorded mode.
+    the value is consistent with the claimed norm for the recorded mode:
+    within a relative 1e-9 of it in "exact" mode, and at most 1e-9*|claim|
+    above it in "lower" mode.
     """
     space = _space_from_json(cert["space"])
     config = DualConfig(tuple(tuple(float(c) for c in x) for x in cert["points"]))
@@ -743,9 +737,9 @@ def replay_certificate(cert: Mapping) -> dict:
     mode = cert["mode"]
     value_matches = value == recorded
     if mode == "exact":
-        claim_ok = abs(value - claimed) <= 1e-9
+        claim_ok = abs(value - claimed) <= 1e-9 * max(abs(value), abs(claimed))
     else:
-        claim_ok = value <= claimed + 1e-9
+        claim_ok = value <= claimed + 1e-9 * abs(claimed)
     passed = adm.ok and value_matches and claim_ok
     return {
         "pass": bool(passed),

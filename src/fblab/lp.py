@@ -1,15 +1,15 @@
-"""Dense two-phase primal simplex with Bland's rule.
+"""Dense primal simplex with Bland's rule, started from the slack basis.
+
+The only LP fblab solves is the norm LP: maximize c.x subject to
+A_ub x <= b_ub and x >= 0, with b_ub >= 0.  A nonnegative right-hand side
+makes the slack basis feasible, so the simplex starts there and needs no
+phase 1, no artificial columns and no variable substitution.
 
 One code path serves two arithmetic modes: float64 tableaus with a 1e-9
 comparison tolerance, and exact Fraction tableaus (object dtype) with zero
 tolerance.  Bland's rule (lowest eligible index enters, lowest basic index
 breaks ratio ties) makes every run deterministic and cycle-free, so a result
 is reproducible bit-for-bit for a given input and mode.
-
-The interface is deliberately small: maximize or minimize c.x subject to
-A_ub x <= b_ub, A_eq x = b_eq and per-variable bounds.  Free variables are
-split, shifted variables are substituted, and upper bounds become rows; the
-core works on the standard equality form with slack and artificial columns.
 """
 
 from __future__ import annotations
@@ -19,10 +19,11 @@ from fractions import Fraction
 
 import numpy as np
 
-__all__ = ["LPResult", "LPError", "solve_lp", "OPTIMAL", "INFEASIBLE", "UNBOUNDED"]
+from .numeric import as_fraction
+
+__all__ = ["LPResult", "LPError", "solve_lp", "OPTIMAL", "UNBOUNDED"]
 
 OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 _MAX_PIVOTS = 200_000
@@ -84,236 +85,40 @@ def _simplex_phase(T, basis, tol, iterations):
             raise LPError("pivot cap exceeded")
 
 
-def solve_lp(
-    c,
-    A_ub=(),
-    b_ub=(),
-    A_eq=(),
-    b_eq=(),
-    bounds=None,
-    maximize=True,
-    exact=False,
-):
-    """Solve the LP; returns LPResult with x in the original variables.
+def solve_lp(c, A_ub=(), b_ub=(), exact=False):
+    """Maximize c.x subject to A_ub x <= b_ub and x >= 0, where b_ub >= 0.
 
-    bounds is a sequence of (lo, hi) pairs, None meaning unbounded on that
-    side; the default is (0, None) for every variable.
+    Returns an LPResult; value is sum c_j*x_j in column order.  Raises
+    LPError on a negative right-hand side or mismatched lengths.
     """
-    nvar = len(c)
-    if bounds is None:
-        bounds = [(0, None)] * nvar
-    if len(bounds) != nvar:
-        raise LPError("bounds length mismatch")
-
-    if exact:
-        num = lambda v: v if isinstance(v, Fraction) else Fraction(v)
-        tol = Fraction(0)
-    else:
-        num = float
-        tol = 1e-9
-
-    zero = num(0)
-    one = num(1)
-
+    num, tol = (as_fraction, Fraction(0)) if exact else (float, 1e-9)
+    zero, one = num(0), num(1)
     c = [num(v) for v in c]
-    c_orig = list(c)
-    if not maximize:
-        c = [-v for v in c]
+    rows = [[num(v) for v in row] for row in A_ub]
+    b = [num(v) for v in b_ub]
+    n, m = len(c), len(rows)
+    if len(b) != m or any(len(row) != n for row in rows):
+        raise LPError("constraint lengths mismatch")
+    if any(v < 0 for v in b):
+        raise LPError("negative right-hand side")
 
-    # Variable substitutions to reach y >= 0 everywhere.  recover[j] tells how
-    # to rebuild original x_j from the y vector.
-    recover = []
-    ncols = 0
-    extra_ub = []  # (col, limit) rows for finite ranges
-    obj = []
+    # Columns: x, then one slack per row, then the right-hand side.
+    T = [row + [one if k == i else zero for k in range(m)] + [bi]
+         for i, (row, bi) in enumerate(zip(rows, b))]
+    T.append([-v for v in c] + [zero] * (m + 1))
+    dtype = object if exact else float
+    T = [np.array(row, dtype=dtype) for row in T]
+    basis = list(range(n, n + m))
 
-    def new_col(coef):
-        nonlocal ncols
-        obj.append(coef)
-        ncols += 1
-        return ncols - 1
-
-    col_of = []  # per original var: list of (col, sign, shift-ish) via recover
-    for j in range(nvar):
-        lo, hi = bounds[j]
-        lo = None if lo is None else num(lo)
-        hi = None if hi is None else num(hi)
-        if lo is not None:
-            col = new_col(c[j])
-            recover.append(("shift", col, lo))
-            col_of.append((("+", col, lo),))
-            if hi is not None:
-                extra_ub.append((col, hi - lo))
-        elif hi is not None:
-            # x = hi - y, y >= 0
-            col = new_col(-c[j])
-            recover.append(("mirror", col, hi))
-            col_of.append((("-", col, hi),))
-        else:
-            cp = new_col(c[j])
-            cn = new_col(-c[j])
-            recover.append(("split", cp, cn))
-            col_of.append((("+", cp, zero), ("-", cn, zero)))
-
-    def transform_row(row, rhs):
-        """Rewrite a constraint over x into one over y; returns (coeffs, rhs)."""
-        out = [zero] * ncols
-        r = num(rhs)
-        for j in range(nvar):
-            a = num(row[j])
-            if a == 0:
-                continue
-            for sign, col, base in col_of[j]:
-                if sign == "+":
-                    out[col] = out[col] + a
-                    r = r - a * base
-                else:
-                    out[col] = out[col] - a
-                    r = r - a * base
-        return out, r
-
-    rows = []
-    senses = []
-    for row, rhs in zip(A_ub, b_ub):
-        coeffs, r = transform_row(row, rhs)
-        rows.append((coeffs, r))
-        senses.append("<=")
-    for col, limit in extra_ub:
-        coeffs = [zero] * ncols
-        coeffs[col] = one
-        rows.append((coeffs, limit))
-        senses.append("<=")
-    for row, rhs in zip(A_eq, b_eq):
-        coeffs, r = transform_row(row, rhs)
-        rows.append((coeffs, r))
-        senses.append("=")
-
-    m = len(rows)
-    nslack = sum(1 for s in senses if s == "<=")
-    # Column layout: y columns, slack columns, artificial columns, rhs.
-    slack_col = {}
-    k = ncols
-    for i, s in enumerate(senses):
-        if s == "<=":
-            slack_col[i] = k
-            k += 1
-    art_col = {}
-    art_rows = []
-    total = ncols + nslack
-    tableau = []
-    basis = []
-    for i, ((coeffs, r), s) in enumerate(zip(rows, senses)):
-        line = list(coeffs) + [zero] * nslack
-        if s == "<=":
-            line[slack_col[i]] = one
-        if r < 0:
-            line = [-v for v in line]
-            r = -r
-            needs_art = True
-        else:
-            needs_art = s == "="
-        if s == "<=" and line[slack_col[i]] == one:
-            basis.append(slack_col[i])
-        else:
-            art_rows.append(i)
-            basis.append(None)  # patched below
-            needs_art = True
-        tableau.append((line, r, needs_art))
-
-    nart = sum(1 for (_, _, na) in tableau if na)
-    width = ncols + nslack + nart + 1
-    T = []
-    ai = 0
-    for i, (line, r, needs_art) in enumerate(tableau):
-        full = list(line) + [zero] * nart + [r]
-        if needs_art:
-            col = ncols + nslack + ai
-            full[col] = one
-            art_col[i] = col
-            basis[i] = col
-            ai += 1
-        T.append(full)
-
-    if exact:
-        T = [np.array(row, dtype=object) for row in T]
-    else:
-        T = [np.array([float(v) for v in row], dtype=float) for row in T]
-
-    iterations = 0
-
-    if nart > 0:
-        # Phase 1: maximize -(sum of artificials); price out the basics.
-        objrow = [zero] * (width - 1) + [zero]
-        for i in range(m):
-            if basis[i] is not None and basis[i] >= ncols + nslack:
-                objrow[basis[i]] = one
-        if exact:
-            objrow = np.array(objrow, dtype=object)
-        else:
-            objrow = np.array([float(v) for v in objrow], dtype=float)
-        for i in range(m):
-            if basis[i] >= ncols + nslack:
-                objrow = objrow - T[i]
-        T.append(objrow)
-        status, iterations = _simplex_phase(T, basis, tol, iterations)
-        if status != OPTIMAL:
-            raise LPError("phase 1 cannot be unbounded")
-        if T[m][-1] < -(tol if not exact else zero) - (1e-7 if not exact else zero):
-            return LPResult(INFEASIBLE, [], None, iterations)
-        T.pop()
-        # Pivot surviving artificials out of the basis where possible.
-        drop_rows = []
-        for i in range(m):
-            if basis[i] >= ncols + nslack:
-                pivoted = False
-                for j in range(ncols + nslack):
-                    if abs(T[i][j]) > tol:
-                        _pivot(T, basis, i, j)
-                        iterations += 1
-                        pivoted = True
-                        break
-                if not pivoted:
-                    drop_rows.append(i)
-        if drop_rows:
-            T = [row for i, row in enumerate(T) if i not in drop_rows]
-            basis = [b for i, b in enumerate(basis) if i not in drop_rows]
-            m = len(basis)
-        # Blank out artificial columns so they can never re-enter.
-        for row in T:
-            for jc in range(ncols + nslack, width - 1):
-                row[jc] = zero
-
-    # Phase 2 objective.
-    objrow = [zero] * (width - 1) + [zero]
-    for j in range(ncols):
-        objrow[j] = -obj[j]
-    if exact:
-        objrow = np.array(objrow, dtype=object)
-    else:
-        objrow = np.array([float(v) for v in objrow], dtype=float)
-    for i in range(m):
-        bj = basis[i]
-        if bj is not None and objrow[bj] != 0:
-            objrow = objrow - objrow[bj] * T[i]
-    T.append(objrow)
-    status, iterations = _simplex_phase(T, basis, tol, iterations)
+    status, iterations = _simplex_phase(T, basis, tol, 0)
     if status == UNBOUNDED:
         return LPResult(UNBOUNDED, [], None, iterations)
 
-    yval = [zero] * (width - 1)
-    for i in range(m):
-        yval[basis[i]] = T[i][-1]
-    xs = []
-    for how in recover:
-        if how[0] == "shift":
-            xs.append(yval[how[1]] + how[2])
-        elif how[0] == "mirror":
-            xs.append(how[2] - yval[how[1]])
-        else:
-            xs.append(yval[how[1]] - yval[how[2]])
-    # Evaluate the objective on the recovered point; this stays correct
-    # through every bound substitution (shift/mirror constants cancel).
-    value = sum(cv * xv for cv, xv in zip(c_orig, xs))
+    xs = [zero] * (n + m)
+    for i, j in enumerate(basis):
+        xs[j] = T[i][-1]
+    xs = xs[:n]
+    value = sum(cv * xv for cv, xv in zip(c, xs))
     if not exact:
         xs = [float(v) for v in xs]
         value = float(value)

@@ -12,7 +12,6 @@ from fractions import Fraction
 
 __all__ = [
     "NULL_RTOL",
-    "as_number",
     "as_fraction",
     "pivot_columns",
     "negligible",
@@ -28,10 +27,6 @@ NULL_RTOL = 1e-8
 
 def as_fraction(v) -> Fraction:
     return v if isinstance(v, Fraction) else Fraction(v)
-
-
-def as_number(v, exact: bool):
-    return as_fraction(v) if exact else float(v)
 
 
 def _row_reduce(rows, n, exact: bool):

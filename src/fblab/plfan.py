@@ -29,10 +29,15 @@ deterministic.
 
 Lower-dimensional faces are never materialized; evaluation on a boundary
 picks any incident cell, which is safe because adjacent pieces agree there.
+
+The sup norm on the cube runs no LP either: it is the max of |f| over the
+candidate rays of the fan's hyperplanes and the rows e_i +/- e_j
+(sup_norm_on_cube), so nothing in this module solves an LP.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
@@ -40,7 +45,6 @@ from functools import cmp_to_key
 import numpy as np
 
 from .expr import LinearFunctional, MaxMinForm
-from .lp import OPTIMAL, solve_lp
 from .numeric import as_fraction, candidate_rays, negligible, pivot_columns
 
 __all__ = [
@@ -55,7 +59,6 @@ __all__ = [
     "arrangement_fan",
     "pl_from_maxmin",
     "sup_norm_on_cube",
-    "refine_by_zero_set",
     "pl_equal",
     "pl_pointwise_max",
     "pl_lincomb",
@@ -399,45 +402,28 @@ def pl_from_maxmin(
     return PLFunction(fan, tuple(pieces))
 
 
-def _cell_sign_rows(fan: Fan, cell: Cone):
-    """Inequality rows stating membership in the closed cell."""
-    rows = []
-    for hp, s in zip(fan.hyperplanes, cell.signs):
-        vec = hp.vector(fan.generators)
-        sgn = 1 if s == "+" else -1
-        rows.append([-sgn * v for v in vec])
-    return rows
-
-
 def sup_norm_on_cube(f: PLFunction, exact: bool = False):
-    """max |f| over the closed cube, via two LPs per cell.
+    """max |f| over the closed cube [-1, 1]^n, from rays alone.
 
-    Each LP maximizes +/- piece over (closed cell) intersect cube.  Cells
-    cover the cube, every LP is feasible (the witness) and bounded (the
-    cube), so infeasibility or unboundedness signals a fan bug and raises.
-    The per-cell results are reduced with max, which is order independent.
+    The candidates are numeric.candidate_rays of the fan's hyperplanes plus
+    the rows e_i +/- e_j for every pair i < j, each scaled to sup norm 1,
+    so each lies on the cube's boundary.  The set is complete: |f| is
+    convex on each closed cell, so its max over (cell intersect cube) is at
+    a vertex, and a vertex with k cube facets x_i = +/-1 active is the null
+    direction of the n-k fan rows and the k-1 rows e_i -/+ e_j that are
+    active there.  No LP runs; the max is order independent.
     """
-    fan = f.fan
-    n = len(fan.generators)
+    gens = f.fan.generators
+    n = len(gens)
+    rows = [list(h.vector(gens)) for h in f.fan.hyperplanes]
+    for i, j in itertools.combinations(range(n), 2):
+        for s in (1, -1):
+            row = [0] * n
+            row[i], row[j] = 1, s
+            rows.append(row)
     best = Fraction(0) if exact else 0.0
-    for cell, piece in zip(fan.cells, f.pieces):
-        rows = _cell_sign_rows(fan, cell)
-        b = [0] * len(rows)
-        vec = list(piece.vector(fan.generators))
-        for sign in (1, -1):
-            c = [sign * v for v in vec]
-            res = solve_lp(
-                c,
-                A_ub=rows,
-                b_ub=b,
-                bounds=[(-1, 1)] * n,
-                maximize=True,
-                exact=exact,
-            )
-            if res.status != OPTIMAL:
-                raise FanError(f"cell LP unexpectedly {res.status}")
-            if res.value > best:
-                best = res.value
+    for d in candidate_rays(rows, n, exact):
+        best = max(best, abs(pl_value(f, d, exact)))
     return best
 
 
@@ -511,27 +497,6 @@ def pl_value_many(f: PLFunction, points: np.ndarray) -> np.ndarray:
     if unassigned.any():
         raise FanError("points not covered by any cell; fan incomplete")
     return out
-
-
-def refine_by_zero_set(
-    f: PLFunction,
-    exact: bool = False,
-    max_cells: int = MAX_CELLS_DEFAULT,
-) -> PLFunction:
-    """Refine the fan so f has one strict sign per cell.
-
-    Adds the zero hyperplane of every nonzero piece, rebuilds the fan, and
-    carries each piece over to the new cells it covers.  Values are
-    unchanged everywhere.
-    """
-    extra = [p for p in f.pieces if not p.is_zero]
-    normals = list(f.fan.hyperplanes) + extra
-    fan2 = arrangement_fan(normals, f.fan.generators, exact=exact, max_cells=max_cells)
-    pieces = []
-    for cell in fan2.cells:
-        idx = locate_cell(f, cell.witness, exact)
-        pieces.append(f.pieces[idx])
-    return PLFunction(fan2, tuple(pieces))
 
 
 def _pieces_equal(a: LinearFunctional, b: LinearFunctional, exact: bool) -> bool:

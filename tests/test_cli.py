@@ -356,10 +356,10 @@ def test_seed_is_taken_only_where_a_seed_is_read(capsys):
 
 def test_internal_error_exits_two_without_traceback(capsys, monkeypatch):
     def broken(*args, **kwargs):
-        raise LPError("phase 1 cannot be unbounded")
+        raise LPError("pivot cap exceeded")
 
     monkeypatch.setattr(fblnorm, "exact_fbl_norm", broken)
     code, rep, err = run_cli(capsys, ["norm", "--expr", "d(a) v d(b)"])
     assert code == 2
     assert rep is None
-    assert err == "error: LPError: phase 1 cannot be unbounded\n"
+    assert err == "error: LPError: pivot cap exceeded\n"

@@ -619,13 +619,13 @@ def test_product_bound_requires_generator_in_space():
 def test_two_space_check_single_generator():
     rep = fbl_vs_polyhedral_check(Gen("a"), budget=2000)
     assert rep["free_norm"] == pytest.approx(1.0, abs=1e-9)
-    assert rep["free_route_consistent"]
+    assert set(rep) == {"free_norm", "sign_ball_norm", "sign_ball_oracle",
+                        "sign_ball_agreement"}
 
 
 def test_two_space_check_sum():
     rep = fbl_vs_polyhedral_check(parse_expr("d(a) + d(b)"), budget=4000)
     assert rep["free_norm"] == pytest.approx(2.0, abs=1e-9)
-    assert rep["free_route_consistent"]
     assert 0.0 < rep["sign_ball_norm"] <= 2.0 + 1e-9
     assert rep["sign_ball_agreement"]
 
@@ -690,3 +690,26 @@ def test_certificate_lower_mode_claim_consistency():
     rep = replay_certificate(cert)
     assert not rep["pass"]
     assert rep["admissible"]
+
+
+def _unit_certificate(scale, claimed, mode):
+    """One point e_a for scale*d(a): the recorded value is scale itself."""
+    return make_certificate(fbl_space(("a",)), DualConfig(((1.0,),)), claimed, mode,
+                            {"expr": f"{scale!r}*d(a)"})
+
+
+def test_certificate_claim_check_is_relative_at_small_scale():
+    # an absolute 1e-9 let 2e-14 stand for a norm of 5e-10
+    assert replay_certificate(_unit_certificate(2e-14, 2e-14, "exact"))["pass"]
+    assert not replay_certificate(_unit_certificate(2e-14, 5e-10, "exact"))["pass"]
+    assert replay_certificate(_unit_certificate(2e-14, 2e-14, "lower"))["pass"]
+    assert not replay_certificate(_unit_certificate(2e-14, 1e-14, "lower"))["pass"]
+
+
+def test_certificate_claim_check_is_relative_at_large_scale():
+    # at 1e9 one ulp is 1.2e-7, above an absolute 1e-9
+    up, down = math.nextafter(1e9, math.inf), math.nextafter(1e9, 0.0)
+    assert replay_certificate(_unit_certificate(1e9, up, "exact"))["pass"]
+    assert replay_certificate(_unit_certificate(1e9, down, "lower"))["pass"]
+    assert not replay_certificate(_unit_certificate(1e9, 1e9 * (1 + 1e-8), "exact"))["pass"]
+    assert not replay_certificate(_unit_certificate(1e9, 1e9 * (1 - 1e-8), "lower"))["pass"]

@@ -1,13 +1,16 @@
-"""Fans and piecewise-linear calculus: enumeration, norms, refinement."""
+"""Fans and piecewise-linear calculus: enumeration, cube sup norms, equality."""
 
 import itertools
 from fractions import Fraction
+from functools import reduce
 from math import comb
 
 import numpy as np
 import pytest
 
-from fblab.expr import Gen, LinearFunctional, absval, parse_expr, to_maxmin
+from fblab.expr import (
+    Gen, Join, LinearFunctional, Meet, Scale, Sum, absval, parse_expr, to_maxmin,
+)
 from fblab.lp import OPTIMAL, solve_lp
 from fblab.plfan import (
     DegenerateNormalError,
@@ -15,16 +18,13 @@ from fblab.plfan import (
     arrangement_fan,
     fan_from_json,
     fan_to_json,
-    locate_cell,
     pl_equal,
     pl_from_maxmin,
     pl_lincomb,
     pl_pointwise_max,
-    pl_value,
     pl_value_many,
     plfunction_from_json,
     plfunction_to_json,
-    refine_by_zero_set,
     sup_norm_on_cube,
 )
 from exprgen import random_expr_capped
@@ -201,21 +201,25 @@ def zaslavsky_generic(n, h):
     return 2 * sum(comb(h - 1, k) for k in range(n))
 
 
-def confirmed_by_lp(fan, cell):
-    """Exact LP: some x in the cube has margin >= t > 0 on every signed row."""
-    n = len(fan.generators)
+def cube_lp(fan, cell, objective, margin=False):
+    """Exact LP over x = u - v in the closed cell, with 0 <= u, v <= 1.
+
+    The columns are u, v and, with margin, a t <= 1 that every signed row
+    must clear (sign * h.x >= t).  Maximizes objective.
+    """
+    width = 2 * len(fan.generators) + margin
     rows = []
     for hp, s in zip(fan.hyperplanes, cell.signs):
-        sgn = 1 if s == "+" else -1
-        rows.append([-sgn * Fraction(v) for v in hp.vector(fan.generators)] + [1])
-    res = solve_lp(
-        [0] * n + [1],
-        A_ub=rows,
-        b_ub=[0] * len(rows),
-        bounds=[(-1, 1)] * n + [(None, 1)],
-        maximize=True,
-        exact=True,
-    )
+        r = [(-1 if s == "+" else 1) * Fraction(v) for v in hp.vector(fan.generators)]
+        rows.append(r + [-v for v in r] + [1] * margin)
+    rows += [[int(k == j) for k in range(width)] for j in range(width)]
+    b = [0] * len(cell.signs) + [1] * width
+    return solve_lp(objective, A_ub=rows, b_ub=b, exact=True)
+
+
+def confirmed_by_lp(fan, cell):
+    """Exact LP: some x in the cube has margin >= t > 0 on every signed row."""
+    res = cube_lp(fan, cell, [0] * (2 * len(fan.generators)) + [1], margin=True)
     return res.status == OPTIMAL and res.value > 0
 
 
@@ -431,40 +435,38 @@ def test_sup_norm_exact_mode():
     assert sup_norm_on_cube(f, exact=True) == Fraction(3, 4)
 
 
-# ---------------------------------------------------------------------------
-# refinement by the zero set
+def lp_sup_norm_on_cube(f):
+    """Reference: two exact LPs per closed cell, max of +/- piece on the cube."""
+    fan = f.fan
+    best = Fraction(0)
+    for cell, piece in zip(fan.cells, f.pieces):
+        vec = [Fraction(v) for v in piece.vector(fan.generators)]
+        for sign in (1, -1):
+            c = [sign * v for v in vec]
+            res = cube_lp(fan, cell, c + [-v for v in c])
+            assert res.status == OPTIMAL
+            best = max(best, res.value)
+    return best
 
 
-def test_refine_adds_sign_purity():
-    f = pl_from_maxmin(to_maxmin(parse_expr("d(a) + d(b)")), ("a", "b"))
-    r = refine_by_zero_set(f)
-    rng = np.random.default_rng(37)
-    # values preserved exactly, and each refined cell carries one sign of f
-    sign_by_cell = {}
-    for _ in range(1000):
-        p = rng.uniform(-1.0, 1.0, 2)
-        assert pl_value(r, p) == pl_value(f, p)
-        idx = locate_cell(r, p)
-        v = pl_value(r, p)
-        if abs(v) > 1e-12:
-            s = v > 0
-            assert sign_by_cell.setdefault(idx, s) == s
+def join_of_meets(rng, gens, groups=2, size=2):
+    """A join of meets of linear forms with coefficients in quarters."""
+    def linear_form():
+        coeffs = (float(Fraction(int(rng.integers(-8, 9)), 4)) for _ in gens)
+        return reduce(Sum, (Scale(c, Gen(g)) for c, g in zip(coeffs, gens)))
+
+    return reduce(Join, [reduce(Meet, [linear_form() for _ in range(size)])
+                         for _ in range(groups)])
 
 
-def test_refine_when_already_pure_keeps_values():
-    f = pl_from_maxmin(to_maxmin(absval(Gen("a"))), ("a",))
-    r = refine_by_zero_set(f)
-    for t in (-0.7, -0.1, 0.2, 0.9):
-        assert pl_value(r, (t,)) == pl_value(f, (t,))
-
-
-def test_refine_keeps_original_hyperplanes():
-    f = pl_from_maxmin(to_maxmin(parse_expr("d(a) v d(b)")), ("a", "b"))
-    r = refine_by_zero_set(f)
-    base = {h.vector(("a", "b")) for h in f.fan.hyperplanes}
-    refined = {h.vector(("a", "b")) for h in r.fan.hyperplanes}
-    assert base <= refined
-    assert len(r.fan.cells) >= len(f.fan.cells)
+@pytest.mark.parametrize("n,count", [(2, 4), (3, 3)])
+def test_ray_sup_norm_matches_per_cell_lp(n, count):
+    rng = np.random.default_rng(41 + n)
+    gens = "abc"[:n]
+    for _ in range(count):
+        f = pl_from_maxmin(to_maxmin(join_of_meets(rng, gens)), gens, exact=True)
+        assert len(f.fan.cells) > 2
+        assert sup_norm_on_cube(f, exact=True) == lp_sup_norm_on_cube(f)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ __all__ = [
     "negligible",
     "null_direction",
     "canonical_ray",
+    "ray_key",
     "candidate_rays",
 ]
 
@@ -131,6 +132,11 @@ def canonical_ray(d, exact: bool):
     return scaled
 
 
+def ray_key(d, exact: bool) -> tuple:
+    """Dedup key of a canonical ray: the ray itself, or 10 digits of it."""
+    return tuple(d) if exact else tuple(round(float(v), 10) for v in d)
+
+
 def candidate_rays(vectors, n, exact: bool):
     """All +/- null directions of (n-1)-subsets of the row vectors.
 
@@ -145,7 +151,7 @@ def candidate_rays(vectors, n, exact: bool):
         canon = canonical_ray(d, exact)
         if canon is None:
             return
-        key = tuple(canon) if exact else tuple(round(float(v), 10) for v in canon)
+        key = ray_key(canon, exact)
         if key not in seen:
             seen.add(key)
             rays.append(tuple(canon))

@@ -30,14 +30,17 @@ deterministic.
 Lower-dimensional faces are never materialized; evaluation on a boundary
 picks any incident cell, which is safe because adjacent pieces agree there.
 
-The sup norm on the cube runs no LP either: it is the max of |f| over the
-candidate rays of the fan's hyperplanes and the rows e_i +/- e_j
-(sup_norm_on_cube), so nothing in this module solves an LP.
+The sup norm on the cube runs no LP either (sup_norm_on_cube): it
+evaluates f at the vertices of (closed cell) intersect cube, one block of
+generators tied together by hyperplanes at a time, and enumerates each
+cube face's vertices from the rows that cross that face.  Nothing in this
+module solves an LP.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
@@ -45,7 +48,15 @@ from functools import cmp_to_key
 import numpy as np
 
 from .expr import LinearFunctional, MaxMinForm
-from .numeric import as_fraction, candidate_rays, negligible, pivot_columns
+from .numeric import (
+    as_fraction,
+    candidate_rays,
+    canonical_ray,
+    negligible,
+    null_direction,
+    pivot_columns,
+    ray_key,
+)
 
 __all__ = [
     "Cone",
@@ -73,6 +84,10 @@ __all__ = [
 
 SIGN_TOL = 1e-9
 MAX_CELLS_DEFAULT = 100_000
+# Faces plus null-direction solves sup_norm_on_cube may spend on one block
+# before it raises FanSizeError, so that a block too large for vertex
+# enumeration fails within seconds instead of running for minutes.
+SUP_WORK_CAP = 1_000_000
 
 
 class FanError(RuntimeError):
@@ -403,28 +418,124 @@ def pl_from_maxmin(
 
 
 def sup_norm_on_cube(f: PLFunction, exact: bool = False):
-    """max |f| over the closed cube [-1, 1]^n, from rays alone.
+    """max |f| over the closed cube [-1, 1]^n, from evaluations alone.
 
-    The candidates are numeric.candidate_rays of the fan's hyperplanes plus
-    the rows e_i +/- e_j for every pair i < j, each scaled to sup norm 1,
-    so each lies on the cube's boundary.  The set is complete: |f| is
-    convex on each closed cell, so its max over (cell intersect cube) is at
-    a vertex, and a vertex with k cube facets x_i = +/-1 active is the null
-    direction of the n-k fan rows and the k-1 rows e_i -/+ e_j that are
-    active there.  No LP runs; the max is order independent.
+    The generators split into blocks, the connected components of "some
+    hyperplane involves both" (a generator in no hyperplane is a block of
+    its own).  A piece's coefficients on a block change only across that
+    block's walls, so f is a sum of one PL function per block, and max f
+    (min f) over the cube is attained by putting a maximizer (minimizer) of
+    every block's part side by side.  Each part is maximized and minimized
+    over the block's origin and the vertices of (closed cell) intersect
+    cube of the block's arrangement (_cube_vertex_rays); sup |f| is the
+    larger of |f| at the two assembled points.  No LP runs, and the work
+    grows with the largest block, not with n: a linear f costs 2n + 2
+    evaluations.  Raises FanSizeError when a block needs more than
+    SUP_WORK_CAP faces and solves.
     """
     gens = f.fan.generators
     n = len(gens)
     rows = [list(h.vector(gens)) for h in f.fan.hyperplanes]
-    for i, j in itertools.combinations(range(n), 2):
-        for s in (1, -1):
-            row = [0] * n
-            row[i], row[j] = 1, s
-            rows.append(row)
-    best = Fraction(0) if exact else 0.0
-    for d in candidate_rays(rows, n, exact):
-        best = max(best, abs(pl_value(f, d, exact)))
-    return best
+    zero = Fraction(0) if exact else 0.0
+    top, bottom = [zero] * n, [zero] * n
+    for block in _blocks(rows, n):
+        sub = [[row[j] for j in block] for row in rows if any(row[j] for j in block)]
+        hi = lo = zero
+        for v in _cube_vertex_rays(sub, len(block), exact):
+            x = [zero] * n
+            for j, vj in zip(block, v):
+                x[j] = vj
+            fx = pl_value(f, x, exact)
+            if fx > hi:
+                hi = fx
+                for j, vj in zip(block, v):
+                    top[j] = vj
+            if fx < lo:
+                lo = fx
+                for j, vj in zip(block, v):
+                    bottom[j] = vj
+    return max(abs(pl_value(f, top, exact)), abs(pl_value(f, bottom, exact)))
+
+
+def _blocks(rows, n):
+    """Coordinates grouped by "some row is nonzero on both", each sorted."""
+    blocks = [{j} for j in range(n)]
+    for row in rows:
+        support = {j for j, v in enumerate(row) if v}
+        joined = [b for b in blocks if b & support]
+        blocks = [b for b in blocks if not b & support] + [set().union(*joined)]
+    return sorted(sorted(b) for b in blocks)
+
+
+def _cube_vertex_rays(rows, n, exact):
+    """Directions through every vertex of (closed cell) intersect [-1, 1]^n.
+
+    rows are the nonzero normals of a central arrangement in R^n; every
+    direction is scaled to sup norm 1 and listed once.  A vertex on exactly
+    one cube facet is a ray of the fan (_fan_rays).
+
+    A vertex whose active facets are x_i = s_i for i in a face S of k >= 2
+    coordinates lies on the plane x_i = s_i s_j x_j (j the first index of
+    S), with coordinates (x_j, x_F) for F the indices off S.  There a row h
+    reads (c, h_F) with c = sum over S of s_i h_i, and the vertex is a ray
+    of the arrangement of those rows that cross the face's relative
+    interior, |c| < sum over F of |h_i|; the others cannot vanish there.
+    Parallel rows are merged first, so the work per face follows the rows
+    the face sees, and a face crossed by no row is a cube vertex.  A vertex
+    needs n independent active constraints, so k >= n - rank(rows).  Raises
+    FanSizeError once the faces and solves of k >= 2 pass SUP_WORK_CAP.
+    """
+    rays, _ = _fan_rays(rows, n, exact)
+    seen = {ray_key(d, exact) for d in rays}
+    rank = len(pivot_columns(rows, n, exact)) if rows else 0
+    budget = SUP_WORK_CAP
+    for k in range(max(2, n - rank), n + 1):
+        for face in itertools.combinations(range(n), k):
+            off = [i for i in range(n) if i not in face]
+            for signs in itertools.product((1, -1), repeat=k - 1):
+                signs = (1,) + signs
+                restricted = []
+                for h in rows:
+                    c = sum(s * h[i] for i, s in zip(face, signs))
+                    width = sum(abs(h[i]) for i in off)
+                    if abs(c) < width:
+                        restricted.append([c] + [h[i] for i in off])
+                if restricted:
+                    restricted = _merge_parallel(restricted, exact)
+                face_rays, solves = _fan_rays(restricted, n - k + 1, exact)
+                budget -= 1 + solves
+                if budget < 0:
+                    raise FanSizeError(
+                        f"cube sup needs more than {SUP_WORK_CAP} faces and solves"
+                    )
+                for t, *y in face_rays:
+                    x = [0] * n
+                    for i, s in zip(face, signs):
+                        x[i] = s * t
+                    for i, v in zip(off, y):
+                        x[i] = v
+                    x = canonical_ray(x, exact)
+                    key = ray_key(x, exact)
+                    if key not in seen:
+                        seen.add(key)
+                        rays.append(tuple(x))
+    return rays
+
+
+def _fan_rays(rows, n, exact):
+    """numeric.candidate_rays of rows, and the number of solves it took.
+
+    Below rank n - 1 no n-1 rows have a one-dimensional null space, and at
+    rank n - 1 every n-1 rows that have one share the null space of all
+    rows, so the (n-1)-subsets are only enumerated at full rank.
+    """
+    rank = len(pivot_columns(rows, n, exact)) if rows else 0
+    if rank == n:
+        return candidate_rays(rows, n, exact), math.comb(len(rows), n - 1)
+    d = null_direction(rows, n, exact) if rank == n - 1 else None
+    if d is None:
+        return [], 1
+    return [tuple(canonical_ray(d, exact)), tuple(canonical_ray([-v for v in d], exact))], 1
 
 
 def _point_signs(fan: Fan, point, exact: bool):

@@ -183,6 +183,17 @@ def test_lemma34_check(capsys):
     assert p["best_lower"] <= p["sup_norm"] + 1e-9
 
 
+def test_lemma34_check_in_eight_generators(capsys):
+    expr = " + ".join(f"d({g})" for g in "abcdefgh")
+    code, rep, _ = run_cli(
+        capsys,
+        ["lemma34-check", "--expr", expr, "--gen", "a", "--budget", "200", "--json-only"],
+    )
+    assert code == 0
+    assert rep["payload"]["sup_norm"] == 8.0
+    assert rep["payload"]["pass"] is True
+
+
 def test_lemma34_foreign_generator_is_usage_error(capsys):
     code, _, err = run_cli(
         capsys, ["lemma34-check", "--expr", "d(b)", "--gen", "a", "--json-only"]

@@ -11,6 +11,7 @@ import pytest
 from fblab.expr import (
     Gen, Join, LinearFunctional, Meet, Scale, Sum, absval, parse_expr, to_maxmin,
 )
+from fblab import plfan
 from fblab.lp import OPTIMAL, solve_lp
 from fblab.plfan import (
     DegenerateNormalError,
@@ -464,9 +465,61 @@ def test_ray_sup_norm_matches_per_cell_lp(n, count):
     rng = np.random.default_rng(41 + n)
     gens = "abc"[:n]
     for _ in range(count):
-        f = pl_from_maxmin(to_maxmin(join_of_meets(rng, gens)), gens, exact=True)
+        m = to_maxmin(join_of_meets(rng, gens))
+        f = pl_from_maxmin(m, gens, exact=True)
         assert len(f.fan.cells) > 2
-        assert sup_norm_on_cube(f, exact=True) == lp_sup_norm_on_cube(f)
+        reference = lp_sup_norm_on_cube(f)
+        assert sup_norm_on_cube(f, exact=True) == reference
+        assert sup_norm_on_cube(pl_from_maxmin(m, gens)) == pytest.approx(
+            float(reference), rel=1e-12
+        )
+
+
+def test_ray_sup_norm_matches_per_cell_lp_in_four_generators():
+    rng = np.random.default_rng(47)
+    gens = "abcd"
+    summed = Sum(join_of_meets(rng, "ab", size=1), join_of_meets(rng, "cd", size=1))
+    for e in (summed, join_of_meets(rng, gens)):
+        m = to_maxmin(e)
+        f = pl_from_maxmin(m, gens, exact=True)
+        assert len(f.fan.cells) > 2
+        reference = lp_sup_norm_on_cube(f)
+        assert sup_norm_on_cube(f, exact=True) == reference
+        assert sup_norm_on_cube(pl_from_maxmin(m, gens)) == pytest.approx(
+            float(reference), rel=1e-12
+        )
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_sup_norm_in_eight_generators_by_blocks(exact):
+    gens = "abcdefgh"
+    cases = (
+        ("d(a) + d(b) + d(c) + d(d) + d(e) + d(f) + d(g) + d(h)", 8),
+        ("((d(a) v d(b)) ^ (d(c) v d(d))) + d(e) + d(f) + d(g) + d(h)", 5),
+        ("(d(a) v d(b)) + (d(c) ^ d(d)) - |d(e) - d(f)| + 0.5*d(g) - d(h)", 5.5),
+    )
+    for text, expected in cases:
+        f = pl_from_maxmin(to_maxmin(parse_expr(text)), gens, exact=exact)
+        assert sup_norm_on_cube(f, exact=exact) == expected
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_sup_norm_takes_a_block_at_its_origin(exact):
+    # -|a| + 2|b| + c on blocks {a}, {b}, {c}: max f = 0 + 2 + 1 needs a = 0
+    gens = "abc"
+    parts = [pl_from_maxmin(to_maxmin(parse_expr(t)), gens, exact=exact)
+             for t in ("-|d(a)| + d(c)", "|d(b)|")]
+    f = pl_lincomb(1, parts[0], 2, parts[1], exact=exact)
+    assert len(f.fan.hyperplanes) == 2
+    assert sup_norm_on_cube(f, exact=exact) == 3
+
+
+def test_sup_norm_raises_past_the_work_cap(monkeypatch):
+    f = pl_from_maxmin(to_maxmin(parse_expr("d(a) v d(b) v d(c) v d(d)")), "abcd")
+    assert sup_norm_on_cube(f) == 1
+    monkeypatch.setattr(plfan, "SUP_WORK_CAP", 10)
+    with pytest.raises(FanSizeError):
+        sup_norm_on_cube(f)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ Layers, bottom up:
 
   expr      lattice expressions over named generators, max-min normal form
   lp        slack-basis simplex for the norm LP, float or exact rational
-  plfan     hyperplane-arrangement fans and piecewise-linear functions
+  plfan     piecewise-linear functions: max-min forms with their break
+            hyperplanes, stored pieces on 1-D and 2-D fans, cube sup norms
   fblnorm   exact norms by LP over candidate rays, oracle lower bounds,
             replayable certificates
   homs      weighted-evaluation lattice homomorphisms, the subset family
@@ -52,6 +53,7 @@ from .plfan import (
     pl_pointwise_max,
     pl_value,
     pl_value_many,
+    pl_values,
     plfunction_from_json,
     plfunction_to_json,
     sup_norm_on_cube,

@@ -95,14 +95,15 @@ def _cmd_norm(args) -> int:
         args, space, bracket.certificate, float(bracket.upper), "exact",
         {"expr": to_text(e)},
     )
-    ok = float(bracket.lower) <= float(bracket.upper) + 1e-9
+    upper = float(bracket.upper)
+    ok = float(bracket.lower) <= upper + 1e-9 * max(1.0, abs(upper))
     payload = {
         "expr": to_text(e),
         "generators": list(gens),
         "space": args.space,
-        "value": float(bracket.upper),
+        "value": upper,
         "lower": float(bracket.lower),
-        "upper": float(bracket.upper),
+        "upper": upper,
         "exact_value": bracket.upper if args.exact else None,
         "certificate_points": [list(p) for p in bracket.certificate.points],
         "diagnostics": bracket.diagnostics,

@@ -46,6 +46,7 @@ __all__ = [
     "LatticeExpr",
     "LinearFunctional",
     "MaxMinForm",
+    "MaxMinEvaluator",
     "ExprError",
     "ExprSyntaxError",
     "MaxMinSizeError",
@@ -272,6 +273,32 @@ class MaxMinForm:
                 rows.append([float(c) for c in f.vector(generators)])
             group_idx.append(np.array(idx, dtype=int))
         return np.array(rows, dtype=float), group_idx
+
+
+class MaxMinEvaluator:
+    """Vectorized evaluator of a max-min form over a fixed generator order.
+
+    Each group's row indices are padded with its own first index to one
+    width, so a single fancy index gathers every group; min and max do not
+    round, so the padding changes no value.
+    """
+
+    def __init__(self, m: MaxMinForm, generators):
+        self.generators = tuple(generators)
+        self.rows, group_idx = m.matrix(self.generators)
+        width = max(len(idx) for idx in group_idx)
+        self.idx = np.array(
+            [np.concatenate((idx, np.full(width - len(idx), idx[0]))) for idx in group_idx]
+        )
+
+    def __call__(self, x) -> float:
+        vals = self.rows @ np.asarray(x, dtype=float)
+        return float(vals[self.idx].min(axis=1).max())
+
+    def batch(self, X: np.ndarray) -> np.ndarray:
+        """Values at the points of X, shape (..., n), stacked on leading axes."""
+        vals = np.asarray(X, dtype=float) @ self.rows.T
+        return vals[..., self.idx].min(axis=-1).max(axis=-1)
 
 
 def _dedup_group(group: Iterable[LinearFunctional]) -> tuple:

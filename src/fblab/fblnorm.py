@@ -13,11 +13,14 @@ plug in a different symmetric, spanning vertex list.
 
 Exactness route.  For piecewise-linear f the sup is a finite LP:
 
-1.  Merging.  Refine f's fan by the zero set of every piece and by the
-    vertex hyperplanes <., v> = 0.  On each refined cell |f| is linear and
-    every <., v> has constant sign, so two family members in the same cell
-    can be added without changing the objective or any constraint sum.  An
-    optimal family therefore needs at most one point per cell.
+1.  Merging.  f is linear off its break hyperplanes (for a max-min form,
+    the pairwise differences of its functionals).  Refine them by the zero
+    set of every piece, or of every functional of the form (a superset),
+    and by the vertex hyperplanes <., v> = 0.  On each refined cell |f| is
+    linear and every <., v> has constant sign, so two family members in the
+    same cell can be added without changing the objective or any
+    constraint sum.  An optimal family therefore needs at most one point
+    per cell.
 2.  Ray decomposition.  Each refined cell is a pointed polyhedral cone (the
     vertex normals span), so its points are nonnegative combinations of its
     extreme rays, and both the objective and the constraint sums are linear
@@ -52,7 +55,7 @@ import numpy as np
 from . import plfan
 from .expr import (
     LatticeExpr,
-    MaxMinForm,
+    MaxMinEvaluator,
     LinearFunctional,
     evaluate,
     parse_expr,
@@ -199,32 +202,6 @@ def config_value(F, config: DualConfig) -> float:
 # evaluators
 
 
-class MaxMinEvaluator:
-    """Vectorized evaluator of a max-min form over a fixed generator order.
-
-    Each group's row indices are padded with its own first index to one
-    width, so a single fancy index gathers every group; min and max do not
-    round, so the padding changes no value.
-    """
-
-    def __init__(self, m: MaxMinForm, generators):
-        self.generators = tuple(generators)
-        self.rows, group_idx = m.matrix(self.generators)
-        width = max(len(idx) for idx in group_idx)
-        self.idx = np.array(
-            [np.concatenate((idx, np.full(width - len(idx), idx[0]))) for idx in group_idx]
-        )
-
-    def __call__(self, x) -> float:
-        vals = self.rows @ np.asarray(x, dtype=float)
-        return float(vals[self.idx].min(axis=1).max())
-
-    def batch(self, X: np.ndarray) -> np.ndarray:
-        """Values at the points of X, shape (..., n), stacked on leading axes."""
-        vals = np.asarray(X, dtype=float) @ self.rows.T
-        return vals[..., self.idx].min(axis=-1).max(axis=-1)
-
-
 def expr_evaluator(e: LatticeExpr, generators) -> MaxMinEvaluator:
     return MaxMinEvaluator(to_maxmin(e), generators)
 
@@ -245,7 +222,10 @@ class _PLEvaluator:
         return np.array([self.batch(x) for x in X])
 
 
-def pl_evaluator(f: plfan.PLFunction) -> _PLEvaluator:
+def pl_evaluator(f: plfan.PLFunction):
+    """Evaluator of a PLFunction: its max-min form's, when it has one."""
+    if f.form is not None:
+        return MaxMinEvaluator(f.form, f.fan.generators)
     return _PLEvaluator(f)
 
 
@@ -298,7 +278,9 @@ def exact_fbl_norm(
 ) -> NormBracket:
     """Exact norm of a PLFunction by the merged-family LP over candidate rays.
 
-    See the module docstring for why the LP value equals the norm.  The
+    See the module docstring for why the LP value equals the norm.  A
+    function with a max-min form is evaluated through it, and its
+    functionals give the zero sets; no cell is located.  The
     certificate is the weighted ray family with zero weights dropped,
     rescaled by the worst vertex sum when rounding pushed it above one, and
     its value is recomputed by direct evaluation, so lower is certified
@@ -310,7 +292,8 @@ def exact_fbl_norm(
     n = len(gens)
 
     hyps = list(f.fan.hyperplanes)
-    hyps += [p for p in f.pieces if not p.is_zero]
+    zero_sets = f.pieces if f.form is None else f.form.functionals()
+    hyps += [p for p in zero_sets if not p.is_zero]
     hyps += _vertex_functionals(space, exact)
     hyps = plfan.dedup_normals(hyps, exact)
 
@@ -319,10 +302,7 @@ def exact_fbl_norm(
     if exact:
         reps = [tuple(as_fraction(c) for c in v) for v in reps]
 
-    cvec = []
-    for d in rays:
-        val = plfan.pl_value(f, d, exact)
-        cvec.append(abs(val))
+    cvec = [abs(v) for v in plfan.pl_values(f, rays, exact)]
     rows = []
     for v in reps:
         rows.append([abs(sum(dc * vc for dc, vc in zip(d, v))) for d in rays])
@@ -369,7 +349,6 @@ def exact_fbl_norm(
         diagnostics={
             "hyperplanes": len(hyps),
             "candidate_rays": len(rays),
-            "fan_cells": len(f.fan.cells),
             "lp_iterations": res.iterations,
             "lp_status": res.status,
         },
@@ -569,7 +548,7 @@ def norm_of_expression(
     space: Optional[AdmissibilitySpace] = None,
     exact: bool = False,
 ) -> NormBracket:
-    """Convenience pipeline: expression -> max-min -> fan -> exact norm."""
+    """Convenience pipeline: expression -> max-min form -> exact norm."""
     if space is None:
         space = fbl_space(sorted(support(e)))
     m = to_maxmin(e)

@@ -1,40 +1,32 @@
-"""Central hyperplane arrangements and piecewise-linear homogeneous functions.
+"""Central line arrangements and piecewise-linear homogeneous functions.
 
-A Fan is the cell complex of a central arrangement: every full-dimensional
-cell is recorded as its sign vector over the (deduplicated, canonically
-scaled) hyperplane list together with a strictly interior witness point in
-the open cube.  A PLFunction attaches one linear piece per cell.
+A Fan is the cell complex of a central arrangement in one or two
+dimensions: every full-dimensional cell is recorded as its sign vector over
+the (deduplicated, canonically scaled) hyperplane list together with a
+strictly interior witness point in the open cube.  A stored PLFunction
+attaches one linear piece per cell.
 
-Cell discovery needs no LP and no sampling, and is exact in Fractions:
+Cell discovery needs no LP and no sampling, and is exact in Fractions: with
+one generator the two half-lines, with two every line a*s + b*t = 0
+contributes the two rays +/-(-b, a), scaled to sup norm 1.  Sorting the
+rays by angle (half-plane test, then cross product) lists the cells as the
+open sectors between consecutive rays; the witness of a sector is the sum
+of its two bounding rays times 1/4, and a single line gives the two
+half-planes.  Parallel rows are merged on the key of dedup_normals.  Cells
+are sorted by sign string, so fans are deterministic.
 
-- Two generators: every line a*s + b*t = 0 contributes the two rays
-  +/-(-b, a), scaled to sup norm 1.  Sorting the rays by angle (half-plane
-  test, then cross product) lists the cells as the open sectors between
-  consecutive rays; the witness of a sector is the sum of its two bounding
-  rays times 1/4, and a single line gives the two half-planes.
-- Any other number: the normals are first restricted to a basis of columns,
-  which keeps their rank r and their sign vectors.  Rank 1 gives two
-  half-lines and rank 2 the planar sort above.  From rank 3 up, every cell
-  is pointed and so has an extreme ray d, a null direction of r-1 normals
-  (the candidate rays of numeric.candidate_rays).  Near d the cells are
-  those of the local arrangement of normals that vanish on d, one dimension
-  lower, so the recursion runs on rank; a local cell point y lifts to
-  d + eps*y with eps small enough that no other normal changes sign.
-  Witnesses are scaled into the open cube and their signs read there.
-
-Whether a normal vanishes on a ray is decided exactly in Fractions and up
-to the relative numeric.NULL_RTOL in floats; parallel rows are merged on
-the key of dedup_normals.  Cells are sorted by sign string, so fans are
-deterministic.
+A function given by a max-min form (pl_from_maxmin) keeps the form and
+its break hyperplanes, the pairwise differences of its functionals.  From
+three generators up it has no cells: it is evaluated through the form,
+and the norm and the cube sup norm need only hyperplanes and values.
 
 Lower-dimensional faces are never materialized; evaluation on a boundary
 picks any incident cell, which is safe because adjacent pieces agree there.
 
-The sup norm on the cube runs no LP either (sup_norm_on_cube): it
-evaluates f at the vertices of (closed cell) intersect cube, one block of
-generators tied together by hyperplanes at a time, and enumerates each
-cube face's vertices from the rows that cross that face.  Nothing in this
-module solves an LP.
+The sup norm on the cube runs no LP (sup_norm_on_cube): it evaluates f at
+the vertices of (closed cell) intersect cube, one block of generators tied
+together by hyperplanes at a time, and enumerates each cube face's vertices
+from the rows that cross that face.  Nothing in this module solves an LP.
 """
 
 from __future__ import annotations
@@ -44,15 +36,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
+from typing import Optional
 
 import numpy as np
 
-from .expr import LinearFunctional, MaxMinForm
+from .expr import LinearFunctional, MaxMinEvaluator, MaxMinForm
 from .numeric import (
     as_fraction,
     candidate_rays,
     canonical_ray,
-    negligible,
     null_direction,
     pivot_columns,
     ray_key,
@@ -74,6 +66,7 @@ __all__ = [
     "pl_pointwise_max",
     "pl_lincomb",
     "pl_value",
+    "pl_values",
     "pl_value_many",
     "locate_cell",
     "fan_to_json",
@@ -125,8 +118,16 @@ class Fan:
 
 @dataclass(frozen=True)
 class PLFunction:
+    """A piece per cell of a fan, or a max-min form over break hyperplanes.
+
+    A function from pl_from_maxmin keeps its form, and every evaluation
+    goes through it; from three generators up its fan lists only the break
+    hyperplanes and no cells, and pieces is empty.
+    """
+
     fan: Fan
     pieces: tuple  # LinearFunctional per cell, aligned with fan.cells
+    form: Optional[MaxMinForm] = None
 
 
 def canonical_normal(fn: LinearFunctional, exact: bool) -> LinearFunctional:
@@ -218,39 +219,6 @@ def _planar_cells(vectors) -> dict:
     return cells
 
 
-def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
-
-
-def _sup(v):
-    return max(abs(x) for x in v)
-
-
-def _distinct_cells(rows, points, exact, max_cells=None) -> dict:
-    """Sign string -> witness for the cells that contain the given points.
-
-    Each point is scaled into the open cube as x / (2 max|x|) and its signs
-    are read there.  Points that land in a cell already seen are dropped,
-    and the cap counts distinct cells only.  A point with a zero margin is
-    dropped too: exact points never have one, and a float point gets one
-    only when its cell is thinner than rounding at that point, so its sign
-    string cannot be read.
-    """
-    cells = {}
-    for x in points:
-        scale = 2 * _sup(x)
-        w = tuple(v / scale for v in x)
-        margins = [_dot(row, w) for row in rows]
-        if any(m == 0 for m in margins):
-            continue
-        signs = "".join("+" if m > 0 else "-" for m in margins)
-        if signs not in cells:
-            cells[signs] = w
-            if max_cells is not None and len(cells) > max_cells:
-                raise FanSizeError(f"cell count exceeds cap {max_cells}")
-    return cells
-
-
 def _merge_parallel(rows, exact):
     """Keep the first of every family of parallel rows.
 
@@ -264,107 +232,37 @@ def _merge_parallel(rows, exact):
     return list(merged.values())
 
 
-def _cell_points(rows, exact):
-    """Points that together hit every cell of the central arrangement of rows.
-
-    rows are nonzero and of one length.  They keep their rank r on a basis
-    of columns, and the sign vectors of the arrangement only depend on the
-    image of the rows, so the cells are found in those r coordinates and
-    lifted back with zeros.  Rank 1 gives two half-lines, rank 2 the planar
-    sort, and rank 3 and up a localization at every ray (_points_at_rays).
-    """
-    dim = len(rows[0])
-    cols = pivot_columns(rows, dim, exact)
-    sub = [[row[j] for j in cols] for row in rows]
-    zero, one = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
-    if len(cols) == 0:
-        raise FanError("normals are numerically zero")
-    if len(cols) == 1:
-        points = [(one,), (-one,)]
-    elif len(cols) == 2:
-        points = _planar_cells(_merge_parallel(sub, exact)).values()
-    else:
-        points = _points_at_rays(sub, exact)
-    for y in points:
-        x = [zero] * dim
-        for j, v in zip(cols, y):
-            x[j] = v
-        yield x
-
-
-def _points_at_rays(rows, exact):
-    """Cell points of an essential arrangement of rank r >= 3 in R^r.
-
-    Every cell is pointed, so it has an extreme ray d, the null direction of
-    some r-1 rows.  Near d the cell is a cell of the local arrangement (the
-    rows that vanish on d) with the sign of h.d on every other row h.  The
-    local rows vanish on d, so dropping a coordinate k with |d_k| = 1 loses
-    nothing; their cells are found in r-1 dimensions, and a local cell point
-    y (zero at k) lifts to d + eps*y, with eps small enough that no other
-    row changes sign.
-    """
-    r = len(rows[0])
-    zero, one = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
-    sups = [_sup(h) for h in rows]
-    for d in candidate_rays(rows, r, exact):
-        k = next(j for j, v in enumerate(d) if abs(v) == 1)
-        local, far = [], []
-        for h, h_sup in zip(rows, sups):
-            hd = _dot(h, d)
-            if negligible(hd, h_sup, exact):
-                local.append([v for j, v in enumerate(h) if j != k])
-            else:
-                far.append((h, hd))
-        if not local:  # sup-scaling d can lift even its own rows past NULL_RTOL
-            yield list(d)
-            continue
-        for y in _distinct_cells(local, _cell_points(local, exact), exact).values():
-            y = list(y)
-            y.insert(k, zero)
-            eps = one
-            for h, hd in far:
-                hy = _dot(h, y)
-                if hy * hd < 0:
-                    eps = min(eps, abs(hd) / (2 * abs(hy)))
-            yield [dv + eps * yv for dv, yv in zip(d, y)]
-
-
 def arrangement_fan(
     normals,
     generators,
     exact: bool = False,
     max_cells: int = MAX_CELLS_DEFAULT,
 ) -> Fan:
-    """Fan of the central arrangement of the given normals.
+    """Fan of the central arrangement of the given normals over one or two
+    generators.
 
-    Two generators take the planar sort (_planar_cells).  Any other number
-    reduces the normals to a basis of columns and localizes at rays
-    (_cell_points): no LP and no sampling, exact in Fractions.  Cells are
-    sorted by sign string, so the result is deterministic.  Raises
-    DegenerateNormalError on a zero normal and FanSizeError past the cell
-    cap.  In float mode a cell thinner than rounding can be missed (see
-    _distinct_cells); exact mode finds every cell.
+    One generator gives the two half-lines, two the planar sort
+    (_planar_cells): no LP and no sampling, exact in Fractions.  Cells are
+    sorted by sign string, so the result is deterministic.  Raises FanError
+    for three or more generators, DegenerateNormalError on a zero normal
+    and FanSizeError past the cell cap.
     """
     generators = tuple(generators)
     n = len(generators)
-    if n == 0:
-        raise FanError("need at least one generator")
+    if not 1 <= n <= 2:
+        raise FanError(f"fans take one or two generators, not {n}")
     hyps = dedup_normals(normals, exact)
     h = len(hyps)
+    half = Fraction(1, 2) if exact else 0.5
     if h == 0:
-        half = Fraction(1, 2) if exact else 0.5
-        witness = tuple([half] * n)
-        return Fan(generators, (), (Cone("", witness),))
-
-    vectors = [list(hp.vector(generators)) for hp in hyps]
-    if n == 2:
-        if 2 * h > max_cells:
-            raise FanSizeError(f"cell count exceeds cap {max_cells}")
-        cells = _planar_cells(vectors)
+        return Fan(generators, (), (Cone("", tuple([half] * n)),))
+    if 2 * h > max_cells:
+        raise FanSizeError(f"cell count exceeds cap {max_cells}")
+    if n == 1:
+        # the one canonical normal is +d(a)
+        cells = {"+": (half,), "-": (-half,)}
     else:
-        cells = _distinct_cells(
-            vectors, _cell_points(vectors, exact), exact, max_cells
-        )
+        cells = _planar_cells([list(hp.vector(generators)) for hp in hyps])
     cones = tuple(Cone(s, cells[s]) for s in sorted(cells))
     return Fan(generators, tuple(hyps), cones)
 
@@ -373,18 +271,16 @@ def _exactify(fn: LinearFunctional) -> LinearFunctional:
     return LinearFunctional(tuple((g, as_fraction(c)) for g, c in fn.items))
 
 
-def pl_from_maxmin(
-    m: MaxMinForm,
-    generators,
-    exact: bool = False,
-    max_cells: int = MAX_CELLS_DEFAULT,
-) -> PLFunction:
-    """PLFunction over the arrangement of all pairwise difference normals.
+def pl_from_maxmin(m: MaxMinForm, generators, exact: bool = False) -> PLFunction:
+    """The max-min form as a PLFunction, with its break hyperplanes.
 
-    On a cell's interior all differences have strict signs, so group minima
-    and the overall maximum are attained by fixed functionals; the piece is
-    read off at the witness.  Adjacent pieces agree on shared boundaries by
-    continuity of the max-min value.
+    The hyperplanes are the pairwise differences of the form's functionals:
+    off them every group minimum and the overall maximum are attained by
+    fixed functionals.  The form is kept and evaluates f.  With one or two
+    generators the fan's cells are built too, with the piece read off at
+    each witness (adjacent pieces agree on shared boundaries by continuity),
+    so pl_equal, pl_pointwise_max, pl_lincomb and JSON apply; from three
+    generators up no cells are built.
     """
     generators = tuple(generators)
     if exact:
@@ -396,7 +292,10 @@ def pl_from_maxmin(
             d = funcs[i].minus(funcs[j])
             if not d.is_zero:
                 diffs.append(d)
-    fan = arrangement_fan(diffs, generators, exact=exact, max_cells=max_cells)
+    if len(generators) > 2:
+        fan = Fan(generators, tuple(dedup_normals(diffs, exact)), ())
+        return PLFunction(fan, (), m)
+    fan = arrangement_fan(diffs, generators, exact=exact)
     pieces = []
     for cell in fan.cells:
         point = dict(zip(generators, cell.witness))
@@ -414,7 +313,7 @@ def pl_from_maxmin(
                 best_val = gmin
                 best = gmin_f
         pieces.append(best)
-    return PLFunction(fan, tuple(pieces))
+    return PLFunction(fan, tuple(pieces), m)
 
 
 def sup_norm_on_cube(f: PLFunction, exact: bool = False):
@@ -440,21 +339,23 @@ def sup_norm_on_cube(f: PLFunction, exact: bool = False):
     top, bottom = [zero] * n, [zero] * n
     for block in _blocks(rows, n):
         sub = [[row[j] for j in block] for row in rows if any(row[j] for j in block)]
-        hi = lo = zero
+        points = []
         for v in _cube_vertex_rays(sub, len(block), exact):
             x = [zero] * n
             for j, vj in zip(block, v):
                 x[j] = vj
-            fx = pl_value(f, x, exact)
+            points.append(x)
+        hi = lo = zero
+        for x, fx in zip(points, pl_values(f, points, exact)):
             if fx > hi:
                 hi = fx
-                for j, vj in zip(block, v):
-                    top[j] = vj
+                for j in block:
+                    top[j] = x[j]
             if fx < lo:
                 lo = fx
-                for j, vj in zip(block, v):
-                    bottom[j] = vj
-    return max(abs(pl_value(f, top, exact)), abs(pl_value(f, bottom, exact)))
+                for j in block:
+                    bottom[j] = x[j]
+    return max(abs(v) for v in pl_values(f, [top, bottom], exact))
 
 
 def _blocks(rows, n):
@@ -574,15 +475,28 @@ def locate_cell(f_or_fan, point, exact: bool = False) -> int:
 
 
 def pl_value(f: PLFunction, point, exact: bool = False):
-    idx = locate_cell(f, point, exact)
     pd = dict(zip(f.fan.generators, point))
-    return f.pieces[idx].evaluate(pd)
+    if f.form is not None:
+        return f.form.value(pd)
+    return f.pieces[locate_cell(f, point, exact)].evaluate(pd)
+
+
+def pl_values(f: PLFunction, points, exact: bool = False) -> list:
+    """f at each point, as pl_value gives it, except that a float max-min
+    form is evaluated at all points in one MaxMinEvaluator.batch call."""
+    if f.form is None or exact:
+        return [pl_value(f, x, exact) for x in points]
+    X = np.array(points, dtype=float).reshape(len(points), len(f.fan.generators))
+    return MaxMinEvaluator(f.form, f.fan.generators).batch(X).tolist()
 
 
 def pl_value_many(f: PLFunction, points: np.ndarray) -> np.ndarray:
-    """Vectorized float evaluation at many points (rows)."""
+    """Vectorized float evaluation at many points (rows): through the
+    max-min form when f has one, else one product per cell of points."""
     fan = f.fan
     pts = np.asarray(points, dtype=float)
+    if f.form is not None:
+        return MaxMinEvaluator(f.form, fan.generators).batch(pts)
     n_pts = pts.shape[0]
     out = np.full(n_pts, np.nan)
     if len(fan.hyperplanes) == 0:
@@ -726,6 +640,8 @@ def fan_from_json(obj) -> Fan:
 
 
 def plfunction_to_json(f: PLFunction) -> dict:
+    if not f.fan.cells:
+        raise FanError("a function without cells has no JSON form")
     out = fan_to_json(f.fan)
     out["pieces"] = [_functional_to_json(p) for p in f.pieces]
     return out

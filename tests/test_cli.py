@@ -95,6 +95,19 @@ def test_norm_linf_space(capsys):
     assert rep["payload"]["value"] == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("expr,upper", [
+    ("1000000000.0*(-1.148*d(b) + ((d(b) v -1.0*d(b)) + d(b)) + d(a))", 2.148e9),
+    ("1000000000000.0*(0.868*(d(b) v 1.522*d(a)))", 0.868 * 2.522e12),
+])
+def test_norm_bracket_check_is_relative_at_large_magnitude(capsys, expr, upper):
+    # lower exceeds upper by a few ulps, far more than an absolute 1e-9
+    code, rep, _ = run_cli(capsys, ["norm", "--expr", expr, "--json-only"])
+    p = rep["payload"]
+    assert p["lower"] > p["upper"] + 1e-9
+    assert code == 0
+    assert p["upper"] == pytest.approx(upper, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # certificates through the CLI
 

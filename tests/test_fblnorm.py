@@ -1,5 +1,6 @@
 """Norm computations: admissibility, exact LP route, oracle, certificates."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -24,11 +25,12 @@ from fblab.fblnorm import (
     fbl_vs_polyhedral_check,
     linf_vertex_space,
     make_certificate,
+    norm_of_expression,
     oracle_lower_bound,
     pl_evaluator,
     replay_certificate,
 )
-from fblab import plfan
+from fblab import cli, plfan
 from exprgen import badly_scaled_scalar, random_expr_capped, rounded_scalar
 
 
@@ -52,6 +54,31 @@ def brute_force_lower(F, space, rng, tries=3000, max_points=3):
         val = sum(abs(float(F(x))) for x in X)
         best = max(best, val)
     return best
+
+
+# ---------------------------------------------------------------------------
+# no fan from three generators up
+
+
+def test_norms_and_cube_sups_build_no_fan_past_two_generators(monkeypatch, capsys):
+    arrangement_fan = plfan.arrangement_fan
+
+    def fan_of_at_most_two(normals, generators, *args, **kwargs):
+        assert len(tuple(generators)) <= 2, "fan over three or more generators"
+        return arrangement_fan(normals, generators, *args, **kwargs)
+
+    monkeypatch.setattr(plfan, "arrangement_fan", fan_of_at_most_two)
+    for text, norm in (("(d(a) v d(b)) ^ (d(c) - 0.5*d(a))", 2.0),
+                       ("(d(a) v d(d)) ^ (d(b) - 0.75*d(c))", 2.75)):
+        e = parse_expr(text)
+        assert norm_of_expression(e).upper == pytest.approx(norm, rel=1e-12)
+        assert norm_of_expression(e, exact=True).upper == Fraction(norm)
+        assert check_lemma34(e, "c", budget=500)["pass"]
+        assert fbl_vs_polyhedral_check(e, budget=500)["sign_ball_agreement"]
+        assert cli.run(["norm", "--expr", text, "--json-only"]) == 0
+        assert cli.run(["norm", "--expr", text, "--exact", "--json-only"]) == 0
+        payload = json.loads(capsys.readouterr().out.splitlines()[-1])["payload"]
+        assert payload["upper"] == pytest.approx(norm, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,7 @@
 """Fans and piecewise-linear calculus: enumeration, cube sup norms, equality."""
 
-import itertools
 from fractions import Fraction
 from functools import reduce
-from math import comb
 
 import numpy as np
 import pytest
@@ -12,10 +10,13 @@ from fblab.expr import (
     Gen, Join, LinearFunctional, Meet, Scale, Sum, absval, parse_expr, to_maxmin,
 )
 from fblab import plfan
+from fblab.fblnorm import exact_fbl_norm, fbl_space
 from fblab.lp import OPTIMAL, solve_lp
 from fblab.plfan import (
     DegenerateNormalError,
+    FanError,
     FanSizeError,
+    PLFunction,
     arrangement_fan,
     fan_from_json,
     fan_to_json,
@@ -84,9 +85,6 @@ def test_witnesses_satisfy_their_signs():
 def test_fan_is_deterministic():
     normals = [fn(a=1.0, b=0.5), fn(b=1.0), fn(a=-1.0, b=2.0)]
     assert arrangement_fan(normals, ("a", "b")) == arrangement_fan(normals, ("a", "b"))
-    normals += [fn(c=1.0), fn(a=0.3, b=-1.0, c=2.0), fn(b=1.0, c=-0.7)]
-    gens = ("a", "b", "c")
-    assert arrangement_fan(normals, gens) == arrangement_fan(normals, gens)
 
 
 def test_duplicate_normals_collapse():
@@ -105,13 +103,10 @@ def test_cell_cap():
         arrangement_fan(normals, ("a", "b"), max_cells=4)
 
 
-def test_cell_cap_counts_distinct_cells_in_three_dimensions():
-    # three coordinate planes: 8 octants, each reached from several rays
-    normals = [fn(a=1.0), fn(b=1.0), fn(c=1.0)]
-    gens = ("a", "b", "c")
-    assert len(arrangement_fan(normals, gens, max_cells=8).cells) == 8
-    with pytest.raises(FanSizeError):
-        arrangement_fan(normals, gens, max_cells=7)
+def test_fans_take_one_or_two_generators():
+    for gens in ((), ("a", "b", "c")):
+        with pytest.raises(FanError):
+            arrangement_fan([fn(a=1.0)], gens)
 
 
 # ---------------------------------------------------------------------------
@@ -180,134 +175,25 @@ def test_planar_fan_badly_scaled_lines():
 
 
 # ---------------------------------------------------------------------------
-# the rank recursion, checked against referees that do not use it
+# three generators: no cells, evaluation through the form
 
 
-def generic_normals(rng, n, h, exact):
-    """h integer normals in R^n, every min(n, h) of them independent."""
-    gens = "abcd"[:n]
-    num = Fraction if exact else float
-    while True:
-        rows = rng.integers(-5, 6, (h, n))
-        k = min(n, h)
-        if all(
-            np.linalg.matrix_rank(rows[list(sub)]) == k
-            for sub in itertools.combinations(range(h), k)
-        ):
-            return [fn(**{g: num(int(v)) for g, v in zip(gens, row) if v}) for row in rows]
-
-
-def zaslavsky_generic(n, h):
-    """Cells of a generic central arrangement of h hyperplanes in R^n."""
-    return 2 * sum(comb(h - 1, k) for k in range(n))
-
-
-def cube_lp(fan, cell, objective, margin=False):
-    """Exact LP over x = u - v in the closed cell, with 0 <= u, v <= 1.
-
-    The columns are u, v and, with margin, a t <= 1 that every signed row
-    must clear (sign * h.x >= t).  Maximizes objective.
-    """
-    width = 2 * len(fan.generators) + margin
-    rows = []
-    for hp, s in zip(fan.hyperplanes, cell.signs):
-        r = [(-1 if s == "+" else 1) * Fraction(v) for v in hp.vector(fan.generators)]
-        rows.append(r + [-v for v in r] + [1] * margin)
-    rows += [[int(k == j) for k in range(width)] for j in range(width)]
-    b = [0] * len(cell.signs) + [1] * width
-    return solve_lp(objective, A_ub=rows, b_ub=b, exact=True)
-
-
-def confirmed_by_lp(fan, cell):
-    """Exact LP: some x in the cube has margin >= t > 0 on every signed row."""
-    res = cube_lp(fan, cell, [0] * (2 * len(fan.generators)) + [1], margin=True)
-    return res.status == OPTIMAL and res.value > 0
-
-
-@pytest.mark.parametrize("exact", [False, True])
-def test_generic_fans_match_zaslavsky_count(exact):
-    rng = np.random.default_rng(73)
-    for n, hs in ((3, (1, 2, 3, 4, 5, 7)), (4, (2, 4, 5, 6))):
-        gens = "abcd"[:n]
-        for h in hs:
-            fan = arrangement_fan(generic_normals(rng, n, h, exact), gens, exact=exact)
-            assert len(fan.hyperplanes) == h
-            assert len(cell_signs(fan)) == len(fan.cells) == zaslavsky_generic(n, h)
-
-
-@pytest.mark.parametrize("exact", [False, True])
-def test_rank_two_arrangement_in_three_dimensions_is_planar(exact):
-    rng = np.random.default_rng(79)
-    for h in (1, 2, 4, 7):
-        lines = random_lines(rng, h, exact)
-        fan3 = arrangement_fan(lines, ("a", "b", "c"), exact=exact)
-        fan2 = arrangement_fan(lines, ("a", "b"), exact=exact)
-        assert len(fan3.cells) == 2 * h
-        assert cell_signs(fan3) == cell_signs(fan2)
-
-
-def random_integer_normals(rng, n, h, exact):
-    """h distinct integer normals in R^n, degenerate positions allowed."""
-    gens = "abcd"[:n]
-    num = Fraction if exact else float
-    out = []
-    while len(out) < h:
-        row = rng.integers(-2, 3, n)
-        if row.any():
-            out.append(fn(**{g: num(int(v)) for g, v in zip(gens, row) if v}))
-    return out
-
-
-@pytest.mark.parametrize("exact", [False, True])
-def test_rank_recursion_witnesses_are_strictly_inside(exact):
-    rng = np.random.default_rng(83)
-    for n, h in ((1, 2), (3, 3), (3, 6), (4, 4), (4, 7)):
-        gens = "abcd"[:n]
-        fan = arrangement_fan(random_integer_normals(rng, n, h, exact), gens, exact=exact)
-        for cell in fan.cells:
-            assert all(-1 < v < 1 for v in cell.witness)
-            if exact:
-                assert all(isinstance(v, Fraction) for v in cell.witness)
-            point = dict(zip(gens, cell.witness))
-            for hp, s in zip(fan.hyperplanes, cell.signs):
-                m = hp.evaluate(point)
-                assert m > 0 if s == "+" else m < 0
-
-
-@pytest.mark.parametrize("exact", [False, True])
-def test_rank_recursion_contains_every_sampled_sign_vector(exact):
-    rng = np.random.default_rng(89)
-    for n, h in ((3, 4), (3, 8), (4, 5), (4, 8)):
-        gens = "abcd"[:n]
-        fan = arrangement_fan(random_integer_normals(rng, n, h, exact), gens, exact=exact)
-        pts = rng.standard_normal((4000, n))
-        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-        rows = fan.normal_rows()
-        margins = pts @ (rows / np.linalg.norm(rows, axis=1, keepdims=True)).T
-        clear = np.abs(margins).min(axis=1) > 1e-6
-        sampled = {"".join("+" if v > 0 else "-" for v in row) for row in margins[clear]}
-        assert sampled <= cell_signs(fan)
-
-
-@pytest.mark.parametrize("exact", [False, True])
-def test_rank_recursion_cells_confirmed_by_exact_lp(exact):
-    rng = np.random.default_rng(97)
-    for n, h in ((3, 5), (4, 5)):
-        gens = "abcd"[:n]
-        fan = arrangement_fan(random_integer_normals(rng, n, h, exact), gens, exact=exact)
-        assert all(confirmed_by_lp(fan, cell) for cell in fan.cells)
-
-
-def test_thin_cells_between_nearly_parallel_planes():
-    # planes x = y and x = 0.9999999999*y (likewise for z) bound thin cells
-    # that a margin threshold of 1e-7 dropped (12 cells)
+def test_nearly_parallel_planes_agree_in_both_modes():
+    # planes x = y and x = 0.9999999999*y (likewise for z) bound cells
+    # thinner than float rounding; norm and cube sup need none of them
     e = parse_expr("(0.9999999999*(((d(b)) v (d(b))) ^ ((d(a)) v (d(c))))) ^ (d(a))")
     gens = ("a", "b", "c")
-    fan = pl_from_maxmin(to_maxmin(e), gens).fan
-    exact_fan = pl_from_maxmin(to_maxmin(e), gens, exact=True).fan
-    assert len(fan.cells) == 20
-    assert cell_signs(fan) <= cell_signs(exact_fan)
-    assert all(confirmed_by_lp(fan, cell) for cell in fan.cells)
+    m = to_maxmin(e)
+    f, fx = pl_from_maxmin(m, gens), pl_from_maxmin(m, gens, exact=True)
+    assert f.fan.cells == fx.fan.cells == ()
+    space = fbl_space(gens)
+    norm = exact_fbl_norm(f, space)
+    exact_norm = exact_fbl_norm(fx, space, exact=True)
+    assert exact_norm.lower == exact_norm.upper == 1 + Fraction(0.9999999999)
+    assert norm.upper == pytest.approx(float(exact_norm.upper), rel=1e-12)
+    assert norm.lower == pytest.approx(float(exact_norm.upper), rel=1e-12)
+    assert sup_norm_on_cube(fx, exact=True) == 1
+    assert sup_norm_on_cube(f) == 1
 
 
 def coverage_count(fan, point):
@@ -362,20 +248,20 @@ def test_join_splits_on_difference():
 
 def test_agreement_with_maxmin_at_random_points():
     rng = np.random.default_rng(23)
-    gens = ("a", "b", "c")
+    gens = ("a", "b")
     for _ in range(10):
         e = random_expr_capped(rng, gens)
         m = to_maxmin(e)
         f = pl_from_maxmin(m, gens)
-        pts = rng.uniform(-1.0, 1.0, (1000, 3))
-        got = pl_value_many(f, pts)
+        pts = rng.uniform(-1.0, 1.0, (1000, 2))
+        got = pl_value_many(PLFunction(f.fan, f.pieces), pts)  # the cells alone
         want = np.array([m.value(dict(zip(gens, p))) for p in pts])
         assert np.max(np.abs(got - want)) <= 1e-9
 
 
 def test_boundary_continuity():
     rng = np.random.default_rng(29)
-    gens = ("a", "b", "c")
+    gens = ("a", "b")
     for _ in range(5):
         e = random_expr_capped(rng, gens)
         f = pl_from_maxmin(to_maxmin(e), gens)
@@ -383,7 +269,7 @@ def test_boundary_continuity():
         for k in range(len(f.fan.hyperplanes)):
             h = rows[k]
             for _ in range(10):
-                p = rng.uniform(-1.0, 1.0, 3)
+                p = rng.uniform(-1.0, 1.0, 2)
                 p = p - h * (p @ h) / (h @ h)
                 margins = rows @ p
                 vals = []
@@ -436,15 +322,62 @@ def test_sup_norm_exact_mode():
     assert sup_norm_on_cube(f, exact=True) == Fraction(3, 4)
 
 
-def lp_sup_norm_on_cube(f):
-    """Reference: two exact LPs per closed cell, max of +/- piece on the cube."""
-    fan = f.fan
+def cube_lp(fan, signs, objective, margin=False):
+    """Exact LP over x = u - v in the closed cell of a sign string, with
+    0 <= u, v <= 1.
+
+    signs may be a prefix, which constrains the first hyperplanes only.
+    The columns are u, v and, with margin, a t <= 1 that every signed row
+    must clear (sign * h.x >= t).  Maximizes objective.
+    """
+    width = 2 * len(fan.generators) + margin
+    rows = []
+    for hp, s in zip(fan.hyperplanes, signs):
+        r = [(-1 if s == "+" else 1) * Fraction(v) for v in hp.vector(fan.generators)]
+        rows.append(r + [-v for v in r] + [1] * margin)
+    b = [0] * len(rows) + [1] * width
+    rows += [[int(k == j) for k in range(width)] for j in range(width)]
+    return solve_lp(objective, A_ub=rows, b_ub=b, exact=True)
+
+
+def exact_cells(fan):
+    """Sign string -> interior point of every cell of the fan's arrangement.
+
+    Depth first over the hyperplanes: a prefix of signs is extended only
+    while the exact margin LP finds a point of the cube that clears every
+    signed row by some t > 0.
+    """
+    n = len(fan.generators)
+    cells = {}
+    stack = [""]
+    while stack:
+        signs = stack.pop()
+        res = cube_lp(fan, signs, [0] * (2 * n) + [1], margin=True)
+        if res.status != OPTIMAL or res.value <= 0:
+            continue
+        if len(signs) < len(fan.hyperplanes):
+            stack += [signs + "+", signs + "-"]
+        else:
+            cells[signs] = [u - v for u, v in zip(res.x[:n], res.x[n:2 * n])]
+    return cells
+
+
+def lp_sup_norm_on_cube(f, cells):
+    """Reference: max of +/- f over every closed cell, two exact LPs each.
+
+    On a cell f is the functional of its max-min form that attains f at
+    the cell's interior point.
+    """
+    gens = f.fan.generators
     best = Fraction(0)
-    for cell, piece in zip(fan.cells, f.pieces):
-        vec = [Fraction(v) for v in piece.vector(fan.generators)]
+    for signs, x in cells.items():
+        point = dict(zip(gens, x))
+        value = f.form.value(point)
+        piece = next(p for p in f.form.functionals() if p.evaluate(point) == value)
+        vec = [Fraction(v) for v in piece.vector(gens)]
         for sign in (1, -1):
             c = [sign * v for v in vec]
-            res = cube_lp(fan, cell, c + [-v for v in c])
+            res = cube_lp(f.fan, signs, c + [-v for v in c])
             assert res.status == OPTIMAL
             best = max(best, res.value)
     return best
@@ -467,8 +400,9 @@ def test_ray_sup_norm_matches_per_cell_lp(n, count):
     for _ in range(count):
         m = to_maxmin(join_of_meets(rng, gens))
         f = pl_from_maxmin(m, gens, exact=True)
-        assert len(f.fan.cells) > 2
-        reference = lp_sup_norm_on_cube(f)
+        cells = exact_cells(f.fan)
+        assert len(cells) > 2
+        reference = lp_sup_norm_on_cube(f, cells)
         assert sup_norm_on_cube(f, exact=True) == reference
         assert sup_norm_on_cube(pl_from_maxmin(m, gens)) == pytest.approx(
             float(reference), rel=1e-12
@@ -482,8 +416,9 @@ def test_ray_sup_norm_matches_per_cell_lp_in_four_generators():
     for e in (summed, join_of_meets(rng, gens)):
         m = to_maxmin(e)
         f = pl_from_maxmin(m, gens, exact=True)
-        assert len(f.fan.cells) > 2
-        reference = lp_sup_norm_on_cube(f)
+        cells = exact_cells(f.fan)
+        assert len(cells) > 2
+        reference = lp_sup_norm_on_cube(f, cells)
         assert sup_norm_on_cube(f, exact=True) == reference
         assert sup_norm_on_cube(pl_from_maxmin(m, gens)) == pytest.approx(
             float(reference), rel=1e-12
@@ -505,13 +440,13 @@ def test_sup_norm_in_eight_generators_by_blocks(exact):
 
 @pytest.mark.parametrize("exact", [False, True])
 def test_sup_norm_takes_a_block_at_its_origin(exact):
-    # -|a| + 2|b| + c on blocks {a}, {b}, {c}: max f = 0 + 2 + 1 needs a = 0
-    gens = "abc"
+    # -|a| + 2|b| on blocks {a}, {b}: max f = 0 + 2 needs a = 0
+    gens = "ab"
     parts = [pl_from_maxmin(to_maxmin(parse_expr(t)), gens, exact=exact)
-             for t in ("-|d(a)| + d(c)", "|d(b)|")]
+             for t in ("-|d(a)|", "|d(b)|")]
     f = pl_lincomb(1, parts[0], 2, parts[1], exact=exact)
-    assert len(f.fan.hyperplanes) == 2
-    assert sup_norm_on_cube(f, exact=exact) == 3
+    assert f.form is None and len(f.fan.hyperplanes) == 2
+    assert sup_norm_on_cube(f, exact=exact) == 2
 
 
 def test_sup_norm_raises_past_the_work_cap(monkeypatch):

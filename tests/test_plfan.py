@@ -1,7 +1,9 @@
 """Fans and piecewise-linear calculus: enumeration, cube sup norms, equality."""
 
+import itertools
 from fractions import Fraction
 from functools import reduce
+from math import comb
 
 import numpy as np
 import pytest
@@ -175,10 +177,118 @@ def test_planar_fan_badly_scaled_lines():
 
 
 # ---------------------------------------------------------------------------
-# three generators: no cells, evaluation through the form
+# three generators and up: no cells, evaluation through the form, and the
+# exact cell enumeration the references below use
 
 
-def test_nearly_parallel_planes_agree_in_both_modes():
+def cube_lp(fan, signs, objective, margin=False):
+    """Exact LP over x = u - v in the closed cell of a sign string, with
+    0 <= u, v <= 1.
+
+    signs may be a prefix, which constrains the first hyperplanes only.
+    The columns are u, v and, with margin, a t <= 1 that every signed row
+    must clear (sign * h.x >= t).  Maximizes objective.
+    """
+    width = 2 * len(fan.generators) + margin
+    rows = []
+    for hp, s in zip(fan.hyperplanes, signs):
+        r = [(-1 if s == "+" else 1) * Fraction(v) for v in hp.vector(fan.generators)]
+        rows.append(r + [-v for v in r] + [1] * margin)
+    b = [0] * len(rows) + [1] * width
+    rows += [[int(k == j) for k in range(width)] for j in range(width)]
+    return solve_lp(objective, A_ub=rows, b_ub=b, exact=True)
+
+
+def exact_cells(fan):
+    """Sign string -> interior point of every cell of the fan's arrangement.
+
+    Depth first over the hyperplanes: a prefix of signs is extended only
+    while the exact margin LP finds a point of the cube that clears every
+    signed row by some t > 0.
+    """
+    n = len(fan.generators)
+    cells = {}
+    stack = [""]
+    while stack:
+        signs = stack.pop()
+        res = cube_lp(fan, signs, [0] * (2 * n) + [1], margin=True)
+        if res.status != OPTIMAL or res.value <= 0:
+            continue
+        if len(signs) < len(fan.hyperplanes):
+            stack += [signs + "+", signs + "-"]
+        else:
+            cells[signs] = [u - v for u, v in zip(res.x[:n], res.x[n:2 * n])]
+    return cells
+
+
+def generic_normals(rng, n, h, exact):
+    """h integer normals in R^n, every min(n, h) of them independent."""
+    gens = "abcd"[:n]
+    num = Fraction if exact else float
+    while True:
+        rows = rng.integers(-5, 6, (h, n))
+        k = min(n, h)
+        if all(
+            np.linalg.matrix_rank(rows[list(sub)]) == k
+            for sub in itertools.combinations(range(h), k)
+        ):
+            return [fn(**{g: num(int(v)) for g, v in zip(gens, row) if v}) for row in rows]
+
+
+def zaslavsky_generic(n, h):
+    """Cells of a generic central arrangement of h hyperplanes in R^n."""
+    return 2 * sum(comb(h - 1, k) for k in range(n))
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_generic_fans_match_zaslavsky_count(exact):
+    # one and two generators: the fan's cells; three and four: the exact
+    # enumeration that the cube sup references below rely on
+    rng = np.random.default_rng(73)
+    for n, hs in ((1, (1,)), (2, (1, 2, 3, 5, 8)), (3, (1, 2, 3, 4, 5, 7)), (4, (2, 4, 5))):
+        gens = "abcd"[:n]
+        for h in hs:
+            normals = generic_normals(rng, n, h, exact)
+            if n <= 2:
+                fan = arrangement_fan(normals, gens, exact=exact)
+                signs = cell_signs(fan)
+                assert len(fan.cells) == len(signs)
+            else:
+                fan = plfan.Fan(gens, tuple(plfan.dedup_normals(normals, exact)), ())
+                signs = set(exact_cells(fan))
+            assert len(fan.hyperplanes) == h
+            assert len(signs) == zaslavsky_generic(n, h)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_rank_two_arrangement_in_three_dimensions_is_planar(exact):
+    # a function of a and b over (a, b, c): its break planes contain the c
+    # axis, so their cells are the planar sectors, and its norm and cube sup
+    # are those over (a, b) (l1 over (a, b) is 1-complemented in l1 over
+    # (a, b, c), so FBL norms agree)
+    rng = np.random.default_rng(79)
+    num = Fraction if exact else float
+    for _ in range(4):
+        m = to_maxmin(random_expr_capped(rng, ("a", "b"), max_size=12))
+        f2 = pl_from_maxmin(m, ("a", "b"), exact=exact)
+        f3 = pl_from_maxmin(m, ("a", "b", "c"), exact=exact)
+        assert f3.fan.cells == ()
+        assert f3.fan.hyperplanes == f2.fan.hyperplanes
+        assert set(exact_cells(f3.fan)) == cell_signs(f2.fan)
+        n2 = exact_fbl_norm(f2, fbl_space(("a", "b")), exact=exact)
+        n3 = exact_fbl_norm(f3, fbl_space(("a", "b", "c")), exact=exact)
+        s2, s3 = sup_norm_on_cube(f2, exact=exact), sup_norm_on_cube(f3, exact=exact)
+        assert isinstance(n3.upper, num) and isinstance(s3, num)
+        if exact:
+            assert n3.lower == n3.upper == n2.upper == n2.lower
+            assert s3 == s2
+        else:
+            assert n3.upper == pytest.approx(n2.upper, rel=1e-12)
+            assert n3.lower == pytest.approx(n2.lower, rel=1e-12)
+            assert s3 == pytest.approx(s2, rel=1e-12)
+
+
+def test_thin_cells_between_nearly_parallel_planes():
     # planes x = y and x = 0.9999999999*y (likewise for z) bound cells
     # thinner than float rounding; norm and cube sup need none of them
     e = parse_expr("(0.9999999999*(((d(b)) v (d(b))) ^ ((d(a)) v (d(c))))) ^ (d(a))")
@@ -186,6 +296,7 @@ def test_nearly_parallel_planes_agree_in_both_modes():
     m = to_maxmin(e)
     f, fx = pl_from_maxmin(m, gens), pl_from_maxmin(m, gens, exact=True)
     assert f.fan.cells == fx.fan.cells == ()
+    assert len(exact_cells(fx.fan)) == 24
     space = fbl_space(gens)
     norm = exact_fbl_norm(f, space)
     exact_norm = exact_fbl_norm(fx, space, exact=True)
@@ -320,46 +431,6 @@ def test_sup_norm_exact_mode():
         to_maxmin(parse_expr("0.5*d(a) - 0.25*d(b)")), ("a", "b"), exact=True
     )
     assert sup_norm_on_cube(f, exact=True) == Fraction(3, 4)
-
-
-def cube_lp(fan, signs, objective, margin=False):
-    """Exact LP over x = u - v in the closed cell of a sign string, with
-    0 <= u, v <= 1.
-
-    signs may be a prefix, which constrains the first hyperplanes only.
-    The columns are u, v and, with margin, a t <= 1 that every signed row
-    must clear (sign * h.x >= t).  Maximizes objective.
-    """
-    width = 2 * len(fan.generators) + margin
-    rows = []
-    for hp, s in zip(fan.hyperplanes, signs):
-        r = [(-1 if s == "+" else 1) * Fraction(v) for v in hp.vector(fan.generators)]
-        rows.append(r + [-v for v in r] + [1] * margin)
-    b = [0] * len(rows) + [1] * width
-    rows += [[int(k == j) for k in range(width)] for j in range(width)]
-    return solve_lp(objective, A_ub=rows, b_ub=b, exact=True)
-
-
-def exact_cells(fan):
-    """Sign string -> interior point of every cell of the fan's arrangement.
-
-    Depth first over the hyperplanes: a prefix of signs is extended only
-    while the exact margin LP finds a point of the cube that clears every
-    signed row by some t > 0.
-    """
-    n = len(fan.generators)
-    cells = {}
-    stack = [""]
-    while stack:
-        signs = stack.pop()
-        res = cube_lp(fan, signs, [0] * (2 * n) + [1], margin=True)
-        if res.status != OPTIMAL or res.value <= 0:
-            continue
-        if len(signs) < len(fan.hyperplanes):
-            stack += [signs + "+", signs + "-"]
-        else:
-            cells[signs] = [u - v for u, v in zip(res.x[:n], res.x[n:2 * n])]
-    return cells
 
 
 def lp_sup_norm_on_cube(f, cells):

@@ -38,7 +38,6 @@ from .expr import (
 )
 from .lp import OPTIMAL, UNBOUNDED, LPError, LPResult, solve_lp
 from .plfan import (
-    Cone,
     Fan,
     FanError,
     FanSizeError,
@@ -46,7 +45,6 @@ from .plfan import (
     arrangement_fan,
     fan_from_json,
     fan_to_json,
-    locate_cell,
     pl_equal,
     pl_from_maxmin,
     pl_lincomb,

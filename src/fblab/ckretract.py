@@ -28,9 +28,9 @@ All breakpoint arithmetic is rational; float pieces are emitted unless
 exact=True.  Verification helpers decide the section identity T(Sh) = h on
 all of K (exactly, on the segments between kinks of Sh(1, .) and h, within
 a tolerance relative to sup|h|), check the norm bound ||Sh|| <= sup|h| (over
-the two-generator space; reports flag the restriction), the
-lattice-homomorphism laws of S, and the finite-coordinate approximants
-f_n(x) = f_plus(v(x)) that are constant along rays.
+the two-generator space; reports flag the restriction), decide the
+lattice-homomorphism laws of S in Fractions, and build the finite-coordinate
+approximants f_n(x) = f_plus(v(x)) that are constant along rays.
 """
 
 from __future__ import annotations
@@ -322,10 +322,11 @@ def build_section(K: KSpec, h: TargetFunction, exact: bool = False) -> SectionBu
     """Assemble Sh symbolically as a PLFunction over ("one", "id").
 
     Fan hyperplanes: s, t, t - s, t + s, and t - c*s for every interior
-    slice breakpoint c, so every clip corner and slice kink is a cell
-    boundary.  On a cell with s-sign sigma the slice segment a + b*c turns
-    into the piece sigma*(a*s + b*t); cells beyond the clip range use the
-    constant slice values at 0 or 1.
+    slice breakpoint c, so every clip corner and slice kink is a ray of the
+    fan.  Each sector (p, q) is read at p + q: with s-sign sigma and ratio
+    rho = t/s there, the slice segment a + b*c holding rho turns into the
+    piece sigma*(a*s + b*t); sectors beyond the clip range use the constant
+    slice values at 0 or 1.
     """
     if h.K != K:
         raise CKError("h is defined on a different K")
@@ -348,8 +349,8 @@ def build_section(K: KSpec, h: TargetFunction, exact: bool = False) -> SectionBu
     fan = plfan.arrangement_fan(normals, GENERATORS, exact=exact)
 
     pieces = []
-    for cell in fan.cells:
-        ws, wt = (as_fraction(cell.witness[0]), as_fraction(cell.witness[1]))
+    for p, q in fan.cells:
+        ws, wt = as_fraction(p[0] + q[0]), as_fraction(p[1] + q[1])
         sigma = 1 if ws > 0 else -1
         rho = wt / ws
         if rho <= 0:
@@ -364,7 +365,7 @@ def build_section(K: KSpec, h: TargetFunction, exact: bool = False) -> SectionBu
                     a = v0 - b * c0
                     break
             if a is None:
-                raise CKError("cell ratio escaped the slice table")
+                raise CKError("sector ratio escaped the slice table")
         coeffs = {}
         if a != 0:
             coeffs["one"] = num(sigma * a)
@@ -404,18 +405,20 @@ def sample_K(K: KSpec, rng, size: int) -> list:
 def verify_section(b: SectionBundle, tol: float = 1e-12) -> dict:
     """Decide Sh(1, k) = h(k) on all of K, within tol * max(1, sup|h|).
 
-    On s = 1 the cell of Sh's fan can change only where a fan hyperplane
+    On s = 1 the sector of Sh's fan can change only where a fan hyperplane
     a*s + c*t crosses, at k = -a/c, and h bends only at its breakpoints.
     Cutting every interval of K at those points leaves segments on which
     one piece and h are both affine, so their difference peaks at the ends.
-    At every cut point each piece whose closed cell holds (1, k) is
-    evaluated in Fractions (the stored coefficients read exactly) and
-    compared with h(k).  That covers each segment's own piece at both ends,
-    single-point intervals, and cells that meet K in one point only.
-    `checked` counts these evaluations.
+    At every cut point each piece whose closed sector (p, q) holds (1, k),
+    that is p x (1, k) >= 0 and (1, k) x q >= 0, is evaluated in Fractions
+    (the stored coefficients read exactly) and compared with h(k).  That
+    covers each segment's own piece at both ends, single-point intervals,
+    and sectors that meet K in one point only.  `checked` counts these
+    evaluations.
     """
     fan = b.Sh.fan
     rows = [[as_fraction(v) for v in hp.vector(GENERATORS)] for hp in fan.hyperplanes]
+    cells = [[[as_fraction(v) for v in r] for r in cell] for cell in fan.cells]
     pieces = [[as_fraction(v) for v in p.vector(GENERATORS)] for p in b.Sh.pieces]
     bends = [-a / c for a, c in rows if c != 0] + [p for p, _ in b.h.breakpoints]
     limit = tol * max(1.0, float(b.h_sup))
@@ -425,12 +428,10 @@ def verify_section(b: SectionBundle, tol: float = 1e-12) -> dict:
     for lo, hi in b.K.intervals:
         for k in sorted({lo, hi}.union(x for x in bends if lo < x < hi)):
             want = b.h.value(k)
-            margins = [a + c * k for a, c in rows]
-            holding = [idx for idx, cell in enumerate(fan.cells)
-                       if all(m >= 0 if ch == "+" else m <= 0
-                              for m, ch in zip(margins, cell.signs))]
+            holding = [idx for idx, (p, q) in enumerate(cells)
+                       if p[0] * k - p[1] >= 0 and q[1] - k * q[0] >= 0]
             if not holding:
-                raise plfan.FanError(f"no cell contains (1, {k}); fan incomplete")
+                raise plfan.FanError(f"no sector contains (1, {k}); fan incomplete")
             for idx in holding:
                 a, c = pieces[idx]
                 got = a + c * k
@@ -473,7 +474,7 @@ def verify_norm_bound(b: SectionBundle, exact: bool = False) -> dict:
 
 
 def _dense_agree(f: plfan.PLFunction, g: plfan.PLFunction, samples: int,
-                 seed: int, tol: float) -> float:
+                 seed: int) -> float:
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-1.0, 1.0, (samples, 2))
     fv = plfan.pl_value_many(f, pts)
@@ -486,38 +487,38 @@ def verify_hom_laws(
     pairs: Sequence,
     samples: int = 10_000,
     seed: int = 0,
-    tol: float = 1e-12,
 ) -> dict:
-    """S(h1 v h2) = S(h1) v S(h2) and S(2*h1 - h2) = 2*S(h1) - S(h2).
+    """S(h1 v h2) = S(h1) v S(h2) and S(2*h1 - h2) = 2*S(h1) - S(h2), in
+    Fractions.
 
-    Joins are built both ways: through the target functions (crossing
-    breakpoints inserted) and through the PL pointwise max; equality is
-    decided by pl_equal with a dense-sampling fallback report, whose
-    deviation may be at most tol * max(1, sup|target|) for the join or
-    combination target.
+    All four sections are built exactly.  Joins are built both ways:
+    through the target functions (crossing breakpoints inserted) and
+    through pl_pointwise_max; combinations through target_lincomb and
+    pl_lincomb.  Each law is decided by pl_equal on the merged rays, and
+    `pass` is both laws.  As a float cross-check only, both sides are also
+    evaluated at `samples` random points of [-1, 1]^2 (seed `seed`), and
+    the largest differences are reported as join_sample_dev and
+    linear_sample_dev.
     """
     results = []
     for h1, h2 in pairs:
-        b1 = build_section(K, h1)
-        b2 = build_section(K, h2)
-        bj = build_section(K, target_join(h1, h2))
-        pmax = plfan.pl_pointwise_max(b1.Sh, b2.Sh)
-        join_exact = plfan.pl_equal(bj.Sh, pmax)
-        join_dev = _dense_agree(bj.Sh, pmax, samples, seed, tol)
+        b1 = build_section(K, h1, exact=True)
+        b2 = build_section(K, h2, exact=True)
+        bj = build_section(K, target_join(h1, h2), exact=True)
+        pmax = plfan.pl_pointwise_max(b1.Sh, b2.Sh, exact=True)
+        join_exact = plfan.pl_equal(bj.Sh, pmax, exact=True)
 
-        bl = build_section(K, target_lincomb(2, h1, -1, h2))
-        plin = plfan.pl_lincomb(2.0, b1.Sh, -1.0, b2.Sh)
-        lin_exact = plfan.pl_equal(bl.Sh, plin)
-        lin_dev = _dense_agree(bl.Sh, plin, samples, seed, tol)
+        bl = build_section(K, target_lincomb(2, h1, -1, h2), exact=True)
+        plin = plfan.pl_lincomb(2, b1.Sh, -1, b2.Sh, exact=True)
+        lin_exact = plfan.pl_equal(bl.Sh, plin, exact=True)
 
         results.append(
             {
-                "join_pl_equal": bool(join_exact),
-                "join_sample_dev": join_dev,
-                "linear_pl_equal": bool(lin_exact),
-                "linear_sample_dev": lin_dev,
-                "pass": (join_exact or join_dev <= tol * max(1.0, float(bj.h_sup)))
-                and (lin_exact or lin_dev <= tol * max(1.0, float(bl.h_sup))),
+                "join_pl_equal": join_exact,
+                "join_sample_dev": _dense_agree(bj.Sh, pmax, samples, seed),
+                "linear_pl_equal": lin_exact,
+                "linear_sample_dev": _dense_agree(bl.Sh, plin, samples, seed),
+                "pass": join_exact and lin_exact,
             }
         )
     return {"pass": all(r["pass"] for r in results), "pairs": results}

@@ -215,11 +215,7 @@ class _PLEvaluator:
 
     def batch(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        if X.ndim == 2:
-            return plfan.pl_value_many(self.f, X)
-        # One call per (k, n) slice: pl_value_many multiplies the points of a
-        # cell together, and BLAS picks its kernel by how many there are.
-        return np.array([self.batch(x) for x in X])
+        return plfan.pl_value_many(self.f, X.reshape(-1, X.shape[-1])).reshape(X.shape[:-1])
 
 
 def pl_evaluator(f: plfan.PLFunction):

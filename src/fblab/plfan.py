@@ -1,27 +1,33 @@
-"""Central line arrangements and piecewise-linear homogeneous functions.
+"""Piecewise-linear homogeneous functions on sorted rays, and cube sup norms.
 
-A Fan is the cell complex of a central arrangement in one or two
-dimensions: every full-dimensional cell is recorded as its sign vector over
-the (deduplicated, canonically scaled) hyperplane list together with a
-strictly interior witness point in the open cube.  A stored PLFunction
-attaches one linear piece per cell.
+A Fan over two generators is a sorted list of rays: the sup-scaled null
+directions +/-(-b, a) of every line a*s + b*t = 0 of its (deduplicated,
+canonically scaled) hyperplane list, together with +/-e1 and +/-e2, so
+that every sector between consecutive rays is narrower than pi.  The rays
+are sorted counter-clockwise from (1, 0) by a square pseudo-angle, the
+position of the direction on the boundary of [-1, 1]^2 (_angle): no
+trigonometry, and exact in Fractions.  Cell i is the sector from rays[i]
+to rays[i + 1], and a stored PLFunction attaches one linear piece per
+cell.  With one generator the rays are +1 and -1 and the cells the two
+half-lines.
 
-Cell discovery needs no LP and no sampling, and is exact in Fractions: with
-one generator the two half-lines, with two every line a*s + b*t = 0
-contributes the two rays +/-(-b, a), scaled to sup norm 1.  Sorting the
-rays by angle (half-plane test, then cross product) lists the cells as the
-open sectors between consecutive rays; the witness of a sector is the sum
-of its two bounding rays times 1/4, and a single line gives the two
-half-planes.  Parallel rows are merged on the key of dedup_normals.  Cells
-are sorted by sign string, so fans are deterministic.
+A point is located by bisecting on its pseudo-angle, with no tolerance; a
+point exactly on a ray takes the sector that starts there (its
+counter-clockwise side).
+
+Operations on stored functions run over the merged rays of both operands,
+so that each merged sector lies in one sector of each.  pl_equal compares
+the two pieces at both ends of every merged sector, pl_lincomb combines
+them, and pl_pointwise_max splits a sector (p, q) where the difference d
+of the two pieces changes sign, at the crossing ray |d(q)| p + |d(p)| q.
+Pieces always come from the operands and are never solved for, so all
+three are exact in Fractions and stay accurate in floats in thin sectors.
+A result's hyperplanes list every line it breaks on.
 
 A function given by a max-min form (pl_from_maxmin) keeps the form and
 its break hyperplanes, the pairwise differences of its functionals.  From
-three generators up it has no cells: it is evaluated through the form,
+three generators up it has no rays: it is evaluated through the form,
 and the norm and the cube sup norm need only hyperplanes and values.
-
-Lower-dimensional faces are never materialized; evaluation on a boundary
-picks any incident cell, which is safe because adjacent pieces agree there.
 
 The sup norm on the cube runs no LP (sup_norm_on_cube): it evaluates f at
 the vertices of (closed cell) intersect cube, one block of generators tied
@@ -33,9 +39,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -51,7 +58,6 @@ from .numeric import (
 )
 
 __all__ = [
-    "Cone",
     "Fan",
     "PLFunction",
     "FanError",
@@ -68,15 +74,12 @@ __all__ = [
     "pl_value",
     "pl_values",
     "pl_value_many",
-    "locate_cell",
     "fan_to_json",
     "fan_from_json",
     "plfunction_to_json",
     "plfunction_from_json",
 ]
 
-SIGN_TOL = 1e-9
-MAX_CELLS_DEFAULT = 100_000
 # Faces plus null-direction solves sup_norm_on_cube may spend on one block
 # before it raises FanSizeError, so that a block too large for vertex
 # enumeration fails within seconds instead of running for minutes.
@@ -96,24 +99,27 @@ class DegenerateNormalError(FanError):
 
 
 @dataclass(frozen=True)
-class Cone:
-    """Full-dimensional cell: sign per hyperplane plus an interior witness."""
-
-    signs: str
-    witness: tuple
-
-
-@dataclass(frozen=True)
 class Fan:
+    """Sorted rays of a fan over one or two generators, and its hyperplanes.
+
+    From three generators up (max-min forms only) there are no rays.
+    """
+
     generators: tuple
     hyperplanes: tuple  # LinearFunctional normals, canonical and deduplicated
-    cells: tuple  # Cone instances, sorted by sign string
+    rays: tuple  # sup-scaled, counter-clockwise from (1, 0), each once
 
-    def normal_rows(self) -> np.ndarray:
-        return np.array(
-            [[float(c) for c in h.vector(self.generators)] for h in self.hyperplanes],
-            dtype=float,
-        ).reshape(len(self.hyperplanes), len(self.generators))
+    @property
+    def cells(self) -> tuple:
+        """The sectors (rays[i], rays[i + 1]) in angular order; with one
+        generator the half-lines (r, r)."""
+        if self.rays and len(self.rays[0]) == 1:
+            return tuple((r, r) for r in self.rays)
+        return tuple(zip(self.rays, self.rays[1:] + self.rays[:1]))
+
+    @cached_property
+    def angles(self) -> tuple:
+        return tuple(_angle(r) for r in self.rays)
 
 
 @dataclass(frozen=True)
@@ -122,7 +128,7 @@ class PLFunction:
 
     A function from pl_from_maxmin keeps its form, and every evaluation
     goes through it; from three generators up its fan lists only the break
-    hyperplanes and no cells, and pieces is empty.
+    hyperplanes and no rays, and pieces is empty.
     """
 
     fan: Fan
@@ -171,52 +177,69 @@ def dedup_normals(fns, exact: bool):
     return out
 
 
-def _angle_order(p, q) -> int:
-    """Counter-clockwise order of plane vectors, starting at angle 0.
+def _angle(p):
+    """Counter-clockwise position of the direction p on the boundary of
+    [-1, 1]^2, from (1, 0), in [0, 8); a one-generator p reads as (p[0], 0).
 
-    Upper half-plane (angle in [0, pi)) first, then by cross product within
-    a half; no trigonometry, so Fraction inputs compare exactly.
+    Monotone in the angle, exact in Fractions, and _angles gives the same
+    floats for many points at once.
     """
-    hp = 0 if p[1] > 0 or (p[1] == 0 and p[0] > 0) else 1
-    hq = 0 if q[1] > 0 or (q[1] == 0 and q[0] > 0) else 1
-    if hp != hq:
-        return hp - hq
-    cross = p[0] * q[1] - p[1] * q[0]
-    return -1 if cross > 0 else (1 if cross < 0 else 0)
+    x, y = (p[0], p[1]) if len(p) == 2 else (p[0], 0)
+    if x > 0 and x >= abs(y):
+        return y / x if y >= 0 else 8 + y / x
+    if y > 0 and y >= abs(x):
+        return 2 - x / y
+    if x < 0 and -x >= abs(y):
+        return 4 + y / x
+    if y < 0:
+        return 6 - x / y
+    return 0
 
 
-def _planar_cells(vectors) -> dict:
-    """Sign string -> witness for the sectors of a central line arrangement.
+def _angles(P: np.ndarray) -> np.ndarray:
+    """_angle of every row of a float (m, 1) or (m, 2) array."""
+    x = P[:, 0]
+    y = P[:, 1] if P.shape[1] == 2 else np.zeros_like(x)
+    ax, ay = np.abs(x), np.abs(y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.select(
+            [(x > 0) & (x >= ay), (y > 0) & (y >= ax), (x < 0) & (-x >= ay), y < 0],
+            [np.where(y >= 0, y / x, 8 + y / x), 2 - x / y, 4 + y / x, 6 - x / y],
+            0.0,
+        )
 
-    Exact for Fraction coefficients: only division, sums and products.
-    """
+
+def _sector(fan: Fan, point) -> int:
+    """Index of the cell that holds point: the one starting at or before its
+    angle, so a point on a ray takes the sector that starts there."""
+    return bisect_right(fan.angles, _angle(point)) - 1
+
+
+def _line_rays(rows) -> list:
+    """The two sup-scaled directions of every row's line: its null
+    directions +/-(-b, a) in two dimensions, the half-lines in one."""
     rays = []
-    for a, b in vectors:
-        scale = max(abs(a), abs(b))
-        r = (-b / scale, a / scale)
-        rays += [r, (-r[0], -r[1])]
-    if len(vectors) == 1:
-        # the two half-planes, witnessed by +/- half the sup-scaled normal
-        witnesses = [(y / 2, -x / 2) for x, y in rays]
-    else:
-        rays.sort(key=cmp_to_key(_angle_order))
-        witnesses = [
-            ((p[0] + q[0]) / 4, (p[1] + q[1]) / 4)
-            for p, q in zip(rays, rays[1:] + rays[:1])
-        ]
-    cells = {}
-    for w in witnesses:
-        chars = []
-        for a, b in vectors:
-            m = a * w[0] + b * w[1]
-            if m == 0:
-                raise FanError(f"sector witness {w!r} lies on a line")
-            chars.append("+" if m > 0 else "-")
-        signs = "".join(chars)
-        if signs in cells:
-            raise FanError(f"two sectors share the sign vector {signs}")
-        cells[signs] = w
-    return cells
+    for row in rows:
+        scale = max(abs(v) for v in row)
+        r = (row[0] / scale,) if len(row) == 1 else (-row[1] / scale, row[0] / scale)
+        rays += [r, tuple(-v for v in r)]
+    return rays
+
+
+def _axes(n: int, exact: bool) -> list:
+    one = Fraction(1) if exact else 1.0
+    zero = one - one
+    if n == 1:
+        return [(one,), (-one,)]
+    return [(one, zero), (zero, one), (-one, zero), (zero, -one)]
+
+
+def _sorted_rays(rays) -> tuple:
+    """rays sorted by _angle, the first of every direction kept."""
+    by_angle = {}
+    for r in rays:
+        by_angle.setdefault(_angle(r), r)
+    return tuple(by_angle[a] for a in sorted(by_angle))
 
 
 def _merge_parallel(rows, exact):
@@ -232,39 +255,23 @@ def _merge_parallel(rows, exact):
     return list(merged.values())
 
 
-def arrangement_fan(
-    normals,
-    generators,
-    exact: bool = False,
-    max_cells: int = MAX_CELLS_DEFAULT,
-) -> Fan:
+def arrangement_fan(normals, generators, exact: bool = False) -> Fan:
     """Fan of the central arrangement of the given normals over one or two
     generators.
 
-    One generator gives the two half-lines, two the planar sort
-    (_planar_cells): no LP and no sampling, exact in Fractions.  Cells are
-    sorted by sign string, so the result is deterministic.  Raises FanError
-    for three or more generators, DegenerateNormalError on a zero normal
-    and FanSizeError past the cell cap.
+    The rays are the sup-scaled null directions of the deduplicated lines
+    and +/-e1, +/-e2 (+1 and -1 for one generator), sorted by _angle: at
+    most 2h + 4 of them for h lines, with no LP, no sampling and no
+    tolerance, exact in Fractions.  Raises FanError for three or more
+    generators and DegenerateNormalError on a zero normal.
     """
     generators = tuple(generators)
     n = len(generators)
     if not 1 <= n <= 2:
         raise FanError(f"fans take one or two generators, not {n}")
     hyps = dedup_normals(normals, exact)
-    h = len(hyps)
-    half = Fraction(1, 2) if exact else 0.5
-    if h == 0:
-        return Fan(generators, (), (Cone("", tuple([half] * n)),))
-    if 2 * h > max_cells:
-        raise FanSizeError(f"cell count exceeds cap {max_cells}")
-    if n == 1:
-        # the one canonical normal is +d(a)
-        cells = {"+": (half,), "-": (-half,)}
-    else:
-        cells = _planar_cells([list(hp.vector(generators)) for hp in hyps])
-    cones = tuple(Cone(s, cells[s]) for s in sorted(cells))
-    return Fan(generators, tuple(hyps), cones)
+    rows = [hp.vector(generators) for hp in hyps]
+    return Fan(generators, tuple(hyps), _sorted_rays(_line_rays(rows) + _axes(n, exact)))
 
 
 def _exactify(fn: LinearFunctional) -> LinearFunctional:
@@ -277,10 +284,10 @@ def pl_from_maxmin(m: MaxMinForm, generators, exact: bool = False) -> PLFunction
     The hyperplanes are the pairwise differences of the form's functionals:
     off them every group minimum and the overall maximum are attained by
     fixed functionals.  The form is kept and evaluates f.  With one or two
-    generators the fan's cells are built too, with the piece read off at
-    each witness (adjacent pieces agree on shared boundaries by continuity),
-    so pl_equal, pl_pointwise_max, pl_lincomb and JSON apply; from three
-    generators up no cells are built.
+    generators the fan's sectors are built too, with the piece read off at
+    each sector's midpoint p + q (adjacent pieces agree on shared rays by
+    continuity), so pl_equal, pl_pointwise_max, pl_lincomb and JSON apply;
+    from three generators up no rays are built.
     """
     generators = tuple(generators)
     if exact:
@@ -297,8 +304,8 @@ def pl_from_maxmin(m: MaxMinForm, generators, exact: bool = False) -> PLFunction
         return PLFunction(fan, (), m)
     fan = arrangement_fan(diffs, generators, exact=exact)
     pieces = []
-    for cell in fan.cells:
-        point = dict(zip(generators, cell.witness))
+    for p, q in fan.cells:
+        point = dict(zip(generators, (a + b for a, b in zip(p, q))))
         best = None
         best_val = None
         for group in m.groups:
@@ -439,46 +446,13 @@ def _fan_rays(rows, n, exact):
     return [tuple(canonical_ray(d, exact)), tuple(canonical_ray([-v for v in d], exact))], 1
 
 
-def _point_signs(fan: Fan, point, exact: bool):
-    chars = []
-    pd = dict(zip(fan.generators, point))
-    tol = 0 if exact else SIGN_TOL
-    for hp in fan.hyperplanes:
-        v = hp.evaluate(pd)
-        if v > tol:
-            chars.append("+")
-        elif v < -tol:
-            chars.append("-")
-        else:
-            chars.append("0")
-    return "".join(chars)
-
-
-def locate_cell(f_or_fan, point, exact: bool = False) -> int:
-    """Index of a cell whose closure contains the point.
-
-    Boundary points (sign '0' somewhere) match several cells; the first one
-    in canonical order is returned, which is safe for evaluation because
-    incident pieces agree on the boundary.
-    """
-    fan = f_or_fan.fan if isinstance(f_or_fan, PLFunction) else f_or_fan
-    s = _point_signs(fan, point, exact)
-    for idx, cell in enumerate(fan.cells):
-        ok = True
-        for ch, cch in zip(s, cell.signs):
-            if ch != "0" and ch != cch:
-                ok = False
-                break
-        if ok:
-            return idx
-    raise FanError(f"no cell contains point {point!r}; fan incomplete")
-
-
 def pl_value(f: PLFunction, point, exact: bool = False):
+    """f at one point: through the max-min form when f has one, else the
+    piece of the sector that holds the point (_sector)."""
     pd = dict(zip(f.fan.generators, point))
     if f.form is not None:
         return f.form.value(pd)
-    return f.pieces[locate_cell(f, point, exact)].evaluate(pd)
+    return f.pieces[_sector(f.fan, point)].evaluate(pd)
 
 
 def pl_values(f: PLFunction, points, exact: bool = False) -> list:
@@ -491,105 +465,96 @@ def pl_values(f: PLFunction, points, exact: bool = False) -> list:
 
 
 def pl_value_many(f: PLFunction, points: np.ndarray) -> np.ndarray:
-    """Vectorized float evaluation at many points (rows): through the
-    max-min form when f has one, else one product per cell of points."""
+    """Float values at many points (rows): through the max-min form when f
+    has one, else the sectors found by np.searchsorted on the pseudo-angle
+    and each piece applied elementwise, with the arithmetic of pl_value, so
+    a point's value does not depend on the other points."""
     fan = f.fan
     pts = np.asarray(points, dtype=float)
     if f.form is not None:
         return MaxMinEvaluator(f.form, fan.generators).batch(pts)
-    n_pts = pts.shape[0]
-    out = np.full(n_pts, np.nan)
-    if len(fan.hyperplanes) == 0:
-        vec = np.array([float(c) for c in f.pieces[0].vector(fan.generators)])
-        return pts @ vec
-    margins = pts @ fan.normal_rows().T
-    unassigned = np.ones(n_pts, dtype=bool)
-    for cell, piece in zip(fan.cells, f.pieces):
-        if not unassigned.any():
-            break
-        mask = unassigned.copy()
-        for k, s in enumerate(cell.signs):
-            if s == "+":
-                mask &= margins[:, k] >= -SIGN_TOL
-            else:
-                mask &= margins[:, k] <= SIGN_TOL
-            if not mask.any():
-                break
-        if mask.any():
-            vec = np.array([float(c) for c in piece.vector(fan.generators)])
-            out[mask] = pts[mask] @ vec
-            unassigned &= ~mask
-    if unassigned.any():
-        raise FanError("points not covered by any cell; fan incomplete")
+    cells = np.searchsorted(np.array(fan.angles, dtype=float), _angles(pts), side="right") - 1
+    coeffs = np.array([[float(c) for c in p.vector(fan.generators)] for p in f.pieces])[cells]
+    out = np.zeros(len(pts))
+    for j in range(pts.shape[1]):
+        out += coeffs[:, j] * pts[:, j]
     return out
 
 
-def _pieces_equal(a: LinearFunctional, b: LinearFunctional, exact: bool) -> bool:
-    d = a.minus(b)
+def _refine(f: PLFunction, g: PLFunction, exact: bool, what: str):
+    """The fan of the merged rays of f and g, with both hyperplane lists,
+    and per sector the pieces of f and of g on it."""
+    if f.fan.generators != g.fan.generators:
+        raise FanError(f"{what} needs a shared generator tuple")
+    if not (f.fan.rays and g.fan.rays):
+        raise FanError(f"{what} needs stored pieces over one or two generators")
+    fan = Fan(
+        f.fan.generators,
+        tuple(dedup_normals(f.fan.hyperplanes + g.fan.hyperplanes, exact)),
+        _sorted_rays(f.fan.rays + g.fan.rays),
+    )
+    pairs = [(f.pieces[_sector(f.fan, p)], g.pieces[_sector(g.fan, p)]) for p, _ in fan.cells]
+    return fan, pairs
+
+
+def _close(a, b, exact: bool) -> bool:
     if exact:
-        return d.is_zero
-    scale = max([1.0] + [abs(c) for _, c in a.items + b.items])
-    return all(abs(c) <= 1e-9 * scale for _, c in d.items)
+        return a == b
+    return abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b))
 
 
 def pl_equal(f: PLFunction, g: PLFunction, exact: bool = False) -> bool:
-    """Equality as functions, decided on a common refinement.
+    """Equality as functions, decided at the merged rays of both operands.
 
     Both inputs must live over the same ordered generator tuple.  On every
-    cell of the joint arrangement the two pieces are compared coefficient
-    by coefficient (exactly in rational mode; in float mode within 1e-9
-    times max(1, the largest |coefficient| of either piece)).
+    merged sector (p, q) the pieces of f and g are compared at p and at q,
+    which span the plane, so this is equality of the pieces: exact in
+    rational mode; in float mode within 1e-9 times max(1, |either value|).
     """
-    if f.fan.generators != g.fan.generators:
-        raise FanError("pl_equal needs a shared generator tuple")
-    normals = list(f.fan.hyperplanes) + list(g.fan.hyperplanes)
-    if not normals:
-        return _pieces_equal(f.pieces[0], g.pieces[0], exact)
-    fan = arrangement_fan(normals, f.fan.generators, exact=exact)
-    for cell in fan.cells:
-        pf = f.pieces[locate_cell(f, cell.witness, exact)]
-        pg = g.pieces[locate_cell(g, cell.witness, exact)]
-        if not _pieces_equal(pf, pg, exact):
-            return False
+    fan, pairs = _refine(f, g, exact, "pl_equal")
+    for (p, q), (pf, pg) in zip(fan.cells, pairs):
+        for r in (p, q):
+            point = dict(zip(fan.generators, r))
+            if not _close(pf.evaluate(point), pg.evaluate(point), exact):
+                return False
     return True
 
 
 def pl_pointwise_max(f: PLFunction, g: PLFunction, exact: bool = False) -> PLFunction:
-    """Pointwise maximum of two PLFunctions over a joint refinement.
+    """Pointwise maximum of two PLFunctions on their merged rays.
 
-    The refinement includes every difference of an f piece and a g piece, so
-    the larger function is constant per cell and can be read at the witness.
+    On a merged sector (p, q) the difference d of the two pieces is linear,
+    so the larger piece holds on the whole sector unless d(p) and d(q)
+    have opposite signs; then the crossing ray |d(q)| p + |d(p)| q, where
+    d vanishes, splits it, and its line joins the hyperplanes.
     """
-    if f.fan.generators != g.fan.generators:
-        raise FanError("pl_pointwise_max needs a shared generator tuple")
-    normals = list(f.fan.hyperplanes) + list(g.fan.hyperplanes)
-    for pf in f.pieces:
-        for pg in g.pieces:
-            d = pf.minus(pg)
-            if not d.is_zero:
-                normals.append(d)
-    fan = arrangement_fan(normals, f.fan.generators, exact=exact)
-    pieces = []
-    for cell in fan.cells:
-        pd = dict(zip(fan.generators, cell.witness))
-        pf = f.pieces[locate_cell(f, cell.witness, exact)]
-        pg = g.pieces[locate_cell(g, cell.witness, exact)]
-        pieces.append(pf if pf.evaluate(pd) >= pg.evaluate(pd) else pg)
-    return PLFunction(fan, tuple(pieces))
+    fan, pairs = _refine(f, g, exact, "pl_pointwise_max")
+    gens = fan.generators
+    rays, pieces, crossings = [], [], []
+    ends = fan.angles[1:] + (8,)
+    for (p, q), (pf, pg), lo, hi in zip(fan.cells, pairs, fan.angles, ends):
+        d = pf.minus(pg)
+        dp, dq = (d.evaluate(dict(zip(gens, r))) for r in (p, q))
+        rays.append(p)
+        if min(dp, dq) < 0 < max(dp, dq):
+            r = tuple(abs(dq) * u + abs(dp) * v for u, v in zip(p, q))
+            scale = max(abs(v) for v in r)
+            r = tuple(v / scale for v in r)
+            # a float crossing may round onto an end of a thin sector
+            if lo < _angle(r) < hi:
+                rays.append(r)
+                crossings.append(LinearFunctional.from_map({gens[0]: -r[1], gens[1]: r[0]}))
+                pieces += [pf, pg] if dp > 0 else [pg, pf]
+                continue
+        pieces.append(pf if dp + dq >= 0 else pg)
+    hyps = dedup_normals(list(fan.hyperplanes) + crossings, exact)
+    return PLFunction(Fan(gens, tuple(hyps), tuple(rays)), tuple(pieces))
 
 
 def pl_lincomb(a, f: PLFunction, b, g: PLFunction, exact: bool = False) -> PLFunction:
-    """a*f + b*g as a PLFunction on the joint fan."""
-    if f.fan.generators != g.fan.generators:
-        raise FanError("pl_lincomb needs a shared generator tuple")
-    normals = list(f.fan.hyperplanes) + list(g.fan.hyperplanes)
-    fan = arrangement_fan(normals, f.fan.generators, exact=exact)
-    pieces = []
-    for cell in fan.cells:
-        pf = f.pieces[locate_cell(f, cell.witness, exact)]
-        pg = g.pieces[locate_cell(g, cell.witness, exact)]
-        pieces.append(pf.scaled(a).plus(pg.scaled(b)))
-    return PLFunction(fan, tuple(pieces))
+    """a*f + b*g on the merged rays of f and g, piece by piece."""
+    fan, pairs = _refine(f, g, exact, "pl_lincomb")
+    return PLFunction(fan, tuple(pf.scaled(a).plus(pg.scaled(b)) for pf, pg in pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -621,10 +586,7 @@ def fan_to_json(fan: Fan) -> dict:
     return {
         "generators": list(fan.generators),
         "hyperplanes": [_functional_to_json(h) for h in fan.hyperplanes],
-        "cells": [
-            {"signs": c.signs, "witness": [_num_to_json(v) for v in c.witness]}
-            for c in fan.cells
-        ],
+        "rays": [[_num_to_json(v) for v in r] for r in fan.rays],
     }
 
 
@@ -632,21 +594,44 @@ def fan_from_json(obj) -> Fan:
     return Fan(
         tuple(obj["generators"]),
         tuple(_functional_from_json(h) for h in obj["hyperplanes"]),
-        tuple(
-            Cone(c["signs"], tuple(_num_from_json(v) for v in c["witness"]))
-            for c in obj["cells"]
-        ),
+        tuple(tuple(_num_from_json(v) for v in r) for r in obj["rays"]),
     )
 
 
 def plfunction_to_json(f: PLFunction) -> dict:
-    if not f.fan.cells:
-        raise FanError("a function without cells has no JSON form")
+    """generators, hyperplanes, rays and one piece per sector."""
+    if not f.fan.rays:
+        raise FanError("a function without rays has no JSON form")
     out = fan_to_json(f.fan)
     out["pieces"] = [_functional_to_json(p) for p in f.pieces]
     return out
 
 
 def plfunction_from_json(obj) -> PLFunction:
-    fan = fan_from_json(obj)
-    return PLFunction(fan, tuple(_functional_from_json(p) for p in obj["pieces"]))
+    """Read plfunction_to_json's shape, or the earlier one that stored a
+    witness point per cell of the hyperplanes' arrangement instead of rays.
+
+    An earlier cell is the sector between consecutive rays of the
+    hyperplanes alone; each sector of the new fan takes the piece of the
+    earlier cell its first ray lies in, found through that cell's witness.
+    """
+    pieces = tuple(_functional_from_json(p) for p in obj["pieces"])
+    if "rays" in obj:
+        fan = fan_from_json(obj)
+    else:
+        gens = tuple(obj["generators"])
+        hyps = tuple(_functional_from_json(h) for h in obj["hyperplanes"])
+        witnesses = [tuple(_num_from_json(v) for v in c["witness"]) for c in obj["cells"]]
+        rows = [h.vector(gens) for h in hyps]
+        exact = isinstance(witnesses[0][0], Fraction)
+        fan = Fan(gens, hyps, _sorted_rays(_line_rays(rows) + _axes(len(gens), exact)))
+        walls = [_angle(r) for r in _sorted_rays(_line_rays(rows))]
+
+        def cell(x):
+            return (bisect_right(walls, _angle(x)) - 1) % max(1, len(walls))
+
+        by_cell = {cell(w): piece for w, piece in zip(witnesses, pieces)}
+        pieces = tuple(by_cell[cell(p)] for p, _ in fan.cells)
+    if len(pieces) != len(fan.cells):
+        raise FanError(f"{len(pieces)} pieces for {len(fan.cells)} sectors")
+    return PLFunction(fan, pieces)

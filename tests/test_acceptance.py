@@ -268,7 +268,7 @@ def test_criterion_6_section_suite(acceptance_log, cert_store):
                       {"plfunction": plfan.plfunction_to_json(b.Sh)})
         pairs = [(_random_target(K, rng, 1), _random_target(K, rng, 1))
                  for _ in range(10)]
-        laws = ckretract.verify_hom_laws(K, pairs, samples=10_000, tol=1e-12)
+        laws = ckretract.verify_hom_laws(K, pairs)
         if not laws["pass"]:
             bad.append((K.kind, "join-commutation", laws["pairs"]))
     elapsed = time.monotonic() - t0

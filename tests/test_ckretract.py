@@ -197,21 +197,12 @@ def _with_piece(b, idx, piece):
 
 
 def _slice_ranges(fan, idx, K):
-    """[p, q] with {1} x [p, q] = closed cell idx meet {1} x I, per interval I of K.
+    """[p, q] with {1} x [p, q] = closed sector idx meet {1} x I, per interval I of K.
 
-    Computed in Fractions from the cell's two boundary rays r1, r2 (counter-
+    Computed in Fractions from the sector's two boundary rays r1, r2 (counter-
     clockwise): the sector is cross(r1, x) >= 0 and cross(x, r2) >= 0.
     """
-    rows = [[Fraction(v) for v in hp.vector(fan.generators)] for hp in fan.hyperplanes]
-    signs = fan.cells[idx].signs
-
-    def in_cell(x):
-        margins = (a * x[0] + c * x[1] for a, c in rows)
-        return all(m >= 0 if ch == "+" else m <= 0 for m, ch in zip(margins, signs))
-
-    r1, r2 = [r for a, c in rows for r in ((-c, a), (c, -a)) if in_cell(r)]
-    if r1[0] * r2[1] - r1[1] * r2[0] < 0:
-        r1, r2 = r2, r1
+    r1, r2 = ([Fraction(v) for v in r] for r in fan.cells[idx])
     out = []
     for lo, hi in K.intervals:
         # at x = (1, k): r1.s * k >= r1.t and r2.t >= r2.s * k
@@ -236,7 +227,7 @@ def test_identity_fails_exactly_on_cells_meeting_K(K, pairs):
     for idx in range(len(b.Sh.fan.cells)):
         meets.append(bool(_slice_ranges(b.Sh.fan, idx, K)))
         rep = verify_section(_with_piece(b, idx, b.Sh.pieces[idx].plus(bump)))
-        assert rep["pass"] is not meets[-1], (idx, b.Sh.fan.cells[idx].signs)
+        assert rep["pass"] is not meets[-1], (idx, b.Sh.fan.cells[idx])
     assert any(meets) and not all(meets)
 
 
@@ -270,15 +261,21 @@ def _random_union_target(rng):
     K = union_of_intervals(
         [(Fraction(a, 16), Fraction(b, 16)) for a, b in zip(ends[0::2], ends[1::2])]
     )
+    return K, _random_target_on(rng, K)
+
+
+def _random_target_on(rng, K):
     pts = {p for iv in K.intervals for p in iv}
     pts |= {Fraction(int(k), 32) for k in rng.integers(0, 33, 4)
             if K.contains(Fraction(int(k), 32))}
     vals = {p: Fraction(int(rng.integers(-8, 9)), 4) for p in pts}
-    return K, target_from_pairs(K, sorted(vals.items()))
+    return target_from_pairs(K, sorted(vals.items()))
 
 
 def test_union_sections_property():
     rng = np.random.default_rng(613)
+    pair_rng = np.random.default_rng(617)
+    interior = 0
     for _ in range(20):
         K, h = _random_union_target(rng)
         b = build_section(K, h)
@@ -296,6 +293,14 @@ def test_union_sections_property():
         want = np.interp(ks, [float(p) for p, _ in h.breakpoints],
                          [float(v) for _, v in h.breakpoints])
         assert np.max(np.abs(got - want)) <= tol
+        # the hom laws, decided in Fractions, with a second target on K
+        h2 = _random_target_on(pair_rng, K)
+        ends = {e for iv in K.intervals for e in iv}
+        interior += any(p not in ends for p, _ in h2.breakpoints)
+        laws = verify_hom_laws(K, [(h, h2)], samples=200)
+        assert laws["pass"], (K, h, h2, laws)
+        assert laws["pairs"][0]["join_pl_equal"] and laws["pairs"][0]["linear_pl_equal"]
+    assert interior >= 10
 
 
 # ---------------------------------------------------------------------------
@@ -433,21 +438,37 @@ def test_hom_laws_tolerances_are_relative_to_sup_target(K, mid, big):
     for pair in ((h1, h2), (h2, h1)):
         rep = verify_hom_laws(K, [pair])
         assert rep["pass"], rep
+        assert rep["pairs"][0]["join_pl_equal"], rep
         assert rep["pairs"][0]["linear_pl_equal"], rep
 
 
+def test_float_pointwise_max_in_a_thin_sector():
+    # at 1e9 the lines where pieces of the two sections cross pass within
+    # about 1e-9 of this point; the max takes its pieces from the operands,
+    # so it is h2's value here, not a piece solved in a thin cell
+    h1, h2 = _large_pair(interval01(), Fraction(1, 2), 10**9)
+    b1, b2 = build_section(h1.K, h1), build_section(h2.K, h2)
+    x = (0.5, -1.375e-9)
+    assert pl_value(b1.Sh, x) == pytest.approx(1 / 6, rel=1e-12)
+    assert pl_value(b2.Sh, x) == pytest.approx(5 / 6, rel=1e-12)
+    assert pl_value(plfan.pl_pointwise_max(b1.Sh, b2.Sh), x) == pytest.approx(5 / 6, rel=1e-12)
+
+
 def _bump_top_piece(build):
-    """build's result with the piece at its largest |value| scaled by 1 + 1e-8."""
+    """build's result with the piece at its largest |value| on its sector's
+    rays scaled by 1 + 1e-8."""
 
     def bumped(*args, **kwargs):
         f = build(*args, **kwargs)
-        angles = np.linspace(0.0, 2 * np.pi, 720, endpoint=False)
-        pts = np.stack((np.cos(angles), np.sin(angles)), axis=1)
-        top = pts[int(np.argmax(np.abs(pl_value_many(f, pts))))]
-        j = plfan.locate_cell(f, tuple(top))
+
+        def top(i):
+            return max(abs(f.pieces[i].evaluate(dict(zip(f.fan.generators, r))))
+                       for r in f.fan.cells[i])
+
+        j = max(range(len(f.pieces)), key=top)
         pieces = list(f.pieces)
         pieces[j] = LinearFunctional.from_map(
-            {g: c * (1 + 1e-8) for g, c in pieces[j].items}
+            {g: c * (1 + Fraction(1, 10**8)) for g, c in pieces[j].items}
         )
         return dataclasses.replace(f, pieces=tuple(pieces))
 

@@ -1,11 +1,15 @@
 """Command-line front end: run reports, determinism, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
-from fblab import cli, fblnorm
+from fblab import ckretract, cli, fblnorm, plfan
 from fblab.lp import LPError
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(capsys, argv):
@@ -292,6 +296,22 @@ def test_ck_section_twopoints(tmp_path, capsys):
     code, rep, _ = run_cli(capsys, ["replay-cert", str(cert), "--json-only"])
     assert code == 0
     assert rep["payload"]["pass"] is True
+
+
+def test_replay_of_a_section_certificate_with_cell_witnesses(capsys):
+    # written by `fblab ck-section --k "union:0,1/4;1/2,1" --h
+    # "0:1,1/4:-1,1/2:2,3/4:1/2,1:3" --cert` when stored functions kept a
+    # sign string and a witness point per cell instead of sorted rays
+    path = DATA / "ck-section-union-cells.cert.json"
+    code, rep, _ = run_cli(capsys, ["replay-cert", str(path), "--json-only"])
+    assert code == 0
+    assert rep["payload"]["pass"] is True
+    assert rep["payload"]["value"] == rep["payload"]["recorded_value"] == 3.0
+    # every witness lands in the sector holding today's piece
+    f = plfan.plfunction_from_json(fblnorm.load_certificate(path)["function"]["plfunction"])
+    K = cli._parse_kspec("union:0,1/4;1/2,1")
+    b = ckretract.build_section(K, cli._parse_target(K, "0:1,1/4:-1,1/2:2,3/4:1/2,1:3"))
+    assert f.fan == b.Sh.fan and f.pieces == b.Sh.pieces
 
 
 def test_ck_section_union(capsys):

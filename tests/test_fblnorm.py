@@ -31,6 +31,7 @@ from fblab.fblnorm import (
     replay_certificate,
 )
 from fblab import cli, plfan
+from fblab.ckretract import build_section, target_from_pairs, union_of_intervals
 from exprgen import badly_scaled_scalar, random_expr_capped, rounded_scalar
 
 
@@ -607,6 +608,26 @@ def test_batch_of_a_stack_equals_batch_of_each_configuration():
             assert got.shape == (30, k)
             for j in range(30):
                 assert got[j].tobytes() == np.asarray(F.batch(S[j].copy())).tobytes()
+
+
+def test_section_batch_equals_call_bit_for_bit():
+    """A stored function's pieces are applied elementwise, with pl_value's
+    arithmetic, so every point of an (m, k, 2) stack, on a ray or off it,
+    comes out as a call on that point alone."""
+    K = union_of_intervals([(0, Fraction(1, 4)), (Fraction(1, 2), 1)])
+    pairs = [(0, Fraction(1, 3)), (Fraction(1, 4), Fraction(-5, 7)),
+             (Fraction(1, 2), Fraction(2, 3)), (Fraction(3, 4), Fraction(1, 11)), (1, 3)]
+    Sh = build_section(K, target_from_pairs(K, pairs)).Sh
+    F = pl_evaluator(Sh)
+    rng = np.random.default_rng(14)
+    S = rng.uniform(-1.0, 1.0, (20, 7, 2))
+    rays = np.array(Sh.fan.rays, dtype=float)
+    flat = S.reshape(-1, 2)
+    flat[:len(rays)] = rays
+    flat[len(rays):2 * len(rays)] = rays * rng.uniform(0.1, 3.0, (len(rays), 1))
+    got = F.batch(S)
+    assert got.shape == (20, 7)
+    assert [v.hex() for v in got.ravel().tolist()] == [F(x).hex() for x in S.reshape(-1, 2)]
 
 
 # ---------------------------------------------------------------------------

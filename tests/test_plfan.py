@@ -26,6 +26,7 @@ from fblab.plfan import (
     pl_from_maxmin,
     pl_lincomb,
     pl_pointwise_max,
+    pl_value,
     pl_value_many,
     plfunction_from_json,
     plfunction_to_json,
@@ -38,8 +39,24 @@ def fn(**coeffs):
     return LinearFunctional.from_map(coeffs)
 
 
+def rows_of(fan):
+    return np.array([[float(c) for c in h.vector(fan.generators)] for h in fan.hyperplanes])
+
+
+def midpoint(cell):
+    p, q = cell
+    return tuple(a + b for a, b in zip(p, q))
+
+
 def cell_signs(fan):
-    return {c.signs for c in fan.cells}
+    """Sign string of every sector's midpoint p + q against the hyperplanes
+    ('0' where one vanishes), in angular order."""
+    out = []
+    for cell in fan.cells:
+        point = dict(zip(fan.generators, midpoint(cell)))
+        margins = [h.evaluate(point) for h in fan.hyperplanes]
+        out.append("".join("+" if m > 0 else "-" if m < 0 else "0" for m in margins))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -49,13 +66,14 @@ def cell_signs(fan):
 def test_one_hyperplane_two_cells():
     for num, exact in ((float, False), (Fraction, True)):
         fan = arrangement_fan([fn(a=num(1)), fn(a=num(-3))], ("a",), exact=exact)
-        assert cell_signs(fan) == {"+", "-"}
-        assert len(fan.cells) == 2
+        assert cell_signs(fan) == ["+", "-"]
+        assert fan.rays == ((num(1),), (num(-1),))
+        assert fan.cells == (((num(1),), (num(1),)), ((num(-1),), (num(-1),)))
 
 
 def test_two_hyperplanes_four_quadrants():
     fan = arrangement_fan([fn(a=1.0), fn(b=1.0)], ("a", "b"))
-    assert cell_signs(fan) == {"++", "+-", "-+", "--"}
+    assert cell_signs(fan) == ["++", "-+", "--", "+-"]
 
 
 def test_three_generic_lines_six_sectors():
@@ -71,17 +89,20 @@ def test_three_generic_lines_six_sectors():
         "".join("+" if v > 0 else "-" for v in row) for row in margins[clear]
     }
     assert len(sampled) == 6
-    assert cell_signs(fan) == sampled
+    assert len(fan.cells) == 6
+    assert set(cell_signs(fan)) == sampled
 
 
 def test_witnesses_satisfy_their_signs():
+    # no line crosses the inside of a sector: every hyperplane has one sign
+    # on both of its rays (or vanishes there) and that sign at the midpoint
     normals = [fn(a=1.0), fn(b=1.0), fn(a=1.0, b=-2.0)]
     fan = arrangement_fan(normals, ("a", "b"))
-    rows = fan.normal_rows()
-    for cell in fan.cells:
-        margins = rows @ np.array([float(v) for v in cell.witness])
-        for s, m in zip(cell.signs, margins):
-            assert m > 0 if s == "+" else m < 0
+    rows = rows_of(fan)
+    for cell, signs in zip(fan.cells, cell_signs(fan)):
+        assert "0" not in signs
+        for s, m in zip(signs, rows @ np.array(cell).T):
+            assert all(v >= 0 if s == "+" else v <= 0 for v in m)
 
 
 def test_fan_is_deterministic():
@@ -97,12 +118,6 @@ def test_duplicate_normals_collapse():
 def test_zero_normal_rejected():
     with pytest.raises(DegenerateNormalError):
         arrangement_fan([fn(a=0.0)], ("a",))
-
-
-def test_cell_cap():
-    normals = [fn(a=1.0), fn(b=1.0), fn(a=1.0, b=1.0)]
-    with pytest.raises(FanSizeError):
-        arrangement_fan(normals, ("a", "b"), max_cells=4)
 
 
 def test_fans_take_one_or_two_generators():
@@ -128,12 +143,14 @@ def random_lines(rng, h, exact):
 
 @pytest.mark.parametrize("exact", [False, True])
 def test_planar_fan_has_two_cells_per_line(exact):
+    # two sectors per line, and two more for each axis that is not a line
     rng = np.random.default_rng(61)
     for h in (1, 1, 2, 3, 4, 5, 6, 8, 10):
         fan = arrangement_fan(random_lines(rng, h, exact), ("a", "b"), exact=exact)
+        axis_lines = sum(len(hp.items) == 1 for hp in fan.hyperplanes)
         assert len(fan.hyperplanes) == h
-        assert len(fan.cells) == 2 * h
-        assert len(cell_signs(fan)) == 2 * h
+        assert len(fan.cells) == 2 * h + 4 - 2 * axis_lines
+        assert len(set(cell_signs(fan))) == 2 * h
 
 
 @pytest.mark.parametrize("exact", [False, True])
@@ -141,14 +158,13 @@ def test_planar_witnesses_are_strictly_inside(exact):
     rng = np.random.default_rng(67)
     for h in (1, 2, 3, 5, 8):
         fan = arrangement_fan(random_lines(rng, h, exact), ("a", "b"), exact=exact)
-        for cell in fan.cells:
-            assert all(-1 < v < 1 for v in cell.witness)
+        assert all("0" not in signs for signs in cell_signs(fan))
+        for r in fan.rays:
+            assert max(abs(v) for v in r) == 1
             if exact:
-                assert all(isinstance(v, Fraction) for v in cell.witness)
-            point = dict(zip(("a", "b"), cell.witness))
-            for hp, s in zip(fan.hyperplanes, cell.signs):
-                m = hp.evaluate(point)
-                assert m > 0 if s == "+" else m < 0
+                assert all(isinstance(v, Fraction) for v in r)
+        for p, q in fan.cells:
+            assert p[0] * q[1] - p[1] * q[0] > 0  # counter-clockwise, under pi
 
 
 def test_planar_fan_contains_every_sampled_sign_vector():
@@ -158,22 +174,20 @@ def test_planar_fan_contains_every_sampled_sign_vector():
             fan = arrangement_fan(random_lines(rng, h, exact), ("a", "b"), exact=exact)
             theta = rng.uniform(0.0, 2.0 * np.pi, 2000)
             pts = np.column_stack((np.cos(theta), np.sin(theta)))
-            margins = pts @ fan.normal_rows().T
+            margins = pts @ rows_of(fan).T
             clear = np.abs(margins).min(axis=1) > 1e-9
             sampled = {
                 "".join("+" if v > 0 else "-" for v in row) for row in margins[clear]
             }
-            assert sampled <= cell_signs(fan)
+            assert sampled <= set(cell_signs(fan))
 
 
 def test_planar_fan_badly_scaled_lines():
     normals = [fn(a=1.0, b=1e-7), fn(b=1.0), fn(a=1.0, b=1.0 + 1e-10), fn(a=1e6, b=-1.0)]
     fan = arrangement_fan(normals, ("a", "b"))
-    assert len(fan.cells) == 8
-    rows = fan.normal_rows()
-    for cell in fan.cells:
-        margins = rows @ np.array(cell.witness)
-        assert "".join("+" if m > 0 else "-" for m in margins) == cell.signs
+    assert len(fan.cells) == 10  # the four lines, and the axis a = 0
+    signs = cell_signs(fan)
+    assert len(set(signs)) == 8 and all("0" not in s for s in signs)
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +265,8 @@ def test_generic_fans_match_zaslavsky_count(exact):
             normals = generic_normals(rng, n, h, exact)
             if n <= 2:
                 fan = arrangement_fan(normals, gens, exact=exact)
-                signs = cell_signs(fan)
-                assert len(fan.cells) == len(signs)
+                signs = set(cell_signs(fan))
+                assert len(fan.cells) <= 2 * h + 4
             else:
                 fan = plfan.Fan(gens, tuple(plfan.dedup_normals(normals, exact)), ())
                 signs = set(exact_cells(fan))
@@ -274,7 +288,7 @@ def test_rank_two_arrangement_in_three_dimensions_is_planar(exact):
         f3 = pl_from_maxmin(m, ("a", "b", "c"), exact=exact)
         assert f3.fan.cells == ()
         assert f3.fan.hyperplanes == f2.fan.hyperplanes
-        assert set(exact_cells(f3.fan)) == cell_signs(f2.fan)
+        assert set(exact_cells(f3.fan)) == set(cell_signs(f2.fan))
         n2 = exact_fbl_norm(f2, fbl_space(("a", "b")), exact=exact)
         n3 = exact_fbl_norm(f3, fbl_space(("a", "b", "c")), exact=exact)
         s2, s3 = sup_norm_on_cube(f2, exact=exact), sup_norm_on_cube(f3, exact=exact)
@@ -308,12 +322,11 @@ def test_thin_cells_between_nearly_parallel_planes():
 
 
 def coverage_count(fan, point):
-    rows = fan.normal_rows()
-    margins = rows @ point
-    if np.any(np.abs(margins) <= 1e-12):
-        return None  # on a boundary; perturbation would resolve it
-    signs = "".join("+" if m > 0 else "-" for m in margins)
-    return sum(1 for c in fan.cells if c.signs == signs)
+    x, y = point
+    cross = [(p[0] * y - p[1] * x, x * q[1] - y * q[0]) for p, q in fan.cells]
+    if any(abs(c) <= 1e-12 for pair in cross for c in pair):
+        return None  # on a ray; perturbation would resolve it
+    return sum(1 for a, b in cross if a > 0 and b > 0)
 
 
 def test_coverage_exactly_one_cell_per_point():
@@ -330,6 +343,17 @@ def test_coverage_exactly_one_cell_per_point():
     assert hits > 900
 
 
+def test_point_on_a_ray_takes_the_sector_that_starts_there():
+    # piece i is (i + 1)(a + b), so the two sides of every axis ray differ
+    fan = arrangement_fan([fn(a=1.0), fn(b=1.0)], ("a", "b"))
+    f = PLFunction(fan, tuple(fn(a=k, b=k) for k in (1.0, 2.0, 3.0, 4.0)))
+    points = [(1.0, 0.0), (1.0, -0.0), (0.0, 2.0), (-3.0, 0.0), (0.0, -0.5), (0.5, 0.5),
+              (0.0, 0.0), (1.0, -1e-300)]
+    want = [1.0, 1.0, 4.0, -9.0, -2.0, 1.0, 0.0, 4.0 * (1.0 - 1e-300)]
+    assert [pl_value(f, x) for x in points] == want
+    assert pl_value_many(f, np.array(points)).tolist() == want
+
+
 # ---------------------------------------------------------------------------
 # pl_from_maxmin
 
@@ -337,24 +361,24 @@ def test_coverage_exactly_one_cell_per_point():
 def test_single_functional_single_piece():
     f = pl_from_maxmin(to_maxmin(Gen("a")), ("a",))
     assert len(f.fan.hyperplanes) == 0
-    assert len(f.pieces) == 1
-    assert f.pieces[0].vector(("a",)) == (1.0,)
+    assert len(f.pieces) == 2  # the two half-lines
+    assert {p.vector(("a",)) for p in f.pieces} == {(1.0,)}
 
 
 def test_abs_two_pieces():
     f = pl_from_maxmin(to_maxmin(absval(Gen("a"))), ("a",))
-    by_sign = {c.signs: p for c, p in zip(f.fan.cells, f.pieces)}
-    assert by_sign["+"].vector(("a",)) == (1.0,)
-    assert by_sign["-"].vector(("a",)) == (-1.0,)
+    by_ray = dict(zip(f.fan.rays, f.pieces))
+    assert by_ray[(1.0,)].vector(("a",)) == (1.0,)
+    assert by_ray[(-1.0,)].vector(("a",)) == (-1.0,)
 
 
 def test_join_splits_on_difference():
     f = pl_from_maxmin(to_maxmin(parse_expr("d(a) v d(b)")), ("a", "b"))
     assert len(f.fan.hyperplanes) == 1
     assert f.fan.hyperplanes[0].vector(("a", "b")) == (1.0, -1.0)
-    by_sign = {c.signs: p for c, p in zip(f.fan.cells, f.pieces)}
-    assert by_sign["+"].vector(("a", "b")) == (1.0, 0.0)
-    assert by_sign["-"].vector(("a", "b")) == (0.0, 1.0)
+    by_sign = {s: {p.vector(("a", "b")) for t, p in zip(cell_signs(f.fan), f.pieces) if t == s}
+               for s in "+-"}
+    assert by_sign == {"+": {(1.0, 0.0)}, "-": {(0.0, 1.0)}}
 
 
 def test_agreement_with_maxmin_at_random_points():
@@ -376,23 +400,10 @@ def test_boundary_continuity():
     for _ in range(5):
         e = random_expr_capped(rng, gens)
         f = pl_from_maxmin(to_maxmin(e), gens)
-        rows = f.fan.normal_rows()
-        for k in range(len(f.fan.hyperplanes)):
-            h = rows[k]
-            for _ in range(10):
-                p = rng.uniform(-1.0, 1.0, 2)
-                p = p - h * (p @ h) / (h @ h)
-                margins = rows @ p
-                vals = []
-                for cell, piece in zip(f.fan.cells, f.pieces):
-                    match = all(
-                        abs(m) <= 1e-9 or (s == "+") == (m > 0)
-                        for s, m in zip(cell.signs, margins)
-                    )
-                    if match:
-                        vals.append(piece.evaluate(dict(zip(gens, p))))
-                if len(vals) > 1:
-                    assert max(vals) - min(vals) <= 1e-9
+        # the pieces on both sides of every ray agree on it
+        for i, r in enumerate(f.fan.rays):
+            point = dict(zip(gens, r))
+            assert abs(f.pieces[i - 1].evaluate(point) - f.pieces[i].evaluate(point)) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -548,6 +559,17 @@ def test_pl_not_equal_different_generators_values():
     a = pl_from_maxmin(to_maxmin(Gen("a")), ("a", "b"))
     b = pl_from_maxmin(to_maxmin(Gen("b")), ("a", "b"))
     assert not pl_equal(a, b)
+
+
+def test_pl_equal_compares_both_rays_of_a_sector():
+    # g differs from f on the first quadrant only, where a + b and a agree
+    # at the sector's first ray (1, 0) but not at its second, (0, 1)
+    for num, exact in ((float, False), (Fraction, True)):
+        fan = arrangement_fan([fn(a=num(1)), fn(b=num(1))], ("a", "b"), exact=exact)
+        f = PLFunction(fan, (fn(a=num(1)),) * 4)
+        g = PLFunction(fan, (fn(a=num(1), b=num(1)),) + (fn(a=num(1)),) * 3)
+        assert pl_equal(f, f, exact=exact)
+        assert not pl_equal(f, g, exact=exact)
 
 
 def test_pointwise_max_matches_join():

@@ -22,7 +22,9 @@ them, and pl_pointwise_max splits a sector (p, q) where the difference d
 of the two pieces changes sign, at the crossing ray |d(q)| p + |d(p)| q.
 Pieces always come from the operands and are never solved for, so all
 three are exact in Fractions and stay accurate in floats in thin sectors.
-A result's hyperplanes list every line it breaks on.
+A result's hyperplanes list every line it breaks on: for the maximum,
+every nonzero d that vanishes on a closed sector, since the larger piece
+may change on an axis ray that neither operand breaks on.
 
 A function given by a max-min form (pl_from_maxmin) keeps the form and
 its break hyperplanes, the pairwise differences of its functionals.  From
@@ -526,16 +528,21 @@ def pl_pointwise_max(f: PLFunction, g: PLFunction, exact: bool = False) -> PLFun
     On a merged sector (p, q) the difference d of the two pieces is linear,
     so the larger piece holds on the whole sector unless d(p) and d(q)
     have opposite signs; then the crossing ray |d(q)| p + |d(p)| q, where
-    d vanishes, splits it, and its line joins the hyperplanes.
+    d vanishes, splits it.  Wherever d(p) * d(q) <= 0 for a nonzero d,
+    the maximum may change pieces on d's line (inside the sector, or at
+    an end that no operand breaks on, such as an axis ray), so d joins
+    the hyperplanes.
     """
     fan, pairs = _refine(f, g, exact, "pl_pointwise_max")
     gens = fan.generators
-    rays, pieces, crossings = [], [], []
+    rays, pieces, breaks = [], [], []
     ends = fan.angles[1:] + (8,)
     for (p, q), (pf, pg), lo, hi in zip(fan.cells, pairs, fan.angles, ends):
         d = pf.minus(pg)
         dp, dq = (d.evaluate(dict(zip(gens, r))) for r in (p, q))
         rays.append(p)
+        if dp * dq <= 0 and not d.is_zero:
+            breaks.append(d)
         if min(dp, dq) < 0 < max(dp, dq):
             r = tuple(abs(dq) * u + abs(dp) * v for u, v in zip(p, q))
             scale = max(abs(v) for v in r)
@@ -543,11 +550,10 @@ def pl_pointwise_max(f: PLFunction, g: PLFunction, exact: bool = False) -> PLFun
             # a float crossing may round onto an end of a thin sector
             if lo < _angle(r) < hi:
                 rays.append(r)
-                crossings.append(LinearFunctional.from_map({gens[0]: -r[1], gens[1]: r[0]}))
                 pieces += [pf, pg] if dp > 0 else [pg, pf]
                 continue
         pieces.append(pf if dp + dq >= 0 else pg)
-    hyps = dedup_normals(list(fan.hyperplanes) + crossings, exact)
+    hyps = dedup_normals(list(fan.hyperplanes) + breaks, exact)
     return PLFunction(Fan(gens, tuple(hyps), tuple(rays)), tuple(pieces))
 
 

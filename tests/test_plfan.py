@@ -1,5 +1,6 @@
 """Fans and piecewise-linear calculus: enumeration, cube sup norms, equality."""
 
+import dataclasses
 import itertools
 from fractions import Fraction
 from functools import reduce
@@ -12,7 +13,7 @@ from fblab.expr import (
     Gen, Join, LinearFunctional, Meet, Scale, Sum, absval, parse_expr, to_maxmin,
 )
 from fblab import plfan
-from fblab.fblnorm import exact_fbl_norm, fbl_space
+from fblab.fblnorm import exact_fbl_norm, fbl_space, linf_vertex_space
 from fblab.lp import OPTIMAL, solve_lp
 from fblab.plfan import (
     DegenerateNormalError,
@@ -579,6 +580,56 @@ def test_pointwise_max_matches_join():
     fmax = pl_pointwise_max(fa, fb)
     fjoin = pl_from_maxmin(to_maxmin(parse_expr("d(a) v d(b)")), gens)
     assert pl_equal(fmax, fjoin)
+
+
+def test_pointwise_max_lists_a_break_on_an_axis_ray():
+    # (a + b) v (a - b) = a + |b| changes pieces on the axis ray (1, 0),
+    # where neither operand breaks; without b among the hyperplanes the
+    # norm of F = a + |b| - 2|a| misses the point (-1, 0), where |F| = 3
+    gens = ("a", "b")
+    for exact in (False, True):
+        def P(s):
+            return pl_from_maxmin(to_maxmin(parse_expr(s)), gens, exact=exact)
+
+        m = pl_pointwise_max(P("d(a) + d(b)"), P("d(a) - d(b)"), exact=exact)
+        assert [h.vector(gens) for h in m.fan.hyperplanes] == [(0, 1)]
+        F = pl_lincomb(1, m, -2, P("|d(a)|"), exact=exact)
+        norm = exact_fbl_norm(F, linf_vertex_space(gens), exact=exact)
+        assert norm.lower == norm.upper == 3
+
+
+def unlisted_breaks(f):
+    """Rays where the pieces on their two sides differ but no hyperplane
+    vanishes (exact pieces)."""
+    gens = f.fan.generators
+    out = []
+    for i, r in enumerate(f.fan.rays):
+        point = dict(zip(gens, r))
+        if (not f.pieces[i - 1].minus(f.pieces[i]).is_zero
+                and all(h.evaluate(point) != 0 for h in f.fan.hyperplanes)):
+            out.append(r)
+    return out
+
+
+def test_results_list_every_line_they_break_on():
+    # integer scalars make piece differences vanish on the axes often
+    rng = np.random.default_rng(31)
+    gens = ("a", "b")
+
+    def scalar(r):
+        return float(r.choice((-1.0, 1.0, 2.0)))
+
+    on_axes = 0  # maxima that break on an axis ray neither operand breaks on
+    for _ in range(40):
+        f, g = (pl_from_maxmin(to_maxmin(random_expr_capped(rng, gens, 3, 12, scalar)),
+                               gens, exact=True) for _ in range(2))
+        m = pl_pointwise_max(f, g, exact=True)
+        assert unlisted_breaks(m) == []
+        assert unlisted_breaks(pl_lincomb(2, m, -1, f, exact=True)) == []
+        operand_lines = PLFunction(dataclasses.replace(
+            m.fan, hyperplanes=f.fan.hyperplanes + g.fan.hyperplanes), m.pieces)
+        on_axes += any(0 in r for r in unlisted_breaks(operand_lines))
+    assert on_axes >= 5
 
 
 def test_lincomb_matches_expression():

@@ -311,12 +311,23 @@ def _cmd_replay(args) -> int:
 # parser assembly
 
 
+def _budget(text: str) -> int:
+    """An evaluation budget: at least one, else a check passes vacuously."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common(p, budget_default=None, seeded=False):
     if seeded:
         p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json-only", action="store_true", dest="json_only")
     if budget_default is not None:
-        p.add_argument("--budget", type=int, default=budget_default)
+        p.add_argument("--budget", type=_budget, default=budget_default)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -387,18 +387,24 @@ def oracle_lower_bound(
     The search is first-improvement: a sweep visits the members in order and
     each member's coordinates in random order, and a move is kept as soon as
     it improves the value.  A move changes one coordinate only, so its value
-    does not depend on the visiting order: one stacked call evaluates the
-    five moves of every coordinate of the members left in the sweep, and the
-    acceptance rule is replayed over that table.  Only a kept move makes the
-    table stale; the sweep then evaluates afresh from the member's next
-    coordinate, or from the next member if none is left.  Each member's
-    permutation is drawn when the replay reaches it, and values past the
-    budget are dropped uncounted, so the RNG stream, the trajectory, the
-    counts and the result are those of evaluating one move at a time.
-    diagnostics["stacked_calls"] counts the stacked calls, each restart's
-    start value included.  F takes one point; a batch method, if F has one,
-    takes an (m, k, n) stack of configurations and returns their (m, k)
-    values, each (k, n) slice computed as F.batch would compute it alone.
+    does not depend on the visiting order, and the acceptance rule is
+    replayed over a table of move values made in one stacked call.  A table
+    made at the start of a sweep holds, per coordinate of every member, the
+    moves 0, 1, -1 and base +/- delta for this sweep's delta and each smaller
+    one: a sweep that keeps no move leaves the configuration as it was, so
+    every later step size replays from the same table.  Only a kept move
+    makes the table stale; the sweep then evaluates the five moves
+    (0, 1, -1, base +/- delta) afresh from the member's next coordinate, or
+    from the next member if none is left, and, having improved, repeats at
+    the same delta from a fresh sweep-start table.  Each restart's start
+    value is the first slice of its first table.  Each member's permutation
+    is drawn when the replay reaches it, and values past the budget are
+    dropped uncounted, so the RNG stream, the trajectory, the counts and the
+    result are those of evaluating one move at a time.
+    diagnostics["stacked_calls"] counts the stacked calls, at least one per
+    restart.  F takes one point; a batch method, if F has one, takes an
+    (m, k, n) stack of configurations and returns their (m, k) values, each
+    (k, n) slice computed as F.batch would compute it alone, whatever m is.
     """
     gens = space.generators
     n = len(gens)
@@ -430,26 +436,38 @@ def oracle_lower_bound(
 
     sizes = list(range(1, len(reps) + 2))
     per_restart = max(250, budget // 12)
-    steps = (1.0, 0.4, 0.15, 0.05, 0.015, 0.005, 0.0015, 5e-4, 1.5e-4, 5e-5)
-    scatter = {}  # (k, i) -> flat positions in the stack of each move of members i..
+    steps = np.array((1.0, 0.4, 0.15, 0.05, 0.015, 0.005, 0.0015, 5e-4, 1.5e-4, 5e-5))
+    scatter = {}  # (k, i, w, start) -> flat positions in the stack of each move
 
-    def move_table(X: np.ndarray, i: int, delta: float):
-        """Moves and values, each (k - i, n, 5) nested lists, of members i.. of X."""
+    def move_table(X: np.ndarray, i: int, lo: int, hi: int, start: bool = False):
+        """Moves and values, each (k - i, n, w) nested lists, of members i.. of X.
+
+        Per coordinate, slots 0, 1, 2 set it to 0, 1, -1 and slots 3 + 2t,
+        4 + 2t to base +- steps[lo + t], for lo + t < hi.  With start, the
+        stack opens with X itself, and its value is returned in a list of
+        one; else that list is empty.
+        """
         k = X.shape[0]
-        flat = scatter.get((k, i))
+        w = 3 + 2 * (hi - lo)
+        flat = scatter.get((k, i, w, start))
         if flat is None:
-            # Move slot s sets coordinate s // 5 of the flattened X[i:].
-            slot = np.arange(5 * n * (k - i))
-            flat = scatter[k, i] = slot * (k * n) + i * n + slot // 5
-        base = X[i:].reshape(-1)
-        moves = np.empty((base.size, 5))
+            # Move slot s sets coordinate s // w of the flattened X[i:].
+            slot = np.arange(w * n * (k - i))
+            flat = scatter[k, i, w, start] = (slot + start) * (k * n) + i * n + slot // w
+        base = X[i:].reshape(-1, 1)
+        moves = np.empty((base.size, w))
         moves[:, :3] = (0.0, 1.0, -1.0)
-        moves[:, 3] = base + delta
-        moves[:, 4] = base - delta
-        Xc = np.repeat(X[None], flat.size, axis=0)
+        moves[:, 3::2] = base + steps[lo:hi]
+        moves[:, 4::2] = base - steps[lo:hi]
+        Xc = np.repeat(X[None], flat.size + start, axis=0)
         Xc.reshape(-1)[flat] = moves.reshape(-1)
-        shape = (k - i, n, 5)
-        return moves.reshape(shape).tolist(), values(Xc).reshape(shape).tolist()
+        vals = values(Xc)
+        shape = (k - i, n, w)
+        return (
+            moves.reshape(shape).tolist(),
+            vals[start:].reshape(shape).tolist(),
+            vals[:start].tolist(),
+        )
 
     best_val = 0.0
     best_X = np.zeros((0, n))
@@ -466,26 +484,33 @@ def oracle_lower_bound(
             for i in range(k):
                 X[i, rng.integers(0, n)] = rng.choice((-1.0, 1.0))
             X += 0.01 * rng.standard_normal((k, n))
-        val = float(values(X[None])[0])
+        # The start value and the first sweep's table come from one call.
+        moves, vals, (val,) = move_table(X, 0, 0, len(steps), start=True)
+        # The table starts at member first and step lo; first is None when stale.
+        first, lo = 0, 0
         evals += 1
         limit = min(budget, evals + per_restart)
         step_i = 0
         while evals < limit:
             improved = False
-            delta = steps[min(step_i, len(steps) - 1)]
-            first = None  # member the move table starts at; None when stale
             for i in range(k):
                 order = rng.permutation(n).tolist()
                 pos = 0
                 while pos < n and evals < limit:
                     if first is None:
-                        first = i
-                        moves, vals = move_table(X, i, delta)
+                        # A sweep-start table serves every later step until a
+                        # move is kept; a mid-sweep one only the rest of its sweep.
+                        hi = len(steps) if i == pos == 0 else step_i + 1
+                        moves, vals, _ = move_table(X, i, step_i, hi)
+                        first, lo = i, step_i
                     row = X[i].tolist()
+                    picks = (0, 1, 2, 3 + 2 * (step_i - lo), 4 + 2 * (step_i - lo))
                     moved = False
                     for a in order[pos:]:
                         pos += 1
-                        for cand, v2 in zip(moves[i - first][a], vals[i - first][a]):
+                        cands, cand_vals = moves[i - first][a], vals[i - first][a]
+                        for q in picks:
+                            cand, v2 = cands[q], cand_vals[q]
                             if cand == row[a]:
                                 continue
                             evals += 1
@@ -502,7 +527,9 @@ def oracle_lower_bound(
                         first = None
                 if evals >= limit:
                     break
-            if not improved:
+            if improved:
+                first = None
+            else:
                 step_i += 1
                 if step_i >= len(steps):
                     break

@@ -379,6 +379,19 @@ def test_exact_is_rejected_where_it_is_not_honoured(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("budget", ["0", "-5"])
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--expr", "d(a) v d(b)"],
+    ["lemma34-check", "--expr", "d(a) v d(b)", "--gen", "a"],
+], ids=["oracle", "lemma34-check"])
+def test_budget_below_one_is_usage_error(capsys, argv, budget):
+    """lemma34-check at budget 0 used to pass with best_lower 0.0."""
+    code, rep, err = run_cli(capsys, argv + ["--budget", budget, "--json-only"])
+    assert code == 2
+    assert rep is None
+    assert "--budget: must be at least 1" in err
+
+
 def test_seed_is_taken_only_where_a_seed_is_read(capsys):
     for argv in (["norm", "--expr", "d(a)"],
                  ["ck-section", "--k", "interval", "--h", "0:0,1:1"],

@@ -547,6 +547,17 @@ def test_oracle_trajectory_at_bench_size(space_of):
         assert 1 <= got.diagnostics["stacked_calls"] <= got.diagnostics["evaluations"]
 
 
+def test_oracle_makes_one_call_per_restart_when_nothing_improves():
+    """With no move ever kept, each restart's start value and all its sweeps
+    at every step size come from one stacked call."""
+    for text, gens in (("d(a) - d(a)", ("a", "b")), ("2.5*d(a)", ("a",))):
+        F = expr_evaluator(parse_expr(text), gens)
+        got = oracle_lower_bound(F, fbl_space(gens), budget=5000, seed=3)
+        assert got.diagnostics["accepted_moves"] == 0, text
+        assert got.diagnostics["stacked_calls"] == got.diagnostics["restarts"], text
+        assert 1 <= got.diagnostics["stacked_calls"] <= got.diagnostics["evaluations"]
+
+
 # ---------------------------------------------------------------------------
 # MaxMinEvaluator
 
@@ -608,6 +619,29 @@ def test_batch_of_a_stack_equals_batch_of_each_configuration():
             assert got.shape == (30, k)
             for j in range(30):
                 assert got[j].tobytes() == np.asarray(F.batch(S[j].copy())).tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 277])
+def test_slice_of_a_stack_does_not_depend_on_its_height(m):
+    """The oracle reads moves of one configuration from stacks of any height
+    (277 slices: n = 3, k = 4, 23 moves per coordinate, and the start), and
+    compares their values bit for bit with values from other stacks."""
+    rng = np.random.default_rng(15)
+    gens = ("a", "b", "c")
+    M = MaxMinEvaluator(
+        to_maxmin(parse_expr("(0.37*d(a) + 1.3*d(b)) v (d(c) ^ -2.9*d(a)) v 0.11*d(b)")),
+        gens,
+    )
+    K = union_of_intervals([(0, Fraction(1, 4)), (Fraction(1, 2), 1)])
+    pairs = [(0, Fraction(1, 3)), (Fraction(1, 4), Fraction(-5, 7)),
+             (Fraction(1, 2), Fraction(2, 3)), (1, 3)]
+    stored = pl_evaluator(build_section(K, target_from_pairs(K, pairs)).Sh)
+    for F, n in ((M, 3), (abs_coordinate_product(M, 2), 3), (stored, 2)):
+        S = rng.uniform(-1.0, 1.0, (m, 4, n))
+        got = F.batch(S)
+        assert got.shape == (m, 4)
+        for j in range(m):
+            assert got[j].tobytes() == F.batch(S[j:j + 1])[0].tobytes(), (F, j)
 
 
 def test_section_batch_equals_call_bit_for_bit():

@@ -45,6 +45,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -299,9 +300,10 @@ def exact_fbl_norm(
         reps = [tuple(as_fraction(c) for c in v) for v in reps]
 
     cvec = [abs(v) for v in plfan.pl_values(f, rays, exact)]
-    rows = []
-    for v in reps:
-        rows.append([abs(sum(dc * vc for dc, vc in zip(d, v))) for d in rays])
+    if exact:
+        rows = [[abs(sum(dc * vc for dc, vc in zip(d, v))) for d in rays] for v in reps]
+    else:
+        rows = np.abs(np.array(reps, dtype=float) @ np.array(rays).reshape(-1, n).T).tolist()
     # The float simplex compares reduced costs with an absolute tolerance, so
     # the objective is solved at unit scale; the weights do not depend on it.
     c_scale = 1 if exact else max(cvec, default=0.0) or 1.0
@@ -345,6 +347,7 @@ def exact_fbl_norm(
         diagnostics={
             "hyperplanes": len(hyps),
             "candidate_rays": len(rays),
+            "rays_used": len(points),
             "lp_iterations": res.iterations,
             "lp_status": res.status,
         },
@@ -405,7 +408,11 @@ def oracle_lower_bound(
     restart.  F takes one point; a batch method, if F has one, takes an
     (m, k, n) stack of configurations and returns their (m, k) values, each
     (k, n) slice computed as F.batch would compute it alone, whatever m is.
+    Raises ValueError unless budget is an integer of at least 1: with no
+    evaluation the lower bound 0 would pass every check vacuously.
     """
+    if isinstance(budget, bool) or not isinstance(budget, numbers.Integral) or budget < 1:
+        raise ValueError(f"budget must be an integer of at least 1, got {budget!r}")
     gens = space.generators
     n = len(gens)
     reps = np.array(space.representatives(), dtype=float)

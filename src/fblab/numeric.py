@@ -10,6 +10,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+import numpy as np
+
 __all__ = [
     "NULL_RTOL",
     "as_fraction",
@@ -24,6 +26,13 @@ __all__ = [
 # Relative zero test of float mode: a product counts as zero when it is at
 # most NULL_RTOL times the product of its factors' sup norms.
 NULL_RTOL = 1e-8
+# Float candidate rays (candidate_rays): a subset is rank-deficient when its
+# minors' sup norm is at most _RANK_RTOL times the product of its rows' sup
+# norms; an entry counts for orientation above _ORIENT_RTOL times the sup;
+# subsets go through numpy in blocks of _RAY_BLOCK.
+_RANK_RTOL = 1e-11
+_ORIENT_RTOL = 1e-12
+_RAY_BLOCK = 4096
 
 
 def as_fraction(v) -> Fraction:
@@ -134,37 +143,90 @@ def canonical_ray(d, exact: bool):
 
 def ray_key(d, exact: bool) -> tuple:
     """Dedup key of a canonical ray: the ray itself, or 10 digits of it."""
-    return tuple(d) if exact else tuple(round(float(v), 10) for v in d)
+    return tuple(d) if exact else _float_ray_keys([d])[0]
+
+
+def _float_ray_keys(rays) -> list:
+    """The float ray_key of each ray of a (K, n) block: its entries rounded
+    to 10 decimal digits by np.round, elementwise, so that a ray's key does
+    not depend on the block it comes in.
+    """
+    return list(map(tuple, np.round(np.asarray(rays, dtype=float), 10).tolist()))
+
+
+def _float_ray_block(rows, subsets):
+    """Canonical float null directions of a block of (n-1)-subsets of rows.
+
+    rows: (h, n) float array; subsets: (C, n-1) index array in subset order.
+    Returns the directions of the subsets that pass the rank and residual
+    tests, in subset order.  Every step treats each subset apart from the
+    others in the block.
+    """
+    M = rows[subsets]  # (C, n-1, n)
+    n = M.shape[2]
+    signs = np.where(np.arange(n) % 2, -1.0, 1.0)
+    if n == 2:
+        d = M[:, 0, ::-1] * signs
+    else:
+        drop = np.array([[c for c in range(n) if c != j] for j in range(n)])
+        d = np.linalg.det(M[:, :, drop].transpose(0, 2, 1, 3)) * signs
+    row_sup = np.abs(M).max(axis=2)  # (C, n-1)
+    d_sup = np.abs(d).max(axis=1)
+    full = d_sup > _RANK_RTOL * row_sup.prod(axis=1)
+    M, d, d_sup, row_sup = M[full], d[full], d_sup[full], row_sup[full]
+    d = d / d_sup[:, None]
+    last = n - 1 - np.argmax(np.abs(d[:, ::-1]) > _ORIENT_RTOL, axis=1)
+    d *= np.copysign(1.0, d[np.arange(len(d)), last])[:, None]
+    residual = np.abs((M * d[:, None, :]).sum(axis=2))
+    return d[(residual <= NULL_RTOL * row_sup).all(axis=1)]
 
 
 def candidate_rays(vectors, n, exact: bool):
     """All +/- null directions of (n-1)-subsets of the row vectors.
 
-    Each direction is scaled to sup norm 1 (canonical_ray) and listed once,
-    in subset order, d before -d.  Float directions are deduplicated on a
-    10-digit rounding.  With n == 1 the two rays are +1 and -1.
+    Each direction is scaled to sup norm 1 (canonical_ray) and listed once
+    by ray_key, in subset order, d before -d.  With n == 1 the two rays are
+    +1 and -1.
+
+    Exact mode row-reduces each subset in Fractions (null_direction).
+    Float mode takes, for a subset M of n-1 rows, the vector of its signed
+    maximal minors d_j = (-1)^j det(M without column j), the generalized
+    cross product, which is orthogonal to every row of M: for n == 2 that
+    is (b, -a), for n >= 3 one np.linalg.det call over the stacked minors
+    of a block of _RAY_BLOCK subsets.  A subset is rank-deficient when
+    sup|d| is at most _RANK_RTOL times the product of its rows' sup norms,
+    and, as in null_direction, d must also satisfy |<row, d>| <= NULL_RTOL
+    * sup|row| * sup|d| for each row.  d is oriented so that its last entry
+    above _ORIENT_RTOL * sup|d| is positive, the sign row reduction gives
+    its free column.  Blocks bound the memory on long hyperplane lists;
+    each subset is computed apart, so a ray does not depend on its block.
     """
     seen = set()
     rays = []
 
-    def push(d):
-        canon = canonical_ray(d, exact)
-        if canon is None:
-            return
-        key = ray_key(canon, exact)
+    def add(key, canon):
         if key not in seen:
             seen.add(key)
             rays.append(tuple(canon))
 
     if n == 1:
         one = Fraction(1) if exact else 1.0
-        push((one,))
-        push((-one,))
+        for canon in ((one,), (-one,)):
+            add(ray_key(canon, exact), canon)
         return rays
-    for subset in itertools.combinations(range(len(vectors)), n - 1):
-        d = null_direction([vectors[i] for i in subset], n, exact)
-        if d is None:
-            continue
-        push(d)
-        push([-v for v in d])
+    subsets = itertools.combinations(range(len(vectors)), n - 1)
+    if exact:
+        for subset in subsets:
+            d = null_direction([vectors[i] for i in subset], n, exact)
+            if d is None:
+                continue
+            for canon in (canonical_ray(d, exact), canonical_ray([-v for v in d], exact)):
+                add(ray_key(canon, exact), canon)
+        return rays
+    rows = np.array(vectors, dtype=float)
+    while block := list(itertools.islice(subsets, _RAY_BLOCK)):
+        d = _float_ray_block(rows, np.array(block))
+        d = np.concatenate((d, -d), axis=1).reshape(-1, n)
+        for key, canon in zip(_float_ray_keys(d), d.tolist()):
+            add(key, canon)
     return rays

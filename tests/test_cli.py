@@ -75,6 +75,8 @@ def test_norm_join_value_two(capsys):
     assert p["lower"] == pytest.approx(p["upper"], abs=1e-9)
     assert p["generators"] == ["a", "b"]
     assert p["certificate_points"]
+    assert p["diagnostics"]["candidate_rays"] == 6  # +/- a, b and a - b
+    assert p["diagnostics"]["rays_used"] == len(p["certificate_points"])
 
 
 def test_norm_exact_mode_reports_fraction(capsys):

@@ -350,6 +350,20 @@ def test_oracle_rejects_inhomogeneous_evaluator():
         oracle_lower_bound(lambda x: float(x[0]) + 1.0, space, budget=100, seed=0)
 
 
+@pytest.mark.parametrize("budget", [0, -4, 2.5, True])
+def test_oracle_rejects_a_budget_that_is_not_an_integer_of_at_least_one(budget):
+    """At budget 0 or -4 the oracle used to return lower 0.0 with an empty
+    certificate, and check_lemma34 at budget 0 passed with best_lower 0.0."""
+    e = parse_expr("d(a) v d(b)")
+    with pytest.raises(ValueError, match="budget"):
+        oracle_lower_bound(expr_evaluator(e, ("a", "b")), fbl_space(("a", "b")),
+                           budget=budget, seed=0)
+    with pytest.raises(ValueError, match="budget"):
+        check_lemma34(e, "a", budget=budget)
+    with pytest.raises(ValueError, match="budget"):
+        fbl_vs_polyhedral_check(e, budget=budget)
+
+
 # ---------------------------------------------------------------------------
 # the batched oracle against the search that evaluated one move at a time
 

@@ -4,8 +4,9 @@ Layers, bottom up:
 
   expr      lattice expressions over named generators, max-min normal form
   lp        slack-basis simplex for the norm LP, float or exact rational
-  plfan     piecewise-linear functions: max-min forms with their break
-            hyperplanes, stored pieces on 1-D and 2-D fans, cube sup norms
+  plfan     stored piecewise-linear functions on 1-D and 2-D fans, and
+            the break rows, zero sets and values that the norm and the cube
+            sup norm read from a max-min form or a stored function
   fblnorm   exact norms by LP over candidate rays, oracle lower bounds,
             replayable certificates
   homs      weighted-evaluation lattice homomorphisms, the subset family
@@ -51,7 +52,6 @@ from .plfan import (
     pl_pointwise_max,
     pl_value,
     pl_value_many,
-    pl_values,
     plfunction_from_json,
     plfunction_to_json,
     sup_norm_on_cube,

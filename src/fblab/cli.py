@@ -88,9 +88,7 @@ def _cmd_norm(args) -> int:
     e = parse_expr(args.expr)
     gens = tuple(sorted(support(e)))
     space = _space_for(args.space, gens)
-    m = to_maxmin(e)
-    f = plfan.pl_from_maxmin(m, gens, exact=args.exact)
-    bracket = fblnorm.exact_fbl_norm(f, space, exact=args.exact)
+    bracket = fblnorm.exact_fbl_norm(to_maxmin(e), space, exact=args.exact)
     cert_path = _write_cert_if_asked(
         args, space, bracket.certificate, float(bracket.upper), "exact",
         {"expr": to_text(e)},

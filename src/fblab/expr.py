@@ -50,6 +50,7 @@ __all__ = [
     "ExprError",
     "ExprSyntaxError",
     "MaxMinSizeError",
+    "SpaceError",
     "neg",
     "absval",
     "support",
@@ -81,6 +82,10 @@ class ExprSyntaxError(ExprError):
 
 class MaxMinSizeError(ExprError):
     """Raised when normal-form construction exceeds the functional cap."""
+
+
+class SpaceError(ValueError):
+    """A generator tuple or admissibility space that does not fit its use."""
 
 
 def valid_generator_name(name: str) -> bool:
@@ -258,6 +263,14 @@ class MaxMinForm:
     def value(self, point: Mapping[str, float]) -> float:
         return max(min(f.evaluate(point) for f in g) for g in self.groups)
 
+    def check_generators(self, generators) -> None:
+        """Raise SpaceError unless generators name every generator the form
+        uses; LinearFunctional.vector would drop the others silently."""
+        used = {g for grp in self.groups for f in grp for g, c in f.items if c}
+        missing = sorted(used - set(generators))
+        if missing:
+            raise SpaceError(f"generators {list(generators)} miss {missing} of the function")
+
     def matrix(self, generators):
         """(row matrix of all functionals, list of per-group row-index arrays).
 
@@ -284,6 +297,7 @@ class MaxMinEvaluator:
     """
 
     def __init__(self, m: MaxMinForm, generators):
+        m.check_generators(generators)
         self.generators = tuple(generators)
         self.rows, group_idx = m.matrix(self.generators)
         width = max(len(idx) for idx in group_idx)

@@ -26,10 +26,10 @@ A result's hyperplanes list every line it breaks on: for the maximum,
 every nonzero d that vanishes on a closed sector, since the larger piece
 may change on an axis ray that neither operand breaks on.
 
-A function given by a max-min form (pl_from_maxmin) keeps the form and
-its break hyperplanes, the pairwise differences of its functionals.  From
-three generators up it has no rays: it is evaluated through the form,
-and the norm and the cube sup norm need only hyperplanes and values.
+The norm and the cube sup norm take a max-min form, over any number of
+generators, or a stored PLFunction, and read only break hyperplanes, zero
+sets and values; pl_parts alone tells the two apart.  A form breaks on the
+pairwise differences of its functionals and is evaluated through them.
 
 The sup norm on the cube runs no LP (sup_norm_on_cube): it evaluates f at
 the vertices of (closed cell) intersect cube, one block of generators tied
@@ -45,11 +45,10 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
-from .expr import LinearFunctional, MaxMinEvaluator, MaxMinForm
+from .expr import LinearFunctional, MaxMinEvaluator, MaxMinForm, SpaceError
 from .numeric import (
     as_fraction,
     candidate_rays,
@@ -69,12 +68,12 @@ __all__ = [
     "dedup_normals",
     "arrangement_fan",
     "pl_from_maxmin",
+    "pl_parts",
     "sup_norm_on_cube",
     "pl_equal",
     "pl_pointwise_max",
     "pl_lincomb",
     "pl_value",
-    "pl_values",
     "pl_value_many",
     "fan_to_json",
     "fan_from_json",
@@ -104,12 +103,17 @@ class DegenerateNormalError(FanError):
 class Fan:
     """Sorted rays of a fan over one or two generators, and its hyperplanes.
 
-    From three generators up (max-min forms only) there are no rays.
+    Every fan has at least two rays: +1 and -1 over one generator, and at
+    least the four axis rays over two.
     """
 
     generators: tuple
     hyperplanes: tuple  # LinearFunctional normals, canonical and deduplicated
     rays: tuple  # sup-scaled, counter-clockwise from (1, 0), each once
+
+    def __post_init__(self):
+        if len(self.rays) < 2:
+            raise FanError(f"a fan needs at least two rays, not {len(self.rays)}")
 
     @property
     def cells(self) -> tuple:
@@ -126,16 +130,11 @@ class Fan:
 
 @dataclass(frozen=True)
 class PLFunction:
-    """A piece per cell of a fan, or a max-min form over break hyperplanes.
-
-    A function from pl_from_maxmin keeps its form, and every evaluation
-    goes through it; from three generators up its fan lists only the break
-    hyperplanes and no rays, and pieces is empty.
-    """
+    """A stored function: one linear piece per cell of a fan over one or
+    two generators."""
 
     fan: Fan
     pieces: tuple  # LinearFunctional per cell, aligned with fan.cells
-    form: Optional[MaxMinForm] = None
 
 
 def canonical_normal(fn: LinearFunctional, exact: bool) -> LinearFunctional:
@@ -276,57 +275,67 @@ def arrangement_fan(normals, generators, exact: bool = False) -> Fan:
     return Fan(generators, tuple(hyps), _sorted_rays(_line_rays(rows) + _axes(n, exact)))
 
 
-def _exactify(fn: LinearFunctional) -> LinearFunctional:
-    return LinearFunctional(tuple((g, as_fraction(c)) for g, c in fn.items))
+def _exact_form(m: MaxMinForm) -> MaxMinForm:
+    return MaxMinForm(tuple(
+        tuple(LinearFunctional(tuple((g, as_fraction(c)) for g, c in f.items)) for f in grp)
+        for grp in m.groups
+    ))
 
 
-def pl_from_maxmin(m: MaxMinForm, generators, exact: bool = False) -> PLFunction:
-    """The max-min form as a PLFunction, with its break hyperplanes.
+def pl_from_maxmin(m: MaxMinForm, generators, exact: bool = False) -> MaxMinForm:
+    """The form itself, with Fraction coefficients when exact.
 
-    The hyperplanes are the pairwise differences of the form's functionals:
-    off them every group minimum and the overall maximum are attained by
-    fixed functionals.  The form is kept and evaluates f.  With one or two
-    generators the fan's sectors are built too, with the piece read off at
-    each sector's midpoint p + q (adjacent pieces agree on shared rays by
-    continuity), so pl_equal, pl_pointwise_max, pl_lincomb and JSON apply;
-    from three generators up no rays are built.
+    The norm and the cube sup take the form directly.  This survives only
+    for the benchmark's workloads, which call it by name, and goes once they
+    reach the norm through norm_of_expression (ROADMAP item 1).
+    """
+    return _exact_form(m) if exact else m
+
+
+def pl_parts(f, generators, exact: bool = False):
+    """(breaks, zero_sets, values, value) of f, a max-min form or a stored
+    PLFunction, over the generator tuple.
+
+    f is linear off the break hyperplanes, and each of its pieces is one of
+    the zero_sets functionals.  values(points) gives f at a list of points,
+    value(point) at one.  A form is exactified once when exact; its breaks
+    are the nonzero pairwise differences of its functionals, and its float
+    values come from one MaxMinEvaluator.batch call.  A stored function
+    gives its fan's hyperplanes, its pieces and pl_value.  Raises SpaceError
+    when the generators miss one of a form's or differ from a stored one's.
     """
     generators = tuple(generators)
-    if exact:
-        m = MaxMinForm(tuple(tuple(_exactify(f) for f in g) for g in m.groups))
-    funcs = m.functionals()
-    diffs = []
-    for i in range(len(funcs)):
-        for j in range(i + 1, len(funcs)):
-            d = funcs[i].minus(funcs[j])
-            if not d.is_zero:
-                diffs.append(d)
-    if len(generators) > 2:
-        fan = Fan(generators, tuple(dedup_normals(diffs, exact)), ())
-        return PLFunction(fan, (), m)
-    fan = arrangement_fan(diffs, generators, exact=exact)
-    pieces = []
-    for p, q in fan.cells:
-        point = dict(zip(generators, (a + b for a, b in zip(p, q))))
-        best = None
-        best_val = None
-        for group in m.groups:
-            gmin = None
-            gmin_f = None
-            for f in group:
-                v = f.evaluate(point)
-                if gmin is None or v < gmin:
-                    gmin = v
-                    gmin_f = f
-            if best_val is None or gmin > best_val:
-                best_val = gmin
-                best = gmin_f
-        pieces.append(best)
-    return PLFunction(fan, tuple(pieces), m)
+    if isinstance(f, PLFunction):
+        if f.fan.generators != generators:
+            raise SpaceError("function and space generator order differ")
+        breaks, zero_sets = f.fan.hyperplanes, f.pieces
+
+        def value(x):
+            return pl_value(f, x, exact)
+    else:
+        f.check_generators(generators)
+        m = _exact_form(f) if exact else f
+        zero_sets = m.functionals()
+        pairs = itertools.combinations(zero_sets, 2)
+        breaks = [d for p, q in pairs if not (d := p.minus(q)).is_zero]
+
+        def value(x):
+            return m.value(dict(zip(generators, x)))
+
+    if exact or isinstance(f, PLFunction):
+        return breaks, zero_sets, lambda points: [value(x) for x in points], value
+    evaluator = MaxMinEvaluator(m, generators)
+
+    def values(points):
+        X = np.array(points, dtype=float).reshape(len(points), len(generators))
+        return evaluator.batch(X).tolist()
+
+    return breaks, zero_sets, values, value
 
 
-def sup_norm_on_cube(f: PLFunction, exact: bool = False):
-    """max |f| over the closed cube [-1, 1]^n, from evaluations alone.
+def sup_norm_on_cube(f, generators, exact: bool = False):
+    """max |f| over the closed cube [-1, 1]^n, for f a max-min form or a
+    stored PLFunction over the generators (pl_parts), from evaluations alone.
 
     The generators split into blocks, the connected components of "some
     hyperplane involves both" (a generator in no hyperplane is a block of
@@ -341,9 +350,10 @@ def sup_norm_on_cube(f: PLFunction, exact: bool = False):
     evaluations.  Raises FanSizeError when a block needs more than
     SUP_WORK_CAP faces and solves.
     """
-    gens = f.fan.generators
+    gens = tuple(generators)
     n = len(gens)
-    rows = [list(h.vector(gens)) for h in f.fan.hyperplanes]
+    breaks, _, values, _ = pl_parts(f, gens, exact)
+    rows = [list(h.vector(gens)) for h in dedup_normals(breaks, exact)]
     zero = Fraction(0) if exact else 0.0
     top, bottom = [zero] * n, [zero] * n
     for block in _blocks(rows, n):
@@ -355,7 +365,7 @@ def sup_norm_on_cube(f: PLFunction, exact: bool = False):
                 x[j] = vj
             points.append(x)
         hi = lo = zero
-        for x, fx in zip(points, pl_values(f, points, exact)):
+        for x, fx in zip(points, values(points)):
             if fx > hi:
                 hi = fx
                 for j in block:
@@ -364,7 +374,7 @@ def sup_norm_on_cube(f: PLFunction, exact: bool = False):
                 lo = fx
                 for j in block:
                     bottom[j] = x[j]
-    return max(abs(v) for v in pl_values(f, [top, bottom], exact))
+    return max(abs(v) for v in values([top, bottom]))
 
 
 def _blocks(rows, n):
@@ -449,32 +459,17 @@ def _fan_rays(rows, n, exact):
 
 
 def pl_value(f: PLFunction, point, exact: bool = False):
-    """f at one point: through the max-min form when f has one, else the
-    piece of the sector that holds the point (_sector)."""
-    pd = dict(zip(f.fan.generators, point))
-    if f.form is not None:
-        return f.form.value(pd)
-    return f.pieces[_sector(f.fan, point)].evaluate(pd)
-
-
-def pl_values(f: PLFunction, points, exact: bool = False) -> list:
-    """f at each point, as pl_value gives it, except that a float max-min
-    form is evaluated at all points in one MaxMinEvaluator.batch call."""
-    if f.form is None or exact:
-        return [pl_value(f, x, exact) for x in points]
-    X = np.array(points, dtype=float).reshape(len(points), len(f.fan.generators))
-    return MaxMinEvaluator(f.form, f.fan.generators).batch(X).tolist()
+    """f at one point: the piece of the sector that holds it (_sector)."""
+    return f.pieces[_sector(f.fan, point)].evaluate(dict(zip(f.fan.generators, point)))
 
 
 def pl_value_many(f: PLFunction, points: np.ndarray) -> np.ndarray:
-    """Float values at many points (rows): through the max-min form when f
-    has one, else the sectors found by np.searchsorted on the pseudo-angle
-    and each piece applied elementwise, with the arithmetic of pl_value, so
-    a point's value does not depend on the other points."""
+    """Float values at many points (rows): the sectors found by
+    np.searchsorted on the pseudo-angle and each piece applied elementwise,
+    with the arithmetic of pl_value, so a point's value does not depend on
+    the other points."""
     fan = f.fan
     pts = np.asarray(points, dtype=float)
-    if f.form is not None:
-        return MaxMinEvaluator(f.form, fan.generators).batch(pts)
     cells = np.searchsorted(np.array(fan.angles, dtype=float), _angles(pts), side="right") - 1
     coeffs = np.array([[float(c) for c in p.vector(fan.generators)] for p in f.pieces])[cells]
     out = np.zeros(len(pts))
@@ -488,8 +483,6 @@ def _refine(f: PLFunction, g: PLFunction, exact: bool, what: str):
     and per sector the pieces of f and of g on it."""
     if f.fan.generators != g.fan.generators:
         raise FanError(f"{what} needs a shared generator tuple")
-    if not (f.fan.rays and g.fan.rays):
-        raise FanError(f"{what} needs stored pieces over one or two generators")
     fan = Fan(
         f.fan.generators,
         tuple(dedup_normals(f.fan.hyperplanes + g.fan.hyperplanes, exact)),
@@ -499,25 +492,20 @@ def _refine(f: PLFunction, g: PLFunction, exact: bool, what: str):
     return fan, pairs
 
 
-def _close(a, b, exact: bool) -> bool:
-    if exact:
-        return a == b
-    return abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b))
-
-
 def pl_equal(f: PLFunction, g: PLFunction, exact: bool = False) -> bool:
     """Equality as functions, decided at the merged rays of both operands.
 
     Both inputs must live over the same ordered generator tuple.  On every
     merged sector (p, q) the pieces of f and g are compared at p and at q,
-    which span the plane, so this is equality of the pieces: exact in
-    rational mode; in float mode within 1e-9 times max(1, |either value|).
+    which span the plane, so this is equality of the pieces.  The values
+    are compared with ==, so the verdict is exact only for Fraction inputs;
+    float inputs decide equality of the rounded values, with no tolerance.
     """
     fan, pairs = _refine(f, g, exact, "pl_equal")
     for (p, q), (pf, pg) in zip(fan.cells, pairs):
         for r in (p, q):
             point = dict(zip(fan.generators, r))
-            if not _close(pf.evaluate(point), pg.evaluate(point), exact):
+            if pf.evaluate(point) != pg.evaluate(point):
                 return False
     return True
 
@@ -606,8 +594,6 @@ def fan_from_json(obj) -> Fan:
 
 def plfunction_to_json(f: PLFunction) -> dict:
     """generators, hyperplanes, rays and one piece per sector."""
-    if not f.fan.rays:
-        raise FanError("a function without rays has no JSON form")
     out = fan_to_json(f.fan)
     out["pieces"] = [_functional_to_json(p) for p in f.pieces]
     return out

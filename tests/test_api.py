@@ -16,6 +16,7 @@ import numpy as np
 import fblab
 from fblab import plfan
 from fblab.expr import parse_expr, to_maxmin
+from stored import stored_from_form
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -53,12 +54,11 @@ def test_traced_counts_read_real_results():
     # pl_value_many's result; a change of those shapes fails here first
     spans = _spans()
     counts = Counter()
-    f = plfan.pl_from_maxmin(to_maxmin(parse_expr("d(a) v (d(b) + 0.5*d(a))")), ("a", "b"))
+    f = stored_from_form(to_maxmin(parse_expr("d(a) v (d(b) + 0.5*d(a))")), ("a", "b"))
     fan = plfan.arrangement_fan(f.fan.hyperplanes, ("a", "b"))
     spans._count_fan(counts, fan, (f.fan.hyperplanes, ("a", "b")), {}, None)
-    stored = plfan.PLFunction(f.fan, f.pieces)
-    values = plfan.pl_value_many(stored, np.ones((7, 2)))
-    spans._count_points(counts, values, (stored, np.ones((7, 2))), {}, None)
+    values = plfan.pl_value_many(f, np.ones((7, 2)))
+    spans._count_points(counts, values, (f, np.ones((7, 2))), {}, None)
     assert counts["plfan.arrangement_fan.calls"] == 1
     assert counts["plfan.hyperplanes"] == 1
     assert counts["plfan.cells"] == len(fan.cells) == 6

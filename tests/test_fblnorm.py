@@ -33,6 +33,7 @@ from fblab.fblnorm import (
 from fblab import cli, plfan
 from fblab.ckretract import build_section, target_from_pairs, union_of_intervals
 from exprgen import badly_scaled_scalar, random_expr_capped, rounded_scalar
+from stored import stored_from_form
 
 
 def brute_force_lower(F, space, rng, tries=3000, max_points=3):
@@ -80,6 +81,83 @@ def test_norms_and_cube_sups_build_no_fan_past_two_generators(monkeypatch, capsy
         assert cli.run(["norm", "--expr", text, "--exact", "--json-only"]) == 0
         payload = json.loads(capsys.readouterr().out.splitlines()[-1])["payload"]
         assert payload["upper"] == pytest.approx(norm, rel=1e-12)
+
+
+def test_norms_and_cube_sups_of_forms_build_no_fan(monkeypatch):
+    # a max-min form is read directly, over two generators as over more
+    def no_fan(*args, **kwargs):
+        raise AssertionError("fan built for a max-min form")
+
+    monkeypatch.setattr(plfan, "arrangement_fan", no_fan)
+    e = parse_expr("(d(a) v d(b)) ^ (d(b) - 0.5*d(a))")
+    assert norm_of_expression(e).upper == pytest.approx(1.5, rel=1e-12)
+    assert norm_of_expression(e, exact=True).upper == Fraction(3, 2)
+    assert check_lemma34(e, "a", budget=500)["sup_norm"] == 1.5
+
+
+# ---------------------------------------------------------------------------
+# a space must name every generator of the expression
+
+
+def test_norm_rejects_a_space_that_misses_a_generator():
+    e = parse_expr("d(a) v d(b) v -d(c)")
+    with pytest.raises(SpaceError):
+        norm_of_expression(e, fbl_space(("a", "b", "d")))
+    with pytest.raises(SpaceError):
+        exact_fbl_norm(to_maxmin(e), fbl_space(("a", "b")), exact=True)
+
+
+def test_two_space_check_rejects_generators_that_miss_one():
+    with pytest.raises(SpaceError):
+        fbl_vs_polyhedral_check(parse_expr("d(a) v d(b)"), generators=("a",))
+
+
+def test_product_bound_rejects_a_space_that_misses_a_generator():
+    # over (a, b, d) the sup of |d(c)|-scaled terms was read as 1.0 and passed
+    e = parse_expr("d(a) v d(b) v -5*d(c)")
+    with pytest.raises(SpaceError):
+        check_lemma34(e, "a", space=fbl_space(("a", "b", "d")))
+    assert check_lemma34(e, "a", budget=200)["sup_norm"] == 5.0
+
+
+def test_cube_sup_and_evaluators_reject_generators_that_miss_one():
+    m = to_maxmin(parse_expr("d(a) ^ d(c)"))
+    with pytest.raises(SpaceError):
+        plfan.sup_norm_on_cube(m, ("a", "b"))
+    with pytest.raises(SpaceError):
+        MaxMinEvaluator(m, ("a",))
+    with pytest.raises(SpaceError):
+        expr_evaluator(parse_expr("d(a) ^ d(c)"), ("c",))
+
+
+# ---------------------------------------------------------------------------
+# verdicts relative to the magnitude of the function
+
+
+def _oracle_returning(value_of):
+    def fake(F, space, budget=10_000, seed=0, degree=1):
+        return NormBracket(value_of(space), DualConfig(()), math.inf, False, {})
+    return fake
+
+
+def test_product_bound_verdict_is_relative(monkeypatch):
+    # at scale 1e-12 an absolute 1e-9 let a lower bound 1e-6 above the sup pass
+    e = parse_expr("1e-12*(d(a) v d(b))")
+    sup = check_lemma34(e, "a", budget=200)["sup_norm"]
+    assert sup == pytest.approx(1e-12, rel=1e-12)
+    monkeypatch.setattr("fblab.fblnorm.oracle_lower_bound",
+                        _oracle_returning(lambda space: sup * (1 + 1e-6)))
+    rep = check_lemma34(e, "a")
+    assert not rep["pass"]
+    assert rep["margin"] < 0
+
+
+def test_two_space_agreement_is_relative(monkeypatch):
+    e = parse_expr("1e-12*(d(a) v d(b))")
+    norm = exact_fbl_norm(to_maxmin(e), linf_vertex_space(("a", "b"))).upper
+    monkeypatch.setattr("fblab.fblnorm.oracle_lower_bound",
+                        _oracle_returning(lambda space: norm * (1 + 1e-6)))
+    assert not fbl_vs_polyhedral_check(e)["sign_ball_agreement"]
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +245,7 @@ def exact_norm_of(text, gens=None):
     if gens is None:
         gens = tuple(sorted({g for g in "abc" if f"d({g})" in text}))
     space = fbl_space(gens)
-    f = plfan.pl_from_maxmin(to_maxmin(e), gens)
-    return exact_fbl_norm(f, space), space, e
+    return exact_fbl_norm(to_maxmin(e), space), space, e
 
 
 def test_exact_norm_single_generator():
@@ -184,8 +261,7 @@ def test_exact_norm_weighted_sum_is_l1():
     gens = ("a", "b", "c")
     e = Sum(Sum(Scale(lam[0], Gen("a")), Scale(lam[1], Gen("b"))), Scale(lam[2], Gen("c")))
     space = fbl_space(gens)
-    f = plfan.pl_from_maxmin(to_maxmin(e), gens)
-    bracket = exact_fbl_norm(f, space)
+    bracket = exact_fbl_norm(to_maxmin(e), space)
     assert bracket.upper == pytest.approx(6.0, abs=1e-9)
     # the one-point sign configuration is admissible and already attains it
     signs = DualConfig(((1.0, -1.0, 1.0),))
@@ -219,8 +295,7 @@ def test_norm_bracket_invariants_on_random_expressions():
     for _ in range(20):
         e = random_expr_capped(rng, gens, depth=3, max_size=24)
         space = fbl_space(gens)
-        f = plfan.pl_from_maxmin(to_maxmin(e), gens)
-        bracket = exact_fbl_norm(f, space)
+        bracket = exact_fbl_norm(to_maxmin(e), space)
         assert bracket.lower <= bracket.upper + 1e-9
         rep = admissible(bracket.certificate, space)
         assert rep.ok
@@ -238,10 +313,8 @@ def test_exact_norm_monotone_under_abs_domination():
         g = random_expr_capped(rng, gens, depth=3, max_size=16)
         h = random_expr_capped(rng, gens, depth=3, max_size=16)
         big = parse_expr(f"|{to_text(g)}| + |{to_text(h)}|")
-        fb = plfan.pl_from_maxmin(to_maxmin(big), gens)
-        fg = plfan.pl_from_maxmin(to_maxmin(g), gens)
-        nb = exact_fbl_norm(fb, space)
-        ng = exact_fbl_norm(fg, space)
+        nb = exact_fbl_norm(to_maxmin(big), space)
+        ng = exact_fbl_norm(to_maxmin(g), space)
         assert nb.upper >= ng.upper - 1e-9
 
 
@@ -249,8 +322,7 @@ def test_exact_mode_returns_fractions():
     gens = ("a", "b")
     e = parse_expr("0.5*d(a) - 1.25*d(b)")
     space = fbl_space(gens)
-    f = plfan.pl_from_maxmin(to_maxmin(e), gens, exact=True)
-    bracket = exact_fbl_norm(f, space, exact=True)
+    bracket = exact_fbl_norm(to_maxmin(e), space, exact=True)
     assert isinstance(bracket.upper, Fraction)
     assert bracket.upper == Fraction(7, 4)
     assert bracket.exact
@@ -281,10 +353,8 @@ def test_float_norm_matches_rational_on_badly_scaled_expressions():
         ]
     for e, gens in cases:
         space = fbl_space(gens)
-        fl = exact_fbl_norm(plfan.pl_from_maxmin(to_maxmin(e), gens), space)
-        ra = exact_fbl_norm(
-            plfan.pl_from_maxmin(to_maxmin(e), gens, exact=True), space, exact=True
-        )
+        fl = exact_fbl_norm(to_maxmin(e), space)
+        ra = exact_fbl_norm(to_maxmin(e), space, exact=True)
         assert fl.upper == pytest.approx(float(ra.upper), rel=1e-6, abs=0), to_text(e)
         assert fl.lower == pytest.approx(float(ra.upper), rel=1e-6, abs=0), to_text(e)
 
@@ -492,19 +562,22 @@ ORACLE_CASE_FORMS = {
 
 
 def _oracle_cases():
-    """(label, F, space, degree) over both spaces, n = 1-4, four evaluators."""
+    """(label, F, space, degree) over both spaces, n = 1-4: max-min,
+    product and plain-callable evaluators, and stored functions for n <= 2."""
     cases = []
     for n, texts in ORACLE_CASE_FORMS.items():
         gens = ("a", "b", "c", "d")[:n]
         for s, space in enumerate((fbl_space(gens), linf_vertex_space(gens))):
             for j, kind in enumerate(("maxmin", "product", "pl", "lambda")):
+                if kind == "pl" and n > 2:
+                    continue
                 e = parse_expr(texts[(s + j) % 2])
                 m = to_maxmin(e)
                 F, degree = MaxMinEvaluator(m, gens), 1
                 if kind == "product":
                     F, degree = abs_coordinate_product(F, j % n), 2
                 elif kind == "pl":
-                    F = pl_evaluator(plfan.pl_from_maxmin(m, gens))
+                    F = pl_evaluator(stored_from_form(m, gens))
                 elif kind == "lambda":
                     F = lambda x, G=F: G(x)  # no batch method
                 label = f"{kind} {to_text(e)} {len(space.ball_vertices)} vertices"
@@ -625,10 +698,10 @@ def test_batch_of_a_stack_equals_batch_of_each_configuration():
     gens = ("a", "b", "c")
     m = to_maxmin(parse_expr("(0.37*d(a) + 1.3*d(b)) v (d(c) ^ -2.9*d(a)) v 0.11*d(b)"))
     M = MaxMinEvaluator(m, gens)
-    evaluators = (M, abs_coordinate_product(M, 1), pl_evaluator(plfan.pl_from_maxmin(m, gens)))
-    for F in evaluators:
+    stored = pl_evaluator(stored_from_form(to_maxmin(parse_expr("d(a) v 0.37*d(b)")), "ab"))
+    for F, n in ((M, 3), (abs_coordinate_product(M, 1), 3), (stored, 2)):
         for k in (1, 2, 5):
-            S = rng.uniform(-1.0, 1.0, (30, k, 3))
+            S = rng.uniform(-1.0, 1.0, (30, k, n))
             got = F.batch(S)
             assert got.shape == (30, k)
             for j in range(30):

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from fblab.expr import (
-    Gen, Join, LinearFunctional, Meet, Scale, Sum, absval, parse_expr, to_maxmin,
+    Gen, Join, LinearFunctional, MaxMinEvaluator, Meet, Scale, SpaceError, Sum, absval,
+    parse_expr, to_maxmin,
 )
 from fblab import plfan
 from fblab.fblnorm import exact_fbl_norm, fbl_space, linf_vertex_space
@@ -34,6 +35,7 @@ from fblab.plfan import (
     sup_norm_on_cube,
 )
 from exprgen import random_expr_capped
+from stored import stored_from_form
 
 
 def fn(**coeffs):
@@ -42,6 +44,12 @@ def fn(**coeffs):
 
 def rows_of(fan):
     return np.array([[float(c) for c in h.vector(fan.generators)] for h in fan.hyperplanes])
+
+
+def break_normals(m, gens, exact=False):
+    """The form's break hyperplanes over gens, deduplicated as the cube sup
+    reads them."""
+    return plfan.dedup_normals(plfan.pl_parts(m, gens, exact)[0], exact)
 
 
 def midpoint(cell):
@@ -192,44 +200,44 @@ def test_planar_fan_badly_scaled_lines():
 
 
 # ---------------------------------------------------------------------------
-# three generators and up: no cells, evaluation through the form, and the
+# three generators and up: no fan, evaluation through the form, and the
 # exact cell enumeration the references below use
 
 
-def cube_lp(fan, signs, objective, margin=False):
-    """Exact LP over x = u - v in the closed cell of a sign string, with
-    0 <= u, v <= 1.
+def cube_lp(gens, hyps, signs, objective, margin=False):
+    """Exact LP over x = u - v in the closed cell of a sign string against
+    the hyperplanes hyps, with 0 <= u, v <= 1.
 
     signs may be a prefix, which constrains the first hyperplanes only.
     The columns are u, v and, with margin, a t <= 1 that every signed row
     must clear (sign * h.x >= t).  Maximizes objective.
     """
-    width = 2 * len(fan.generators) + margin
+    width = 2 * len(gens) + margin
     rows = []
-    for hp, s in zip(fan.hyperplanes, signs):
-        r = [(-1 if s == "+" else 1) * Fraction(v) for v in hp.vector(fan.generators)]
+    for hp, s in zip(hyps, signs):
+        r = [(-1 if s == "+" else 1) * Fraction(v) for v in hp.vector(gens)]
         rows.append(r + [-v for v in r] + [1] * margin)
     b = [0] * len(rows) + [1] * width
     rows += [[int(k == j) for k in range(width)] for j in range(width)]
     return solve_lp(objective, A_ub=rows, b_ub=b, exact=True)
 
 
-def exact_cells(fan):
-    """Sign string -> interior point of every cell of the fan's arrangement.
+def exact_cells(gens, hyps):
+    """Sign string -> interior point of every cell of the arrangement of hyps.
 
     Depth first over the hyperplanes: a prefix of signs is extended only
     while the exact margin LP finds a point of the cube that clears every
     signed row by some t > 0.
     """
-    n = len(fan.generators)
+    n = len(gens)
     cells = {}
     stack = [""]
     while stack:
         signs = stack.pop()
-        res = cube_lp(fan, signs, [0] * (2 * n) + [1], margin=True)
+        res = cube_lp(gens, hyps, signs, [0] * (2 * n) + [1], margin=True)
         if res.status != OPTIMAL or res.value <= 0:
             continue
-        if len(signs) < len(fan.hyperplanes):
+        if len(signs) < len(hyps):
             stack += [signs + "+", signs + "-"]
         else:
             cells[signs] = [u - v for u, v in zip(res.x[:n], res.x[n:2 * n])]
@@ -266,12 +274,13 @@ def test_generic_fans_match_zaslavsky_count(exact):
             normals = generic_normals(rng, n, h, exact)
             if n <= 2:
                 fan = arrangement_fan(normals, gens, exact=exact)
+                hyps = fan.hyperplanes
                 signs = set(cell_signs(fan))
                 assert len(fan.cells) <= 2 * h + 4
             else:
-                fan = plfan.Fan(gens, tuple(plfan.dedup_normals(normals, exact)), ())
-                signs = set(exact_cells(fan))
-            assert len(fan.hyperplanes) == h
+                hyps = plfan.dedup_normals(normals, exact)
+                signs = set(exact_cells(gens, hyps))
+            assert len(hyps) == h
             assert len(signs) == zaslavsky_generic(n, h)
 
 
@@ -280,23 +289,23 @@ def test_rank_two_arrangement_in_three_dimensions_is_planar(exact):
     # a function of a and b over (a, b, c): its break planes contain the c
     # axis, so their cells are the planar sectors, and its norm and cube sup
     # are those over (a, b) (l1 over (a, b) is 1-complemented in l1 over
-    # (a, b, c), so FBL norms agree)
+    # (a, b, c), so FBL norms agree), for the form and its stored function
     rng = np.random.default_rng(79)
     num = Fraction if exact else float
     for _ in range(4):
         m = to_maxmin(random_expr_capped(rng, ("a", "b"), max_size=12))
-        f2 = pl_from_maxmin(m, ("a", "b"), exact=exact)
-        f3 = pl_from_maxmin(m, ("a", "b", "c"), exact=exact)
-        assert f3.fan.cells == ()
-        assert f3.fan.hyperplanes == f2.fan.hyperplanes
-        assert set(exact_cells(f3.fan)) == set(cell_signs(f2.fan))
-        n2 = exact_fbl_norm(f2, fbl_space(("a", "b")), exact=exact)
-        n3 = exact_fbl_norm(f3, fbl_space(("a", "b", "c")), exact=exact)
-        s2, s3 = sup_norm_on_cube(f2, exact=exact), sup_norm_on_cube(f3, exact=exact)
+        f2 = stored_from_form(m, ("a", "b"), exact=exact)
+        breaks = break_normals(m, ("a", "b", "c"), exact)
+        assert tuple(breaks) == f2.fan.hyperplanes
+        assert set(exact_cells(("a", "b", "c"), breaks)) == set(cell_signs(f2.fan))
+        n2 = exact_fbl_norm(m, fbl_space(("a", "b")), exact=exact)
+        n3 = exact_fbl_norm(m, fbl_space(("a", "b", "c")), exact=exact)
+        s2, s3 = sup_norm_on_cube(m, "ab", exact=exact), sup_norm_on_cube(m, "abc", exact=exact)
         assert isinstance(n3.upper, num) and isinstance(s3, num)
         if exact:
             assert n3.lower == n3.upper == n2.upper == n2.lower
-            assert s3 == s2
+            assert exact_fbl_norm(f2, fbl_space(("a", "b")), exact=True).upper == n2.upper
+            assert s3 == s2 == sup_norm_on_cube(f2, "ab", exact=True)
         else:
             assert n3.upper == pytest.approx(n2.upper, rel=1e-12)
             assert n3.lower == pytest.approx(n2.lower, rel=1e-12)
@@ -309,17 +318,15 @@ def test_thin_cells_between_nearly_parallel_planes():
     e = parse_expr("(0.9999999999*(((d(b)) v (d(b))) ^ ((d(a)) v (d(c))))) ^ (d(a))")
     gens = ("a", "b", "c")
     m = to_maxmin(e)
-    f, fx = pl_from_maxmin(m, gens), pl_from_maxmin(m, gens, exact=True)
-    assert f.fan.cells == fx.fan.cells == ()
-    assert len(exact_cells(fx.fan)) == 24
+    assert len(exact_cells(gens, break_normals(m, gens, exact=True))) == 24
     space = fbl_space(gens)
-    norm = exact_fbl_norm(f, space)
-    exact_norm = exact_fbl_norm(fx, space, exact=True)
+    norm = exact_fbl_norm(m, space)
+    exact_norm = exact_fbl_norm(m, space, exact=True)
     assert exact_norm.lower == exact_norm.upper == 1 + Fraction(0.9999999999)
     assert norm.upper == pytest.approx(float(exact_norm.upper), rel=1e-12)
     assert norm.lower == pytest.approx(float(exact_norm.upper), rel=1e-12)
-    assert sup_norm_on_cube(fx, exact=True) == 1
-    assert sup_norm_on_cube(f) == 1
+    assert sup_norm_on_cube(m, gens, exact=True) == 1
+    assert sup_norm_on_cube(m, gens) == 1
 
 
 def coverage_count(fan, point):
@@ -356,25 +363,59 @@ def test_point_on_a_ray_takes_the_sector_that_starts_there():
 
 
 # ---------------------------------------------------------------------------
-# pl_from_maxmin
+# max-min forms: pl_parts, pl_from_maxmin, and stored functions built from them
+
+
+def test_pl_parts_of_a_form():
+    m = to_maxmin(parse_expr("(d(a) ^ 0.5*d(b)) v d(c)"))
+    gens = ("a", "b", "c")
+    for exact, num in ((False, float), (True, Fraction)):
+        breaks, zero_sets, values, value = plfan.pl_parts(m, gens, exact)
+        assert zero_sets == m.functionals()
+        assert [d.vector(gens) for d in breaks] == [(1, -0.5, 0), (1, 0, -1), (0, 0.5, -1)]
+        points = [(num(1), num(2), num(-1)), (num(-1), num(0), num(3))]
+        assert values(points) == [value(x) for x in points] == [1, 3]
+        assert all(isinstance(v, num) for v in values(points))
+
+
+def test_pl_parts_of_a_stored_function():
+    f = stored_from_form(to_maxmin(parse_expr("|d(a)| v d(b)")), ("a", "b"))
+    breaks, zero_sets, values, value = plfan.pl_parts(f, ("a", "b"))
+    assert (breaks, zero_sets) == (f.fan.hyperplanes, f.pieces)
+    assert values([(-2.0, 1.0), (0.5, 1.0)]) == [value((-2.0, 1.0)), 1.0] == [2.0, 1.0]
+    with pytest.raises(SpaceError):
+        plfan.pl_parts(f, ("b", "a"))
+
+
+def test_pl_from_maxmin_returns_the_form():
+    m = to_maxmin(parse_expr("0.5*d(a) v d(b)"))
+    assert pl_from_maxmin(m, ("a", "b")) is m
+    assert pl_from_maxmin(m, ("a", "b", "c"), exact=True) == plfan._exact_form(m)
+    assert pl_from_maxmin(m, ("a", "b"), exact=True).groups[0][0].items == (
+        ("a", Fraction(1, 2)),)
+
+
+def test_fans_have_at_least_two_rays():
+    with pytest.raises(FanError):
+        plfan.Fan(("a", "b", "c"), (), ())
 
 
 def test_single_functional_single_piece():
-    f = pl_from_maxmin(to_maxmin(Gen("a")), ("a",))
+    f = stored_from_form(to_maxmin(Gen("a")), ("a",))
     assert len(f.fan.hyperplanes) == 0
     assert len(f.pieces) == 2  # the two half-lines
     assert {p.vector(("a",)) for p in f.pieces} == {(1.0,)}
 
 
 def test_abs_two_pieces():
-    f = pl_from_maxmin(to_maxmin(absval(Gen("a"))), ("a",))
+    f = stored_from_form(to_maxmin(absval(Gen("a"))), ("a",))
     by_ray = dict(zip(f.fan.rays, f.pieces))
     assert by_ray[(1.0,)].vector(("a",)) == (1.0,)
     assert by_ray[(-1.0,)].vector(("a",)) == (-1.0,)
 
 
 def test_join_splits_on_difference():
-    f = pl_from_maxmin(to_maxmin(parse_expr("d(a) v d(b)")), ("a", "b"))
+    f = stored_from_form(to_maxmin(parse_expr("d(a) v d(b)")), ("a", "b"))
     assert len(f.fan.hyperplanes) == 1
     assert f.fan.hyperplanes[0].vector(("a", "b")) == (1.0, -1.0)
     by_sign = {s: {p.vector(("a", "b")) for t, p in zip(cell_signs(f.fan), f.pieces) if t == s}
@@ -388,9 +429,9 @@ def test_agreement_with_maxmin_at_random_points():
     for _ in range(10):
         e = random_expr_capped(rng, gens)
         m = to_maxmin(e)
-        f = pl_from_maxmin(m, gens)
+        f = stored_from_form(m, gens)
         pts = rng.uniform(-1.0, 1.0, (1000, 2))
-        got = pl_value_many(PLFunction(f.fan, f.pieces), pts)  # the cells alone
+        got = pl_value_many(f, pts)
         want = np.array([m.value(dict(zip(gens, p))) for p in pts])
         assert np.max(np.abs(got - want)) <= 1e-9
 
@@ -400,7 +441,7 @@ def test_boundary_continuity():
     gens = ("a", "b")
     for _ in range(5):
         e = random_expr_capped(rng, gens)
-        f = pl_from_maxmin(to_maxmin(e), gens)
+        f = stored_from_form(to_maxmin(e), gens)
         # the pieces on both sides of every ray agree on it
         for i, r in enumerate(f.fan.rays):
             point = dict(zip(gens, r))
@@ -412,18 +453,17 @@ def test_boundary_continuity():
 
 
 def test_sup_norm_generator():
-    f = pl_from_maxmin(to_maxmin(Gen("a")), ("a",))
-    assert sup_norm_on_cube(f) == pytest.approx(1.0, abs=1e-9)
+    assert sup_norm_on_cube(to_maxmin(Gen("a")), ("a",)) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_sup_norm_sum_of_abs():
-    f = pl_from_maxmin(to_maxmin(parse_expr("|d(a)| + |d(b)|")), ("a", "b"))
-    assert sup_norm_on_cube(f) == pytest.approx(2.0, abs=1e-9)
+    f = to_maxmin(parse_expr("|d(a)| + |d(b)|"))
+    assert sup_norm_on_cube(f, ("a", "b")) == pytest.approx(2.0, abs=1e-9)
 
 
 def test_sup_norm_difference():
-    f = pl_from_maxmin(to_maxmin(parse_expr("d(a) - d(b)")), ("a", "b"))
-    assert sup_norm_on_cube(f) == pytest.approx(2.0, abs=1e-9)
+    f = to_maxmin(parse_expr("d(a) - d(b)"))
+    assert sup_norm_on_cube(f, ("a", "b")) == pytest.approx(2.0, abs=1e-9)
 
 
 def test_sup_norm_dominates_sampling():
@@ -431,36 +471,34 @@ def test_sup_norm_dominates_sampling():
     gens = ("a", "b")
     for _ in range(5):
         e = random_expr_capped(rng, gens)
-        f = pl_from_maxmin(to_maxmin(e), gens)
-        sup = sup_norm_on_cube(f)
+        m = to_maxmin(e)
+        sup = sup_norm_on_cube(m, gens)
         pts = rng.uniform(-1.0, 1.0, (10_000, 2))
-        sampled = float(np.max(np.abs(pl_value_many(f, pts))))
+        sampled = float(np.max(np.abs(MaxMinEvaluator(m, gens).batch(pts))))
         assert sup >= sampled - 1e-9
 
 
 def test_sup_norm_exact_mode():
-    f = pl_from_maxmin(
-        to_maxmin(parse_expr("0.5*d(a) - 0.25*d(b)")), ("a", "b"), exact=True
-    )
-    assert sup_norm_on_cube(f, exact=True) == Fraction(3, 4)
+    f = to_maxmin(parse_expr("0.5*d(a) - 0.25*d(b)"))
+    assert sup_norm_on_cube(f, ("a", "b"), exact=True) == Fraction(3, 4)
 
 
-def lp_sup_norm_on_cube(f, cells):
-    """Reference: max of +/- f over every closed cell, two exact LPs each.
+def lp_sup_norm_on_cube(m, gens, hyps, cells):
+    """Reference: max of +/- m over every closed cell of hyps, two exact
+    LPs each.
 
-    On a cell f is the functional of its max-min form that attains f at
-    the cell's interior point.
+    On a cell m is the functional of the form that attains it at the cell's
+    interior point.
     """
-    gens = f.fan.generators
+    _, funcs, _, value = plfan.pl_parts(m, gens, exact=True)
     best = Fraction(0)
     for signs, x in cells.items():
         point = dict(zip(gens, x))
-        value = f.form.value(point)
-        piece = next(p for p in f.form.functionals() if p.evaluate(point) == value)
+        piece = next(p for p in funcs if p.evaluate(point) == value(x))
         vec = [Fraction(v) for v in piece.vector(gens)]
         for sign in (1, -1):
             c = [sign * v for v in vec]
-            res = cube_lp(f.fan, signs, c + [-v for v in c])
+            res = cube_lp(gens, hyps, signs, c + [-v for v in c])
             assert res.status == OPTIMAL
             best = max(best, res.value)
     return best
@@ -482,14 +520,12 @@ def test_ray_sup_norm_matches_per_cell_lp(n, count):
     gens = "abc"[:n]
     for _ in range(count):
         m = to_maxmin(join_of_meets(rng, gens))
-        f = pl_from_maxmin(m, gens, exact=True)
-        cells = exact_cells(f.fan)
+        hyps = break_normals(m, gens, exact=True)
+        cells = exact_cells(gens, hyps)
         assert len(cells) > 2
-        reference = lp_sup_norm_on_cube(f, cells)
-        assert sup_norm_on_cube(f, exact=True) == reference
-        assert sup_norm_on_cube(pl_from_maxmin(m, gens)) == pytest.approx(
-            float(reference), rel=1e-12
-        )
+        reference = lp_sup_norm_on_cube(m, gens, hyps, cells)
+        assert sup_norm_on_cube(m, gens, exact=True) == reference
+        assert sup_norm_on_cube(m, gens) == pytest.approx(float(reference), rel=1e-12)
 
 
 def test_ray_sup_norm_matches_per_cell_lp_in_four_generators():
@@ -498,14 +534,12 @@ def test_ray_sup_norm_matches_per_cell_lp_in_four_generators():
     summed = Sum(join_of_meets(rng, "ab", size=1), join_of_meets(rng, "cd", size=1))
     for e in (summed, join_of_meets(rng, gens)):
         m = to_maxmin(e)
-        f = pl_from_maxmin(m, gens, exact=True)
-        cells = exact_cells(f.fan)
+        hyps = break_normals(m, gens, exact=True)
+        cells = exact_cells(gens, hyps)
         assert len(cells) > 2
-        reference = lp_sup_norm_on_cube(f, cells)
-        assert sup_norm_on_cube(f, exact=True) == reference
-        assert sup_norm_on_cube(pl_from_maxmin(m, gens)) == pytest.approx(
-            float(reference), rel=1e-12
-        )
+        reference = lp_sup_norm_on_cube(m, gens, hyps, cells)
+        assert sup_norm_on_cube(m, gens, exact=True) == reference
+        assert sup_norm_on_cube(m, gens) == pytest.approx(float(reference), rel=1e-12)
 
 
 @pytest.mark.parametrize("exact", [False, True])
@@ -517,69 +551,65 @@ def test_sup_norm_in_eight_generators_by_blocks(exact):
         ("(d(a) v d(b)) + (d(c) ^ d(d)) - |d(e) - d(f)| + 0.5*d(g) - d(h)", 5.5),
     )
     for text, expected in cases:
-        f = pl_from_maxmin(to_maxmin(parse_expr(text)), gens, exact=exact)
-        assert sup_norm_on_cube(f, exact=exact) == expected
+        assert sup_norm_on_cube(to_maxmin(parse_expr(text)), gens, exact=exact) == expected
 
 
 @pytest.mark.parametrize("exact", [False, True])
 def test_sup_norm_takes_a_block_at_its_origin(exact):
     # -|a| + 2|b| on blocks {a}, {b}: max f = 0 + 2 needs a = 0
     gens = "ab"
-    parts = [pl_from_maxmin(to_maxmin(parse_expr(t)), gens, exact=exact)
+    parts = [stored_from_form(to_maxmin(parse_expr(t)), gens, exact=exact)
              for t in ("-|d(a)|", "|d(b)|")]
     f = pl_lincomb(1, parts[0], 2, parts[1], exact=exact)
-    assert f.form is None and len(f.fan.hyperplanes) == 2
-    assert sup_norm_on_cube(f, exact=exact) == 2
+    assert len(f.fan.hyperplanes) == 2
+    assert sup_norm_on_cube(f, gens, exact=exact) == 2
 
 
 def test_sup_norm_raises_past_the_work_cap(monkeypatch):
-    f = pl_from_maxmin(to_maxmin(parse_expr("d(a) v d(b) v d(c) v d(d)")), "abcd")
-    assert sup_norm_on_cube(f) == 1
+    f = to_maxmin(parse_expr("d(a) v d(b) v d(c) v d(d)"))
+    assert sup_norm_on_cube(f, "abcd") == 1
     monkeypatch.setattr(plfan, "SUP_WORK_CAP", 10)
     with pytest.raises(FanSizeError):
-        sup_norm_on_cube(f)
+        sup_norm_on_cube(f, "abcd")
 
 
 # ---------------------------------------------------------------------------
 # equality, max, linear combinations
 
 
+def exact_stored(text, gens):
+    return stored_from_form(to_maxmin(parse_expr(text)), gens, exact=True)
+
+
 def test_pl_equal_join_idempotent():
-    a = pl_from_maxmin(to_maxmin(parse_expr("d(a) v d(a)")), ("a",))
-    b = pl_from_maxmin(to_maxmin(Gen("a")), ("a",))
-    assert pl_equal(a, b)
+    assert pl_equal(exact_stored("d(a) v d(a)", "a"), exact_stored("d(a)", "a"), exact=True)
 
 
 def test_pl_equal_abs_as_join():
-    a = pl_from_maxmin(to_maxmin(parse_expr("|d(a)|")), ("a",))
-    b = pl_from_maxmin(to_maxmin(parse_expr("d(a) v -d(a)")), ("a",))
-    assert pl_equal(a, b)
+    a, b = exact_stored("|d(a)|", "a"), exact_stored("d(a) v -d(a)", "a")
+    assert pl_equal(a, b, exact=True)
 
 
 def test_pl_not_equal_different_generators_values():
-    a = pl_from_maxmin(to_maxmin(Gen("a")), ("a", "b"))
-    b = pl_from_maxmin(to_maxmin(Gen("b")), ("a", "b"))
-    assert not pl_equal(a, b)
+    a, b = exact_stored("d(a)", "ab"), exact_stored("d(b)", "ab")
+    assert not pl_equal(a, b, exact=True)
 
 
 def test_pl_equal_compares_both_rays_of_a_sector():
     # g differs from f on the first quadrant only, where a + b and a agree
     # at the sector's first ray (1, 0) but not at its second, (0, 1)
-    for num, exact in ((float, False), (Fraction, True)):
-        fan = arrangement_fan([fn(a=num(1)), fn(b=num(1))], ("a", "b"), exact=exact)
-        f = PLFunction(fan, (fn(a=num(1)),) * 4)
-        g = PLFunction(fan, (fn(a=num(1), b=num(1)),) + (fn(a=num(1)),) * 3)
-        assert pl_equal(f, f, exact=exact)
-        assert not pl_equal(f, g, exact=exact)
+    one = Fraction(1)
+    fan = arrangement_fan([fn(a=one), fn(b=one)], ("a", "b"), exact=True)
+    f = PLFunction(fan, (fn(a=one),) * 4)
+    g = PLFunction(fan, (fn(a=one, b=one),) + (fn(a=one),) * 3)
+    assert pl_equal(f, f, exact=True)
+    assert not pl_equal(f, g, exact=True)
 
 
 def test_pointwise_max_matches_join():
     gens = ("a", "b")
-    fa = pl_from_maxmin(to_maxmin(Gen("a")), gens)
-    fb = pl_from_maxmin(to_maxmin(Gen("b")), gens)
-    fmax = pl_pointwise_max(fa, fb)
-    fjoin = pl_from_maxmin(to_maxmin(parse_expr("d(a) v d(b)")), gens)
-    assert pl_equal(fmax, fjoin)
+    fmax = pl_pointwise_max(exact_stored("d(a)", gens), exact_stored("d(b)", gens), exact=True)
+    assert pl_equal(fmax, exact_stored("d(a) v d(b)", gens), exact=True)
 
 
 def test_pointwise_max_lists_a_break_on_an_axis_ray():
@@ -589,7 +619,7 @@ def test_pointwise_max_lists_a_break_on_an_axis_ray():
     gens = ("a", "b")
     for exact in (False, True):
         def P(s):
-            return pl_from_maxmin(to_maxmin(parse_expr(s)), gens, exact=exact)
+            return stored_from_form(to_maxmin(parse_expr(s)), gens, exact=exact)
 
         m = pl_pointwise_max(P("d(a) + d(b)"), P("d(a) - d(b)"), exact=exact)
         assert [h.vector(gens) for h in m.fan.hyperplanes] == [(0, 1)]
@@ -621,8 +651,8 @@ def test_results_list_every_line_they_break_on():
 
     on_axes = 0  # maxima that break on an axis ray neither operand breaks on
     for _ in range(40):
-        f, g = (pl_from_maxmin(to_maxmin(random_expr_capped(rng, gens, 3, 12, scalar)),
-                               gens, exact=True) for _ in range(2))
+        f, g = (stored_from_form(to_maxmin(random_expr_capped(rng, gens, 3, 12, scalar)),
+                                 gens, exact=True) for _ in range(2))
         m = pl_pointwise_max(f, g, exact=True)
         assert unlisted_breaks(m) == []
         assert unlisted_breaks(pl_lincomb(2, m, -1, f, exact=True)) == []
@@ -634,11 +664,9 @@ def test_results_list_every_line_they_break_on():
 
 def test_lincomb_matches_expression():
     gens = ("a", "b")
-    fa = pl_from_maxmin(to_maxmin(parse_expr("|d(a)|")), gens)
-    fb = pl_from_maxmin(to_maxmin(parse_expr("d(b)")), gens)
-    combo = pl_lincomb(2.0, fa, -1.0, fb)
-    direct = pl_from_maxmin(to_maxmin(parse_expr("2*|d(a)| - d(b)")), gens)
-    assert pl_equal(combo, direct)
+    combo = pl_lincomb(2, exact_stored("|d(a)|", gens), -1, exact_stored("d(b)", gens),
+                       exact=True)
+    assert pl_equal(combo, exact_stored("2*|d(a)| - d(b)", gens), exact=True)
 
 
 # ---------------------------------------------------------------------------
@@ -651,15 +679,12 @@ def test_fan_json_roundtrip():
 
 
 def test_plfunction_json_roundtrip():
-    f = pl_from_maxmin(to_maxmin(parse_expr("d(a) v (d(b) + 0.5*d(a))")), ("a", "b"))
-    g = plfunction_from_json(plfunction_to_json(f))
-    assert g.fan == f.fan
-    assert pl_equal(f, g)
+    f = stored_from_form(to_maxmin(parse_expr("d(a) v (d(b) + 0.5*d(a))")), ("a", "b"))
+    assert plfunction_from_json(plfunction_to_json(f)) == f
 
 
 def test_plfunction_json_roundtrip_exact():
-    f = pl_from_maxmin(
-        to_maxmin(parse_expr("0.5*d(a) v d(b)")), ("a", "b"), exact=True
-    )
+    f = exact_stored("0.5*d(a) v d(b)", ("a", "b"))
     g = plfunction_from_json(plfunction_to_json(f))
+    assert g == f
     assert pl_equal(f, g, exact=True)

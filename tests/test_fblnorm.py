@@ -7,14 +7,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fblab.expr import Gen, Scale, Sum, evaluate, parse_expr, to_maxmin, to_text
+from fblab.expr import Gen, Scale, Sum, evaluate, parse_expr, support, to_maxmin, to_text
 from fblab.fblnorm import (
     AdmissibilitySpace,
     DualConfig,
     MaxMinEvaluator,
     NormBracket,
     SpaceError,
-    _homogeneity_spot_check,
     abs_coordinate_product,
     admissible,
     check_lemma34,
@@ -153,11 +152,13 @@ def test_product_bound_verdict_is_relative(monkeypatch):
 
 
 def test_two_space_agreement_is_relative(monkeypatch):
+    # at scale 1e-12 an absolute 1e-3 below the norm let a lower bound 0 pass
     e = parse_expr("1e-12*(d(a) v d(b))")
     norm = exact_fbl_norm(to_maxmin(e), linf_vertex_space(("a", "b"))).upper
-    monkeypatch.setattr("fblab.fblnorm.oracle_lower_bound",
-                        _oracle_returning(lambda space: norm * (1 + 1e-6)))
-    assert not fbl_vs_polyhedral_check(e)["sign_ball_agreement"]
+    for lower in (norm * (1 + 1e-6), 0.0):
+        monkeypatch.setattr("fblab.fblnorm.oracle_lower_bound",
+                            _oracle_returning(lambda space: lower))
+        assert not fbl_vs_polyhedral_check(e)["sign_ball_agreement"], lower
 
 
 # ---------------------------------------------------------------------------
@@ -415,9 +416,11 @@ def test_oracle_certificate_is_sound():
 
 
 def test_oracle_rejects_inhomogeneous_evaluator():
+    # at scale 1e-20 an absolute tolerance of 1e-6 let the offset pass
     space = fbl_space(("a",))
-    with pytest.raises(ValueError):
-        oracle_lower_bound(lambda x: float(x[0]) + 1.0, space, budget=100, seed=0)
+    for c in (1.0, 1e-20):
+        with pytest.raises(ValueError):
+            oracle_lower_bound(lambda x: c * (float(x[0]) + 1.0), space, budget=200, seed=0)
 
 
 @pytest.mark.parametrize("budget", [0, -4, 2.5, True])
@@ -435,214 +438,107 @@ def test_oracle_rejects_a_budget_that_is_not_an_integer_of_at_least_one(budget):
 
 
 # ---------------------------------------------------------------------------
-# the batched oracle against the search that evaluated one move at a time
+# the oracle's search: scale, budget
 
 
-# The oracle's loop as it was before moves were evaluated in batches, kept
-# verbatim: one config_val call per move, each on a (k, n) array.
-def reference_oracle(
-    F,
-    space: AdmissibilitySpace,
-    budget: int = 10_000,
-    seed: int = 0,
-    degree: int = 1,
-) -> NormBracket:
-    gens = space.generators
-    n = len(gens)
-    reps = np.array(space.representatives(), dtype=float)
-    rng = np.random.default_rng(seed)
-    _homogeneity_spot_check(F, n, degree, rng)
+class _Scaled:
+    """c * F, with c a power of two, so every value scales exactly."""
 
-    has_batch = hasattr(F, "batch")
-    evals = 0
+    def __init__(self, F, c):
+        self.F, self.c = F, c
 
-    def config_val(X: np.ndarray) -> float:
-        nonlocal evals
-        evals += 1
-        sums = np.abs(X @ reps.T).sum(axis=0)
-        sigma = sums.max()
-        if sigma <= 1e-300:
-            return 0.0
-        Xs = X / sigma
-        if has_batch:
-            vals = F.batch(Xs)
-        else:
-            vals = np.array([F(row) for row in Xs])
-        return float(np.abs(vals).sum())
+    def __call__(self, x):
+        return self.c * float(self.F(x))
 
-    sizes = list(range(1, len(reps) + 2))
-    per_restart = max(250, budget // 12)
-    steps = (1.0, 0.4, 0.15, 0.05, 0.015, 0.005, 0.0015, 5e-4, 1.5e-4, 5e-5)
-
-    best_val = 0.0
-    best_X = np.zeros((0, n))
-    restart = 0
-    while evals < budget:
-        k = sizes[restart % len(sizes)]
-        if restart % 2 == 0:
-            X = rng.uniform(-1.0, 1.0, (k, n))
-        else:
-            # Sparse signed-axis start: good corners for free-lattice spaces.
-            X = np.zeros((k, n))
-            for i in range(k):
-                X[i, rng.integers(0, n)] = rng.choice((-1.0, 1.0))
-            X += 0.01 * rng.standard_normal((k, n))
-        val = config_val(X)
-        start_evals = evals
-        step_i = 0
-        while evals < budget and evals - start_evals < per_restart:
-            improved = False
-            delta = steps[min(step_i, len(steps) - 1)]
-            for i in range(k):
-                for a in rng.permutation(n):
-                    base = X[i, a]
-                    for cand in (0.0, 1.0, -1.0, base + delta, base - delta):
-                        if cand == base:
-                            continue
-                        X[i, a] = cand
-                        v2 = config_val(X)
-                        if v2 > val + 1e-15:
-                            val = v2
-                            base = cand
-                            improved = True
-                        else:
-                            X[i, a] = base
-                        if evals >= budget or evals - start_evals >= per_restart:
-                            break
-                    X[i, a] = base
-                    if evals >= budget or evals - start_evals >= per_restart:
-                        break
-                if evals >= budget or evals - start_evals >= per_restart:
-                    break
-            if not improved:
-                step_i += 1
-                if step_i >= len(steps):
-                    break
-        if val > best_val + 1e-15:
-            best_val = val
-            best_X = X.copy()
-        restart += 1
-
-    # Rescale the winner onto the boundary and drop zero members.
-    if best_X.shape[0]:
-        sums = np.abs(best_X @ reps.T).sum(axis=0)
-        sigma = sums.max()
-        if sigma > 0:
-            best_X = best_X / sigma
-        best_X = best_X[np.abs(best_X).max(axis=1) > 0]
-    config = DualConfig(tuple(tuple(float(v) for v in row) for row in best_X))
-    value = config_value(F, config) if config.points else 0.0
-    return NormBracket(
-        lower=value,
-        certificate=config,
-        upper=math.inf,
-        exact=False,
-        diagnostics={"evaluations": evals, "restarts": restart, "budget": budget},
-    )
+    def batch(self, X):
+        return self.c * self.F.batch(X)
 
 
 def _bits(bracket):
     return (
         bracket.lower.hex(),
         tuple(tuple(c.hex() for c in x) for x in bracket.certificate.points),
-        bracket.diagnostics["evaluations"],
-        bracket.diagnostics["restarts"],
+        bracket.diagnostics,
     )
 
 
-ORACLE_CASE_FORMS = {
-    1: ("2.5*d(a)", "d(a) v -0.3*d(a)"),
-    2: ("(d(a) v d(b)) ^ (0.37*d(a) - 1.3*d(b))",
-        "1000000.0*d(a) ^ (0.9999999999*d(b) v -1e-07*d(a))"),
-    3: ("(d(a) ^ d(b)) v (d(c) - 0.41*d(a)) v -1.7*d(b)",
-        "|d(a) - 1.0000000001*d(c)| ^ d(b)"),
-    4: ("(d(a) v d(d)) ^ (d(b) - 0.6*d(c))",
-        "0.37*d(a) + 1.3*d(b) - 2.9*d(c) + 0.11*d(d)"),
-}
+@pytest.mark.parametrize("j", [-66, -10, 10, 20])
+def test_oracle_is_scale_equivariant_bit_for_bit(j):
+    """oracle(2**j * F) is 2**j * oracle(F), lower and certificate: an
+    absolute accept threshold climbs nothing at 1e-20 and takes one-ulp
+    noise for a gain above 16."""
+    cases = (
+        ("d(a) v d(b)", fbl_space, 1),
+        ("(d(a) ^ d(b)) v (d(c) - 0.41*d(a)) v -1.7*d(b)", fbl_space, 1),
+        ("|d(a) - 1.0000000001*d(c)| ^ d(b)", linf_vertex_space, 1),
+        ("37.3*d(a) + 11.9*d(b) - 5.3*d(d)", fbl_space, 1),
+        ("(d(a) v d(b)) ^ (0.37*d(a) - 1.3*d(b))", fbl_space, 2),
+    )
+    c = 2.0**j
+    for text, space_of, degree in cases:
+        e = parse_expr(text)
+        gens = tuple(sorted(support(e)))
+        F = expr_evaluator(e, gens)
+        if degree == 2:
+            F = abs_coordinate_product(F, 0)
+        space = space_of(gens)
+        got = oracle_lower_bound(_Scaled(F, c), space, budget=3000, seed=5, degree=degree)
+        want = oracle_lower_bound(F, space, budget=3000, seed=5, degree=degree)
+        assert want.diagnostics["accepted_moves"] > 0, text
+        assert got.lower == c * want.lower, text
+        assert _bits(got)[1:] == _bits(want)[1:], text
 
 
-def _oracle_cases():
-    """(label, F, space, degree) over both spaces, n = 1-4: max-min,
-    product and plain-callable evaluators, and stored functions for n <= 2."""
+def test_oracle_climbs_at_small_scale():
+    """An absolute threshold of 1e-15 gave lower 0.0 here, with no move kept."""
+    e = parse_expr("1e-20*(d(a) v d(b))")
+    F = expr_evaluator(e, ("a", "b"))
+    bracket = oracle_lower_bound(F, fbl_space(("a", "b")), budget=4000, seed=3)
+    assert bracket.lower >= 2e-20 * (1 - 1e-3)
+    assert bracket.lower <= 2e-20 * (1 + 1e-9)
+
+
+def test_oracle_ends_when_the_budget_runs_out_among_finished_slots():
+    """Here the budget ran out while more slots finished than it could
+    restart; a slot left empty once kept the index one past its last step
+    size, and the next stacked step indexed past the step sizes."""
+    e = parse_expr("(-0.783*((d(a)) v (d(a)))) v (2.446*((d(a)) + (d(a))))")
+    F = expr_evaluator(e, ("a",))
+    got = oracle_lower_bound(F, fbl_space(("a",)), budget=20_000, seed=49250769)
+    assert got.diagnostics["evaluations"] == 20_000
+    assert got.lower == pytest.approx(4.892, rel=1e-12)
+
+
+@pytest.mark.parametrize("budget", [1, 7, 200, 20_000])
+def test_oracle_spends_exactly_its_budget(budget):
+    """Starts and visited moves add up to the budget, on 1-4 generators in
+    both spaces, on 8 generators, with batch, product and plain-callable
+    evaluators, and on the zero function."""
+    texts = {
+        1: "d(a) v -0.3*d(a)",
+        2: "(d(a) v d(b)) ^ (0.37*d(a) - 1.3*d(b))",
+        3: "(d(a) ^ d(b)) v (d(c) - 0.41*d(a)) v -1.7*d(b)",
+        4: "(d(a) v d(d)) ^ (d(b) - 0.6*d(c))",
+        8: "(d(a) v d(b) v d(c)) - (d(d) ^ d(e)) + 0.5*|d(f) - d(g)| ^ d(h)",
+    }
     cases = []
-    for n, texts in ORACLE_CASE_FORMS.items():
-        gens = ("a", "b", "c", "d")[:n]
-        for s, space in enumerate((fbl_space(gens), linf_vertex_space(gens))):
-            for j, kind in enumerate(("maxmin", "product", "pl", "lambda")):
-                if kind == "pl" and n > 2:
-                    continue
-                e = parse_expr(texts[(s + j) % 2])
-                m = to_maxmin(e)
-                F, degree = MaxMinEvaluator(m, gens), 1
-                if kind == "product":
-                    F, degree = abs_coordinate_product(F, j % n), 2
-                elif kind == "pl":
-                    F = pl_evaluator(stored_from_form(m, gens))
-                elif kind == "lambda":
-                    F = lambda x, G=F: G(x)  # no batch method
-                label = f"{kind} {to_text(e)} {len(space.ball_vertices)} vertices"
-                cases.append((label, F, space, degree))
-    zero = parse_expr("d(a) - d(a)")
-    for gens in (("a",), ("a", "b")):
-        F = MaxMinEvaluator(to_maxmin(zero), gens)
-        cases.append((f"zero over {gens}", F, fbl_space(gens), 1))
-    # Plateau moves in c with values above 16, where val + 1e-15 == val: a
-    # last-bit difference between a stacked and a lone evaluation is enough
-    # to accept a move the one-at-a-time search rejected.
-    gens = ("a", "b", "c", "d")
-    e = parse_expr("37.3*d(a) + 11.9*d(b) - 5.3*d(d)")
-    cases.append(("plateau", MaxMinEvaluator(to_maxmin(e), gens), fbl_space(gens), 1))
-    return cases
-
-
-@pytest.mark.parametrize("budget", [1, 7, 257, 1001, 3001])
-def test_oracle_trajectory_matches_one_move_at_a_time(budget):
-    for j, (label, F, space, degree) in enumerate(_oracle_cases()):
-        seed = 1000 * budget + j
-        got = oracle_lower_bound(F, space, budget=budget, seed=seed, degree=degree)
-        want = reference_oracle(F, space, budget=budget, seed=seed, degree=degree)
-        assert _bits(got) == _bits(want), label
-        accepted = got.diagnostics["accepted_moves"]
-        assert 0 <= accepted <= got.diagnostics["evaluations"] - got.diagnostics["restarts"]
-
-
-def test_oracle_plateau_trajectory_over_seeds():
-    gens = ("a", "b", "c", "d")
-    F = MaxMinEvaluator(to_maxmin(parse_expr("37.3*d(a) + 11.9*d(b) - 5.3*d(d)")), gens)
-    space = fbl_space(gens)
-    for seed in range(6):
-        got = oracle_lower_bound(F, space, budget=3001, seed=seed)
-        want = reference_oracle(F, space, budget=3001, seed=seed)
-        assert _bits(got) == _bits(want), seed
-
-
-@pytest.mark.parametrize("space_of", [fbl_space, linf_vertex_space])
-def test_oracle_trajectory_at_bench_size(space_of):
-    """n = 3 at budget 20000: sweeps over up to five members, cut short by the
-    per-restart cap of 1666 evaluations, in both spaces."""
-    gens = ("a", "b", "c")
-    space = space_of(gens)
-    m = to_maxmin(parse_expr("(d(a) ^ d(b)) v (d(c) - 0.41*d(a)) v -1.7*d(b)"))
-    for j, (F, degree) in enumerate(
-        ((MaxMinEvaluator(m, gens), 1),
-         (abs_coordinate_product(MaxMinEvaluator(m, gens), 2), 2))
-    ):
-        seed = 20_000 + j
-        got = oracle_lower_bound(F, space, budget=20_000, seed=seed, degree=degree)
-        want = reference_oracle(F, space, budget=20_000, seed=seed, degree=degree)
-        assert _bits(got) == _bits(want), (space_of.__name__, degree)
-        assert 1 <= got.diagnostics["stacked_calls"] <= got.diagnostics["evaluations"]
-
-
-def test_oracle_makes_one_call_per_restart_when_nothing_improves():
-    """With no move ever kept, each restart's start value and all its sweeps
-    at every step size come from one stacked call."""
-    for text, gens in (("d(a) - d(a)", ("a", "b")), ("2.5*d(a)", ("a",))):
+    for n, text in texts.items():
+        gens = tuple("abcdefgh"[:n])
         F = expr_evaluator(parse_expr(text), gens)
-        got = oracle_lower_bound(F, fbl_space(gens), budget=5000, seed=3)
-        assert got.diagnostics["accepted_moves"] == 0, text
-        assert got.diagnostics["stacked_calls"] == got.diagnostics["restarts"], text
-        assert 1 <= got.diagnostics["stacked_calls"] <= got.diagnostics["evaluations"]
+        cases.append((F, fbl_space(gens), 1))
+        if n <= 4:
+            cases.append((abs_coordinate_product(F, n - 1), linf_vertex_space(gens), 2))
+        if n == 2:
+            cases.append((lambda x, G=F: G(x), fbl_space(gens), 1))  # no batch method
+    cases.append((expr_evaluator(parse_expr("d(a) - d(a)"), ("a", "b")), fbl_space("ab"), 1))
+    for F, space, degree in cases:
+        got = oracle_lower_bound(F, space, budget=budget, seed=budget, degree=degree)
+        d = got.diagnostics
+        assert d["evaluations"] == budget
+        assert 1 <= d["restarts"] <= budget
+        assert 0 <= d["accepted_moves"] <= budget - d["restarts"]
+        assert 1 <= d["stacked_calls"] <= budget
+        assert admissible(got.certificate, space).ok
 
 
 # ---------------------------------------------------------------------------
@@ -692,8 +588,8 @@ def test_maxmin_batch_of_no_points():
 
 
 def test_batch_of_a_stack_equals_batch_of_each_configuration():
-    """The oracle evaluates (m, k, n) stacks and relies on each (k, n) slice
-    coming out as it would alone, to the last bit."""
+    """batch takes points stacked on leading axes, and each (k, n) slice of
+    an (m, k, n) stack comes out as it would alone, to the last bit."""
     rng = np.random.default_rng(13)
     gens = ("a", "b", "c")
     m = to_maxmin(parse_expr("(0.37*d(a) + 1.3*d(b)) v (d(c) ^ -2.9*d(a)) v 0.11*d(b)"))
@@ -710,9 +606,8 @@ def test_batch_of_a_stack_equals_batch_of_each_configuration():
 
 @pytest.mark.parametrize("m", [1, 2, 7, 277])
 def test_slice_of_a_stack_does_not_depend_on_its_height(m):
-    """The oracle reads moves of one configuration from stacks of any height
-    (277 slices: n = 3, k = 4, 23 moves per coordinate, and the start), and
-    compares their values bit for bit with values from other stacks."""
+    """A slice's values do not depend on how many slices share the stack,
+    up to 277 (n = 3, k = 4)."""
     rng = np.random.default_rng(15)
     gens = ("a", "b", "c")
     M = MaxMinEvaluator(

@@ -39,7 +39,8 @@ The LP optimum is the exact norm; the nonzero weights assemble a replayable
 certificate family.  The oracle route below shares nothing with this LP: it
 is restart-based stochastic hill climbing on raw configurations, so the two
 routes genuinely cross-check each other.  Its restarts climb side by side,
-one stacked evaluation per step for all of them, and it accepts a move only
+one stacked evaluation per step for all of them, each step running every
+restart's sweeps up to its next kept move, and it accepts a move only
 when the value grows by a relative 2**-40, so scaling F by a power of two
 scales the bound and leaves the search unchanged.
 """
@@ -355,12 +356,15 @@ def exact_fbl_norm(
 
 
 def _homogeneity_spot_check(F, n: int, degree: int, rng) -> None:
+    """F(lam p) against lam**degree F(p) at eight random points, relative
+    1e-6; the slack of 16 units of 2**-1074 covers the rounding of subnormal
+    values, where a relative tolerance alone cannot hold."""
     for _ in range(8):
         p = rng.uniform(-1.0, 1.0, n)
         lam = float(rng.uniform(0.1, 1.0))
         a = float(F(lam * p))
         b = (lam**degree) * float(F(p))
-        if abs(a - b) > 1e-6 * max(abs(a), abs(b)):
+        if abs(a - b) > 1e-6 * max(abs(a), abs(b)) + 16 * 2.0**-1074:
             raise ValueError(
                 f"evaluator is not positively homogeneous of degree {degree}"
             )
@@ -383,30 +387,38 @@ def oracle_lower_bound(
     claims an upper bound.
 
     Each restart is a first-improvement search.  A sweep visits the members
-    in order and each member's coordinates in an order drawn when the sweep
-    starts, and tries the moves 0, 1, -1, x + delta and x - delta of each
-    coordinate x, skipping a move that leaves x as it is.  The first move
-    whose value exceeds the current one by a relative 2**-40 is kept, and
-    the sweep goes on from the next coordinate.  A sweep that kept a move is
-    followed by one at the same delta, one that kept none by one at the next
-    of ten falling deltas; a restart ends after the last delta or after
+    in order and each member's coordinates in an order of its own, and tries
+    the moves 0, 1, -1, x + delta and x - delta of each coordinate x,
+    skipping a move that leaves x as it is.  The first move whose value
+    exceeds the current one by a relative 2**-40 is kept, and the sweep goes
+    on from the next coordinate.  A sweep that kept a move is followed by
+    one at the same delta, one that kept none by one at the next of ten
+    falling deltas; a restart ends after the last delta or after
     max(250, budget // 12) moves.  Restart sizes cycle through
     1..len(representatives)+1, with uniform and sparse signed-axis starts
     alternating.
 
+    A sweep that keeps nothing leaves the configuration as it found it, so
+    the search from a kept move (or a start) up to the next kept move is
+    known in advance.  This chain of sweeps is the rest of the current one
+    (none at a start), a full sweep at the same delta and a full sweep at
+    each smaller delta, every new sweep with an order drawn up front.  All
+    the moves of a chain are valued against the same members, and its
+    distinct moves are 0, 1, -1 and x +/- each delta left, per coordinate.
+
     The restarts run side by side in C slots, C = budget / (300 n s) clamped
-    to [8, 64], s the mean restart size: about four restarts of 15 sweeps
-    per slot.  Each step of all the slots is one stacked call: F.batch gets
-    an (N, n) array of rows, the members of every slot (padded with zero
-    rows, which count for nothing) and, per move left in a slot's sweep,
-    the member the move changes; an F without batch is called row by row.
-    F being positively homogeneous of the given degree, a configuration's
-    value is its sum of |F| at the unscaled members over sigma**degree,
-    sigma its largest vertex sum, so a move costs F at one row.  A slot's
-    current value comes from the same call as its moves, and every
-    comparison is relative, so for F scaled by 2**j the search and the
-    certificate are the same and the bound is 2**j times as large, bit for
-    bit.
+    to [8, 64], s the mean restart size.  Each step of all the slots is one
+    stacked call that runs every slot's chain, up to its first kept move,
+    the end of its restart or the budget: F.batch gets an (N, n) array of
+    rows, the members of every slot (padded with zero rows, which count for
+    nothing) and, per distinct move of a slot's chain, the member the move
+    changes; an F without batch is called row by row.  F being positively
+    homogeneous of the given degree, a configuration's value is its sum of
+    |F| at the unscaled members over sigma**degree, sigma its largest vertex
+    sum, so a move costs F at one row.  A slot's current value comes from the
+    same call as its moves, and every comparison is relative, so for F
+    scaled by 2**j the search and the certificate are the same and the bound
+    is 2**j times as large, bit for bit.
 
     budget counts evaluations: 1 per start and 1 per move visited, up to and
     including the move kept.  The slots take their counts in slot order, a
@@ -415,11 +427,11 @@ def oracle_lower_bound(
     budget, so diagnostics["evaluations"] ends at exactly budget.  The
     winner is the restart that finishes highest, a later one replacing it
     only when higher by a relative 2**-40; it is rescaled onto the boundary,
-    its zero members are dropped, and lower is its config_value.  The result is deterministic
-    given (input, seed, budget).  diagnostics["stacked_calls"] counts the
-    stacked calls.  Raises ValueError unless budget is an integer of at
-    least 1: with no evaluation the lower bound 0 would pass every check
-    vacuously.
+    its zero members are dropped, and lower is its config_value.  The result
+    is deterministic given (input, seed, budget).  diagnostics["slots"] is C
+    and diagnostics["stacked_calls"] counts the stacked calls.  Raises
+    ValueError unless budget is an integer of at least 1: with no evaluation
+    the lower bound 0 would pass every check vacuously.
     """
     if isinstance(budget, bool) or not isinstance(budget, numbers.Integral) or budget < 1:
         raise ValueError(f"budget must be an integer of at least 1, got {budget!r}")
@@ -434,31 +446,48 @@ def oracle_lower_bound(
 
     def boundary_values(fsum: np.ndarray, sums: np.ndarray) -> np.ndarray:
         """Sum of |F| over configurations rescaled onto the boundary, from
-        the sums at their unscaled members and their vertex sums (last axis);
-        a configuration with vertex sums near 0 has a sum near 0 too."""
-        return fsum / np.maximum(sums.max(axis=-1) ** degree, 1e-300)
+        the sums at their unscaled members and their vertex sums (first
+        axis, so that the max runs across rows rather than along short
+        ones); a configuration with vertex sums near 0 has a sum near 0 too."""
+        return fsum / np.maximum(sums.max(axis=0) ** degree, 1e-300)
 
     sizes = np.arange(1, len(reps) + 2)
     per_restart = max(250, budget // 12)
     steps = np.array((1.0, 0.4, 0.15, 0.05, 0.015, 0.005, 0.0015, 5e-4, 1.5e-4, 5e-5))
+    S = len(steps)
+    # A coordinate x has Q distinct moves, by kind: 0, 1, -1, then
+    # x + steps[j] and x - steps[j] for j = 0..S-1.  A chain at step index
+    # i reaches the kinds whose kind_step is at least i.
+    Q = 3 + 2 * S
+    shift = np.repeat(steps, 2) * np.tile((1.0, -1.0), S)
+    kind_step = np.concatenate(((S, S, S), np.repeat(np.arange(S), 2)))
     # About four restarts per slot of 15 sweeps of 5 n k moves: the budget
     # cuts the last restart of every slot short, so the slots stay few next
     # to the restarts.
     slots = int(np.clip(budget / (4 * 15 * 5 * n * sizes.mean()), 8, 64))
     K = sizes[-1]
     gain = 1.0 + 2.0**-40
+    # Summing a move's other members afresh, rather than subtracting its
+    # member from the total, avoids cancellation; others[k] does it for k
+    # members.
+    others = [None] + [1.0 - np.eye(k) for k in range(1, K + 1)]
+    member_of = np.arange(K)
+    visit = np.arange(K * n)
+    # Move m of a visit at step index j has kind m for m < 3, 2 j + m after.
+    move = np.arange(5)
+    fixed = move < 3
 
     X = np.zeros((slots, K, n))  # members past a slot's size stay zero
     size = np.zeros(slots, dtype=int)
     live = np.zeros(slots, dtype=bool)
-    # Visit t of slot s's sweep moves X.reshape(-1)[coord[s, t]], a
-    # coordinate of member t // n.
-    coord = np.zeros((slots, K * n), dtype=int)
-    pos = np.zeros(slots, dtype=int)  # next visit of the sweep
+    # Visit t of slot s's current sweep moves coordinate order[s, t] of X[s]
+    # (flat, member order[s, t] // n).  A restart's first sweep is empty.
+    order = np.zeros((slots, K * n), dtype=int)
+    pos = np.zeros(slots, dtype=int)  # next visit of the current sweep
     step = np.zeros(slots, dtype=int)
-    improved = np.zeros(slots, dtype=bool)
     used = np.zeros(slots, dtype=int)  # evaluations of the slot's restart
     every = np.arange(slots)
+    signed_axes = np.concatenate((np.eye(n), -np.eye(n)))
 
     best_val = 0.0
     best_X = np.zeros((0, n))
@@ -468,109 +497,116 @@ def oracle_lower_bound(
     def start(new: np.ndarray) -> None:
         """Start the next restarts in the slots of the mask new, in slot order."""
         nonlocal restart, evals
-        new = np.flatnonzero(new)
+        new = new.nonzero()[0]
         m = len(new)
         if not m:
             return
         r = restart + np.arange(m)
         size[new] = sizes[r % len(sizes)]
-        k = size[new].max()
-        Y = rng.uniform(-1.0, 1.0, (m, k, n))
+        slot, member = (member_of < size[new][:, None]).nonzero()
         # Odd restarts start sparse on signed axes: good corners for
         # free-lattice spaces.
-        Z = np.zeros((m, k, n))
-        Z[np.arange(m)[:, None], np.arange(k), rng.integers(0, n, (m, k))] = rng.choice(
-            (-1.0, 1.0), (m, k)
-        )
-        Z += 0.01 * rng.standard_normal((m, k, n))
-        odd = r % 2 == 1
-        Y[odd] = Z[odd]
+        sparse = r[slot] % 2 == 1
+        q = np.count_nonzero(sparse)
+        Y = np.empty((len(slot), n))
+        Y[~sparse] = rng.uniform(-1.0, 1.0, (len(slot) - q, n))
+        axis = (rng.random(q) * (2 * n)).astype(int)
+        Y[sparse] = signed_axes[axis] + 0.01 * rng.standard_normal((q, n))
         X[new] = 0.0
-        X[new, :k] = np.where((np.arange(k) < size[new][:, None])[:, :, None], Y, 0.0)
+        X[new[slot], member] = Y
         live[new] = True
         used[new] = 1
+        pos[new] = K * n
+        step[new] = 0
         restart += m
         evals += m
 
-    def new_sweeps(mask: np.ndarray) -> None:
-        ids = np.flatnonzero(mask)
-        if len(ids):
-            k = size[ids].max()
-            order = rng.random((len(ids), k, n)).argsort(axis=2)
-            member = ids[:, None, None] * K + np.arange(k)[:, None]
-            coord[ids, : k * n] = (member * n + order).reshape(len(ids), -1)
-            pos[ids] = 0
-            improved[ids] = False
-
     start(every < budget)
-    new_sweeps(live)
 
     while live.any():
-        # Only the first k members of any slot are in use; the arrays of
-        # this step stop there.
-        k = size.max()
-        members = np.arange(k) < size[:, None]
-        visit = np.arange(k * n)
-        ends = size * n  # visits per sweep
-        cv = coord[:, : k * n]
-        x = X.reshape(-1)[cv]
-        cand = np.empty((slots, k * n, 5))
+        # Only the first k members of any live slot are in use; the arrays
+        # of this step stop there.
+        k = size[live].max()
+        kn = k * n
+        ends = size * n * live  # visits per sweep
+        Xk = X[:, :k].reshape(-1, n)
+        x = Xk.reshape(slots, kn)
+        cand = np.empty((slots, kn, Q))
         cand[:, :, :3] = (0.0, 1.0, -1.0)
-        cand[:, :, 3] = x + steps[step][:, None]
-        cand[:, :, 4] = x - steps[step][:, None]
-        todo = (visit >= pos[:, None]) & (visit < (ends * live)[:, None])
-        todo = todo[:, :, None] & (cand != x[:, :, None])
-        f = np.flatnonzero(todo)  # move f % 5 of visit f // 5 = s * k * n + t
-        c = cv.reshape(-1)[f // 5]
-        row = c // n  # member s * K + i of X
-        Y = X.reshape(-1, n)[row]
-        Y[np.arange(len(c)), c % n] = cand.reshape(-1)[f]
-        P = np.concatenate((X[:, :k].reshape(-1, n), Y))
-        A = np.abs(P @ reps.T)
+        cand[:, :, 3:] = x[:, :, None] + shift
+        # Every distinct move a chain can reach: a coordinate in use, a kind
+        # at the current step or after, and a change of x.  The last row
+        # stands for a coordinate that no visit moves.
+        reach = np.zeros((slots * kn + 1, Q), dtype=bool)
+        reach[:-1] = (
+            (kind_step >= step[:, None, None])
+            & (visit[:kn] < ends[:, None])[:, :, None]
+            & (cand != x[:, :, None])
+        ).reshape(-1, Q)
+        # Each reachable move f, flat in reach, is one row of the call: kind
+        # f % Q of coordinate c % kn of slot c // kn, c = f // Q.
+        f = reach.reshape(-1).nonzero()[0]
+        c = f // Q
+        row = c // n  # member s * k + i of Xk
+        Y = np.take(Xk, row, axis=0)
+        Y[np.arange(len(f)), c % n] = cand.reshape(-1)[f]
+        P = np.concatenate((Xk, Y))
+        A = np.abs(reps @ P.T)  # vertex sums of every row, vertices first
         Fa = np.abs(np.asarray(F.batch(P) if has_batch else [F(p) for p in P], dtype=float))
         calls += 1
         m = slots * k
-        AM = A[:m].reshape(slots, k, -1)
-        FM = np.where(members, Fa[:m].reshape(slots, k), 0.0)
-        cur = boundary_values(FM.sum(axis=1), AM.sum(axis=1))
-        # Summing a move's other members afresh, rather than subtracting
-        # its member from the total, avoids cancellation.
-        others = 1.0 - np.eye(k)
-        row -= row // K * (K - k)  # member s * k + i of AM and FM
-        rest_A = (others @ AM).reshape(-1, len(reps))[row]
-        rest_F = (FM @ others).reshape(-1)[row]
-        V = np.full((slots, k * n * 5), -np.inf)
-        V.reshape(-1)[f] = boundary_values(rest_F + Fa[m:], rest_A + A[m:])
-        better = V > (cur * gain)[:, None]
+        AM = A[:, :m].reshape(-1, slots, k)
+        FM = np.where(member_of[:k] < size[:, None], Fa[:m].reshape(slots, k), 0.0)
+        cur = boundary_values(FM.sum(axis=1), AM.sum(axis=2))
+        rest_A = np.take((AM.reshape(-1, k) @ others[k]).reshape(len(reps), -1), row, axis=1)
+        rest_F = (FM @ others[k]).reshape(-1)[row]
+        V = np.full(reach.size, -np.inf)
+        V[f] = boundary_values(rest_F + Fa[m:], rest_A + A[:, m:])
+
+        # Sweep j of slot s's chain runs at step index sweep[s, j] and visits
+        # coordinate orders[s, j, t] at its visit t; sweep 0 is the rest of
+        # the current sweep.
+        J = S + 1 - step[live].min()
+        sweep = step[:, None] + np.maximum(np.arange(J) - 1, 0)
+        orders = np.empty((slots, J, kn), dtype=int)
+        orders[:, 0] = order[:, :kn]
+        perm = rng.random((slots, J - 1, k, n)).argsort(axis=3, kind="stable")
+        orders[:, 1:] = (perm + n * member_of[:k, None]).reshape(slots, J - 1, kn)
+        seen = (visit[:kn] < ends[:, None, None]) & (sweep < S)[:, :, None]
+        seen[:, 0] &= visit[:kn] >= pos[:, None]
+        kind = np.where(fixed, move, 2 * np.minimum(sweep, S - 1)[:, :, None] + move)
+        coord = np.where(seen, orders + (every * kn)[:, None, None], slots * kn)
+        # Move m of visit t of sweep j of slot s, flat in reach and V.
+        g = (coord[..., None] * Q + kind[:, :, None]).reshape(slots, -1)
+        todo = reach.reshape(-1)[g]
+        better = V[g] > (cur * gain)[:, None]
         first = better.argmax(axis=1)
         has = better[every, first]
-        count = np.cumsum(todo.reshape(slots, -1), axis=1)
-        need = np.where(has, count[every, first], count[:, -1])
+        last = np.where(has, first, g.shape[1] - 1)
+        need = (todo & (np.arange(g.shape[1]) <= last[:, None])).sum(axis=1)
         want = np.minimum(need, 1 + per_restart - used)
-        take = np.minimum(want, np.maximum(budget - evals - np.cumsum(want) + want, 0))
+        take = np.minimum(want, np.maximum(budget - evals - want.cumsum() + want, 0))
         evals += int(take.sum())
         used += take
         keep = has & (take == need)
-        accepted += int(keep.sum())
+        accepted += int(np.count_nonzero(keep))
 
-        val = np.where(keep, V[every, first], cur)
-        kept = every[keep] * (k * n * 5) + first[keep]  # flat move index
-        X.reshape(-1)[cv.reshape(-1)[kept // 5]] = cand.reshape(-1)[kept]
-        pos[keep] = first[keep] // 5 + 1
-        improved |= keep
-        cut = take < need
-        swept = live & ~cut & (~keep | (pos == ends))
-        step += swept & ~improved
-        done = live & (cut | (step == len(steps)) | (used == 1 + per_restart) | (evals >= budget))
-        for j in np.flatnonzero(done):
-            if val[j] > best_val * gain:
-                best_val = float(val[j])
-                best_X = X[j, : size[j]].copy()
+        kept = g[every, first][keep]
+        val = cur.copy()
+        val[keep] = V[kept]
+        X.reshape(slots, -1)[keep, kept // Q % kn] = cand.reshape(-1)[kept]
+        j = first[keep] // (5 * kn)
+        order[keep, :kn] = orders[keep, j]
+        pos[keep] = first[keep] // 5 % kn + 1
+        step[keep] = sweep[keep, j]
+        # A slot that kept nothing ran its chain out, or was cut.
+        done = live & (~keep | (used == 1 + per_restart) | (evals >= budget))
+        for s in done.nonzero()[0]:
+            if val[s] > best_val * gain:
+                best_val = float(val[s])
+                best_X = X[s, : size[s]].copy()
         live &= ~done
-        step[done] = 0  # ready for the slot's next restart
-        fresh = done & (np.cumsum(done) <= budget - evals)
-        start(fresh)
-        new_sweeps(swept & ~done | fresh)
+        start(done & (done.cumsum() <= budget - evals))
 
     # Rescale the winner onto the boundary and drop zero members.
     if best_X.shape[0]:
@@ -591,6 +627,7 @@ def oracle_lower_bound(
             "restarts": restart,
             "budget": budget,
             "accepted_moves": accepted,
+            "slots": slots,
             "stacked_calls": calls,
         },
     )

@@ -172,6 +172,18 @@ def test_oracle_certificate_replays(tmp_path, capsys):
 # oracle
 
 
+@pytest.mark.parametrize("text", ["1e-320*d(a)", "1e-320*(d(a) v d(b))"])
+def test_oracle_at_subnormal_scale(capsys, text):
+    """F's values are subnormal here, and a purely relative homogeneity
+    check rejected the evaluator with exit 2."""
+    code, rep, _ = run_cli(capsys, ["oracle", "--expr", text, "--budget", "4000",
+                                    "--json-only"])
+    assert code == 0
+    _, norm, _ = run_cli(capsys, ["norm", "--expr", text, "--json-only"])
+    exact = norm["payload"]["upper"]
+    assert 0 < rep["payload"]["lower"] <= exact * (1 + 1e-3)
+
+
 def test_oracle_single_generator(capsys):
     code, rep, _ = run_cli(
         capsys, ["oracle", "--expr", "d(a)", "--budget", "2000", "--json-only"]

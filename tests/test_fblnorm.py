@@ -398,7 +398,7 @@ def test_oracle_is_deterministic_given_seed():
     assert b1.certificate == b2.certificate
     assert b1.diagnostics == b2.diagnostics
     assert set(b1.diagnostics) == {
-        "evaluations", "restarts", "budget", "accepted_moves", "stacked_calls"
+        "evaluations", "restarts", "budget", "accepted_moves", "slots", "stacked_calls"
     }
     assert b1.diagnostics["accepted_moves"] > 0
     assert 1 <= b1.diagnostics["stacked_calls"] <= b1.diagnostics["evaluations"]
@@ -507,6 +507,19 @@ def test_oracle_ends_when_the_budget_runs_out_among_finished_slots():
     got = oracle_lower_bound(F, fbl_space(("a",)), budget=20_000, seed=49250769)
     assert got.diagnostics["evaluations"] == 20_000
     assert got.lower == pytest.approx(4.892, rel=1e-12)
+
+
+@pytest.mark.parametrize("text", ["-0.3*d(a)", "|d(a)|"])
+def test_oracle_finishes_every_restart_in_one_step_when_no_move_gains(text):
+    """On one generator |F(x)| is c|x| here, so every configuration has the
+    same value and no move is kept: each stacked step runs every live
+    slot's whole chain of sweeps, and one sweep per step took 60 calls for
+    264 restarts in 44 slots."""
+    F = expr_evaluator(parse_expr(text), ("a",))
+    d = oracle_lower_bound(F, fbl_space(("a",)), budget=20_000, seed=0).diagnostics
+    assert d["accepted_moves"] == 0
+    assert d["evaluations"] == 20_000
+    assert d["stacked_calls"] <= math.ceil(d["restarts"] / d["slots"])
 
 
 @pytest.mark.parametrize("budget", [1, 7, 200, 20_000])

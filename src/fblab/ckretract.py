@@ -403,7 +403,7 @@ def sample_K(K: KSpec, rng, size: int) -> list:
 
 
 def verify_section(b: SectionBundle, tol: float = 1e-12) -> dict:
-    """Decide Sh(1, k) = h(k) on all of K, within tol * max(1, sup|h|).
+    """Decide Sh(1, k) = h(k) on all of K, within tol * sup|h|.
 
     On s = 1 the sector of Sh's fan can change only where a fan hyperplane
     a*s + c*t crosses, at k = -a/c, and h bends only at its breakpoints.
@@ -421,7 +421,7 @@ def verify_section(b: SectionBundle, tol: float = 1e-12) -> dict:
     cells = [[[as_fraction(v) for v in r] for r in cell] for cell in fan.cells]
     pieces = [[as_fraction(v) for v in p.vector(GENERATORS)] for p in b.Sh.pieces]
     bends = [-a / c for a, c in rows if c != 0] + [p for p, _ in b.h.breakpoints]
-    limit = tol * max(1.0, float(b.h_sup))
+    limit = tol * float(b.h_sup)
     worst = 0.0
     checked = 0
     failures = []
@@ -450,8 +450,8 @@ def verify_section(b: SectionBundle, tol: float = 1e-12) -> dict:
 
 
 def verify_norm_bound(b: SectionBundle, exact: bool = False) -> dict:
-    """exact_fbl_norm(Sh) <= sup|h| + 1e-9 * max(1, sup|h|), over the
-    two-generator space.
+    """exact_fbl_norm(Sh) <= sup|h| * (1 + 1e-9), over the two-generator
+    space.
 
     The norm is computed over the generators ("one", "id") only; reports
     carry a flag saying so.  Also reports the sup of the slice function for
@@ -463,7 +463,7 @@ def verify_norm_bound(b: SectionBundle, exact: bool = False) -> dict:
     h_sup = float(b.h_sup)
     slice_sup = float(max(abs(v) for _, v in b.table))
     return {
-        "pass": float(bracket.upper) <= h_sup + 1e-9 * max(1.0, h_sup),
+        "pass": float(bracket.upper) <= h_sup + 1e-9 * h_sup,
         "norm_upper": float(bracket.upper),
         "norm_lower": float(bracket.lower),
         "h_sup": h_sup,

@@ -94,7 +94,7 @@ def _cmd_norm(args) -> int:
         {"expr": to_text(e)},
     )
     upper = float(bracket.upper)
-    ok = float(bracket.lower) <= upper + 1e-9 * max(1.0, abs(upper))
+    ok = float(bracket.lower) <= upper + 1e-9 * abs(upper)
     payload = {
         "expr": to_text(e),
         "generators": list(gens),

@@ -1,13 +1,19 @@
-"""Small dual-arithmetic helpers shared by the geometry and norm modules.
+"""Candidate rays and ranks of hyperplane normals, in floats or exactly.
 
-Functions here accept floats or Fractions and stay exact when given exact
-inputs.  Converting a float to Fraction is exact (binary expansion), so the
-rational mode reproduces whatever doubles the expression layer produced.
+A null direction of n-1 rows in R^n is found one way only: as the vector
+of the rows' signed maximal minors (candidate_rays).  Floats take the
+minors in numpy blocks, with relative rank and residual tests.  Exact mode
+reads every entry, float or Fraction, as an exact integer ratio, clears
+each row's denominators and takes the minors as Python ints by one
+fraction-free elimination (_eliminate), with no tolerance at any n.  The
+same elimination gives exact ranks and independent rows
+(independent_rows) in both arithmetics.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -15,9 +21,7 @@ import numpy as np
 __all__ = [
     "NULL_RTOL",
     "as_fraction",
-    "pivot_columns",
-    "negligible",
-    "null_direction",
+    "independent_rows",
     "canonical_ray",
     "ray_key",
     "candidate_rays",
@@ -39,88 +43,80 @@ def as_fraction(v) -> Fraction:
     return v if isinstance(v, Fraction) else Fraction(v)
 
 
-def _row_reduce(rows, n, exact: bool):
-    """Reduced row echelon form and its pivot columns.
-
-    Gaussian elimination with partial pivoting; exact mode uses Fractions and
-    a zero pivot tolerance.  The pivot columns index a basis of the column
-    space, so their count is the rank.
+def _int_rows(rows) -> list:
+    """Each row times the positive rational that makes it a primitive
+    integer vector; floats and Fractions are read exactly (as_integer_ratio).
     """
-    if exact:
-        mat = [[as_fraction(v) for v in row] for row in rows]
-        tol = Fraction(0)
-    else:
-        mat = [[float(v) for v in row] for row in rows]
-        tol = 1e-11
+    out = []
+    for row in rows:
+        ratios = [v.as_integer_ratio() for v in row]
+        den = math.lcm(*(q for _, q in ratios))
+        ints = [p * (den // q) for p, q in ratios]
+        g = math.gcd(*ints) or 1
+        out.append([v // g for v in ints])
+    return out
+
+
+def _eliminate(mat, n):
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of integer rows.
+
+    The list mat is permuted and its rows replaced, never changed in place.
+    Each step's division by the previous pivot is exact, so every entry
+    stays an integer minor of the input; on return every pivot row holds the
+    same pivot D, +/- the determinant of the pivot rows on the pivot
+    columns, in its pivot column and 0 in the other pivot columns.  Returns
+    the pivot columns and the input indices of the pivot rows; their count
+    is the rank.
+    """
     m = len(mat)
-    pivot_cols = []
-    r = 0
+    order = list(range(m))
+    pivots = []
+    prev = 1
     for col in range(n):
+        r = len(pivots)
         if r == m:
             break
-        best = None
-        best_abs = tol
-        for i in range(r, m):
-            a = abs(mat[i][col])
-            if a > best_abs:
-                best_abs = a
-                best = i
-        if best is None:
+        i = next((i for i in range(r, m) if mat[i][col]), None)
+        if i is None:
             continue
-        mat[r], mat[best] = mat[best], mat[r]
-        piv = mat[r][col]
-        mat[r] = [v / piv for v in mat[r]]
-        for i in range(m):
-            if i != r and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivot_cols.append(col)
-        r += 1
-    return mat, pivot_cols
+        mat[r], mat[i] = mat[i], mat[r]
+        order[r], order[i] = order[i], order[r]
+        top = mat[r]
+        p = top[col]
+        for k in range(m):
+            if k != r:
+                a = mat[k][col]
+                mat[k] = [(p * x - a * y) // prev for x, y in zip(mat[k], top)]
+        prev = p
+        pivots.append(col)
+    return pivots, order[: len(pivots)]
 
 
-def pivot_columns(rows, n, exact: bool):
-    """Indices of n-coordinate columns that span the column space of rows."""
-    return _row_reduce(rows, n, exact)[1]
+def independent_rows(rows, n) -> list:
+    """Indices, ascending, of a maximal linearly independent set of the
+    length-n rows, decided exactly in integers for floats and Fractions
+    alike; their count is the rank."""
+    return sorted(_eliminate(_int_rows(rows), n)[1])
 
 
-def negligible(value, scale, exact: bool) -> bool:
-    """Whether value counts as zero next to scale (a product of sup norms).
+def _int_null_direction(rows, n):
+    """The signed maximal minors of n-1 integer rows, as a null direction
+    whose last nonzero entry is positive, or None when all minors are 0.
 
-    Exact mode tests == 0; float mode allows a relative NULL_RTOL.
+    After _eliminate, with pivot D and free column f, row i reads D in its
+    pivot column c_i and the minor with column c_i replaced by f in column
+    f (Cramer), so d_f = D and d_{c_i} = -(row i)_f.  Entries after f are 0.
     """
-    if exact:
-        return value == 0
-    return abs(value) <= NULL_RTOL * scale
-
-
-def null_direction(rows, n, exact: bool):
-    """One-dimensional null space of a stack of row vectors, or None.
-
-    rows: sequence of length-n sequences.  Returns a direction vector when
-    the null space has dimension exactly one, else None.  Float results are
-    checked against the original rows, since a nearly singular stack can
-    slip past the pivot tolerance and emit a direction that annihilates
-    nothing.
-    """
-    mat, pivot_cols = _row_reduce(rows, n, exact)
-    if n - len(pivot_cols) != 1:
+    mat = list(rows)
+    pivots, _ = _eliminate(mat, n)
+    if len(pivots) < n - 1:
         return None
-    free = next(c for c in range(n) if c not in pivot_cols)
-    zero = Fraction(0) if exact else 0.0
-    one = Fraction(1) if exact else 1.0
-    d = [zero] * n
-    d[free] = one
-    for i, col in enumerate(pivot_cols):
-        d[col] = -mat[i][free]
-    if not exact:
-        d_sup = max(abs(v) for v in d)
-        for row in rows:
-            row = [float(v) for v in row]
-            row_sup = max((abs(v) for v in row), default=0.0)
-            if not negligible(sum(a * b for a, b in zip(row, d)), row_sup * d_sup, False):
-                return None
-    return d
+    free = next(c for c in range(n) if c not in pivots)
+    d = [0] * n
+    d[free] = mat[0][pivots[0]]
+    for row, c in zip(mat, pivots):
+        d[c] = -row[free]
+    return d if d[free] > 0 else [-v for v in d]
 
 
 def canonical_ray(d, exact: bool):
@@ -184,49 +180,48 @@ def _float_ray_block(rows, subsets):
 def candidate_rays(vectors, n, exact: bool):
     """All +/- null directions of (n-1)-subsets of the row vectors.
 
-    Each direction is scaled to sup norm 1 (canonical_ray) and listed once
-    by ray_key, in subset order, d before -d.  With n == 1 the two rays are
-    +1 and -1.
+    Each direction is scaled to sup norm 1 (canonical_ray) and listed once,
+    in subset order, d before -d.  With n == 1 the two rays are +1 and -1.
 
-    Exact mode row-reduces each subset in Fractions (null_direction).
-    Float mode takes, for a subset M of n-1 rows, the vector of its signed
-    maximal minors d_j = (-1)^j det(M without column j), the generalized
-    cross product, which is orthogonal to every row of M: for n == 2 that
-    is (b, -a), for n >= 3 one np.linalg.det call over the stacked minors
-    of a block of _RAY_BLOCK subsets.  A subset is rank-deficient when
-    sup|d| is at most _RANK_RTOL times the product of its rows' sup norms,
-    and, as in null_direction, d must also satisfy |<row, d>| <= NULL_RTOL
-    * sup|row| * sup|d| for each row.  d is oriented so that its last entry
-    above _ORIENT_RTOL * sup|d| is positive, the sign row reduction gives
-    its free column.  Blocks bound the memory on long hyperplane lists;
-    each subset is computed apart, so a ray does not depend on its block.
+    For a subset M of n-1 rows, d is the vector of its signed maximal
+    minors d_j = (-1)^j det(M without column j), the generalized cross
+    product, up to a common factor, oriented so that its last nonzero entry
+    is positive.  Exact mode takes the minors in Python ints
+    (_int_null_direction): a subset is rank-deficient when all are 0, and
+    rays are deduplicated by their gcd-reduced integer vectors.  Float mode
+    takes (b, -a) for n == 2, else one np.linalg.det call over the stacked
+    minors of a block of _RAY_BLOCK subsets, and dedups by ray_key.  There
+    a subset is rank-deficient when sup|d| is at most _RANK_RTOL times the
+    product of its rows' sup norms, each row must satisfy |<row, d>| <=
+    NULL_RTOL * sup|row| * sup|d|, and "nonzero" means above _ORIENT_RTOL *
+    sup|d|.  Blocks bound the memory on long hyperplane lists; each subset
+    is computed apart, so a ray does not depend on its block.
     """
-    seen = set()
-    rays = []
-
-    def add(key, canon):
-        if key not in seen:
-            seen.add(key)
-            rays.append(tuple(canon))
-
     if n == 1:
         one = Fraction(1) if exact else 1.0
-        for canon in ((one,), (-one,)):
-            add(ray_key(canon, exact), canon)
-        return rays
+        return [(one,), (-one,)]
     subsets = itertools.combinations(range(len(vectors)), n - 1)
+    seen = set()
+    rays = []
     if exact:
+        ints = _int_rows(vectors)
         for subset in subsets:
-            d = null_direction([vectors[i] for i in subset], n, exact)
+            d = _int_null_direction([ints[i] for i in subset], n)
             if d is None:
                 continue
-            for canon in (canonical_ray(d, exact), canonical_ray([-v for v in d], exact)):
-                add(ray_key(canon, exact), canon)
+            g = math.gcd(*d)
+            lead = max(map(abs, d)) // g
+            for key in (tuple(v // g for v in d), tuple(-v // g for v in d)):
+                if key not in seen:
+                    seen.add(key)
+                    rays.append(tuple(Fraction(v, lead) for v in key))
         return rays
     rows = np.array(vectors, dtype=float)
     while block := list(itertools.islice(subsets, _RAY_BLOCK)):
         d = _float_ray_block(rows, np.array(block))
         d = np.concatenate((d, -d), axis=1).reshape(-1, n)
         for key, canon in zip(_float_ray_keys(d), d.tolist()):
-            add(key, canon)
+            if key not in seen:
+                seen.add(key)
+                rays.append(tuple(canon))
     return rays

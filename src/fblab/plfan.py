@@ -49,14 +49,7 @@ from functools import cached_property
 import numpy as np
 
 from .expr import LinearFunctional, MaxMinEvaluator, MaxMinForm, SpaceError
-from .numeric import (
-    as_fraction,
-    candidate_rays,
-    canonical_ray,
-    null_direction,
-    pivot_columns,
-    ray_key,
-)
+from .numeric import as_fraction, candidate_rays, canonical_ray, independent_rows, ray_key
 
 __all__ = [
     "Fan",
@@ -81,9 +74,11 @@ __all__ = [
     "plfunction_from_json",
 ]
 
-# Faces plus null-direction solves sup_norm_on_cube may spend on one block
-# before it raises FanSizeError, so that a block too large for vertex
-# enumeration fails within seconds instead of running for minutes.
+# Faces plus solves sup_norm_on_cube may spend on one block before it
+# raises FanSizeError, so that a block too large for vertex enumeration
+# fails within seconds instead of running for minutes.  A solve is one
+# (n-1)-subset of a full-rank face's rows, or one face of lower rank
+# (_fan_rays).
 SUP_WORK_CAP = 1_000_000
 
 
@@ -402,12 +397,13 @@ def _cube_vertex_rays(rows, n, exact):
     interior, |c| < sum over F of |h_i|; the others cannot vanish there.
     Parallel rows are merged first, so the work per face follows the rows
     the face sees, and a face crossed by no row is a cube vertex.  A vertex
-    needs n independent active constraints, so k >= n - rank(rows).  Raises
+    needs n independent active constraints, so k >= n - rank(rows), with
+    the rank exact in both arithmetics (numeric.independent_rows).  Raises
     FanSizeError once the faces and solves of k >= 2 pass SUP_WORK_CAP.
     """
     rays, _ = _fan_rays(rows, n, exact)
     seen = {ray_key(d, exact) for d in rays}
-    rank = len(pivot_columns(rows, n, exact)) if rows else 0
+    rank = len(independent_rows(rows, n))
     budget = SUP_WORK_CAP
     for k in range(max(2, n - rank), n + 1):
         for face in itertools.combinations(range(n), k):
@@ -445,17 +441,20 @@ def _cube_vertex_rays(rows, n, exact):
 def _fan_rays(rows, n, exact):
     """numeric.candidate_rays of rows, and the number of solves it took.
 
+    The rank is exact in both arithmetics (numeric.independent_rows).
     Below rank n - 1 no n-1 rows have a one-dimensional null space, and at
     rank n - 1 every n-1 rows that have one share the null space of all
-    rows, so the (n-1)-subsets are only enumerated at full rank.
+    rows, so the (n-1)-subsets are only enumerated at full rank; at rank
+    n - 1 the rays are those of n-1 independent rows, one solve.
     """
-    rank = len(pivot_columns(rows, n, exact)) if rows else 0
-    if rank == n:
-        return candidate_rays(rows, n, exact), math.comb(len(rows), n - 1)
-    d = null_direction(rows, n, exact) if rank == n - 1 else None
-    if d is None:
+    if len(rows) < n - 1:
         return [], 1
-    return [tuple(canonical_ray(d, exact)), tuple(canonical_ray([-v for v in d], exact))], 1
+    independent = independent_rows(rows, n)
+    if len(independent) == n:
+        return candidate_rays(rows, n, exact), math.comb(len(rows), n - 1)
+    if len(independent) < n - 1:
+        return [], 1
+    return candidate_rays([rows[i] for i in independent], n, exact), 1
 
 
 def pl_value(f: PLFunction, point, exact: bool = False):

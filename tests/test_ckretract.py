@@ -389,6 +389,20 @@ def test_norm_bound_random_targets():
         assert rep["norm_upper"] <= float(sup_norm(h)) + 1e-9
 
 
+@pytest.mark.parametrize("scale", [Fraction(1), Fraction(1, 2**45)])
+def test_section_and_norm_verdicts_are_scale_free(scale):
+    """Pieces scaled by 1.5 miss h by half its size and break the norm bound
+    by half of sup|h|, at any scale; the untampered section passes both."""
+    K = interval01()
+    b = build_section(K, H(K, (0, 0), (Fraction(1, 3), 2 * scale), (1, -scale)))
+    tampered = dataclasses.replace(
+        b, Sh=PLFunction(b.Sh.fan, tuple(p.scaled(1.5) for p in b.Sh.pieces))
+    )
+    assert verify_section(b)["pass"] and verify_norm_bound(b)["pass"]
+    assert not verify_section(tampered)["pass"]
+    assert not verify_norm_bound(tampered)["pass"]
+
+
 def test_slice_sup_is_exact_at_an_off_grid_breakpoint():
     K = interval01()
     b = build_section(K, H(K, (0, 0), (Fraction(1, 32), 3), (1, -1)))

@@ -1,5 +1,6 @@
 """Command-line front end: run reports, determinism, exit codes."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -112,6 +113,20 @@ def test_norm_bracket_check_is_relative_at_large_magnitude(capsys, expr, upper):
     assert p["lower"] > p["upper"] + 1e-9
     assert code == 0
     assert p["upper"] == pytest.approx(upper, rel=1e-12)
+
+
+def test_norm_bracket_check_is_relative_at_small_magnitude(capsys, monkeypatch):
+    # a lower bound a relative 1e-6 above upper fails, however small upper is
+    real = fblnorm.exact_fbl_norm
+
+    def inflated(*args, **kwargs):
+        br = real(*args, **kwargs)
+        return dataclasses.replace(br, lower=br.upper * (1 + 1e-6))
+
+    monkeypatch.setattr(fblnorm, "exact_fbl_norm", inflated)
+    code, rep, _ = run_cli(capsys, ["norm", "--expr", "1e-12*d(a)", "--json-only"])
+    assert rep["payload"]["upper"] == pytest.approx(1e-12, rel=1e-12)
+    assert code == 1
 
 
 # ---------------------------------------------------------------------------

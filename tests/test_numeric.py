@@ -1,12 +1,19 @@
-"""Candidate rays: the float minors route against the exact row reduction."""
+"""Candidate rays and ranks.
 
+The float minors route is checked against the exact integer minors, and
+the exact rays against a referee that shares no code with numeric: exact
+Fraction dot products over every (n-1)-subset that np.linalg.matrix_rank
+finds of rank n-1.
+"""
+
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from fblab import numeric
-from fblab.numeric import candidate_rays, ray_key
+from fblab.numeric import candidate_rays, independent_rows, ray_key
 
 
 def exact_as_float(rows, n):
@@ -14,8 +21,8 @@ def exact_as_float(rows, n):
 
 
 def assert_same_rays(float_rays, exact_rays):
-    """Same rays in the same order (so d oriented as row reduction orients
-    it), each entry within 1e-12."""
+    """Same rays in the same order (so d oriented as the exact route
+    orients it), each entry within 1e-12."""
     assert len(float_rays) == len(exact_rays)
     for d, e in zip(float_rays, exact_rays):
         assert np.max(np.abs(np.subtract(d, e))) <= 1e-12, (d, e)
@@ -40,6 +47,10 @@ def test_duplicate_parallel_and_rank_deficient_rows_add_nothing():
     assert candidate_rays(extra, 3, False) == base
     # a stack of rank 1 has no one-dimensional null space in R^3
     assert candidate_rays([[1, 1, 1], [2, 2, 2], [-1, -1, -1]], 3, False) == []
+    # ranks are exact in floats too: 1e-12 is no pivot tolerance
+    assert independent_rows([[1, 0, 0], [1, 1e-12, 0]], 3) == [0, 1]
+    assert independent_rows([[1, 0, 0], [1, Fraction(1e-12), 0]], 3) == [0, 1]
+    assert independent_rows([[1, 1, 1], [2, 2, 2], [-1, -1, -1]], 3) == [0]
     # the zero row is rank-deficient with any partner
     assert candidate_rays([[0, 0, 0], [1, 0, 0]], 3, False) == []
     assert candidate_rays([[0, 0]], 2, False) == []
@@ -76,3 +87,27 @@ def test_rays_do_not_depend_on_the_block(monkeypatch, block):
     assert [tuple(map(float.hex, d)) for d in blocked] == \
         [tuple(map(float.hex, d)) for d in default]
 
+
+def annihilates(rows, d):
+    return all(sum(Fraction(a) * b for a, b in zip(row, d)) == 0 for row in rows)
+
+
+@pytest.mark.parametrize("n,h,count", [(2, 5, 8), (3, 6, 8), (4, 7, 6), (5, 7, 4), (6, 8, 1)])
+def test_exact_rays_against_an_independent_referee(n, h, count):
+    rng = np.random.default_rng(100 + n)
+    for _ in range(count):
+        rows = rng.integers(-3, 4, (h, n)).tolist()
+        rows[-1] = [2 * v for v in rows[0]]  # a parallel row
+        rays = candidate_rays(rows, n, True)
+        assert len(set(rays)) == len(rays)
+        full = [sub for sub in itertools.combinations(rows, n - 1)
+                if np.linalg.matrix_rank(np.array(sub, dtype=float)) == n - 1]
+        for sub in full:
+            # exactly the subset's +/- ray
+            assert len([d for d in rays if annihilates(sub, d)]) == 2
+        for d, neg in zip(rays[::2], rays[1::2]):
+            assert neg == tuple(-v for v in d)
+            assert next(v for v in reversed(d) if v != 0) > 0
+        for d in rays:
+            assert max(abs(v) for v in d) == 1
+            assert any(annihilates(sub, d) for sub in full)

@@ -518,8 +518,12 @@ def join_of_meets(rng, gens, groups=2, size=2):
 def test_ray_sup_norm_matches_per_cell_lp(n, count):
     rng = np.random.default_rng(41 + n)
     gens = "abc"[:n]
-    for _ in range(count):
-        m = to_maxmin(join_of_meets(rng, gens))
+    exprs = [join_of_meets(rng, gens) for _ in range(count)]
+    if n == 3:
+        # breaks a - b, a - 2c and b - 2c: three rows of rank 2
+        exprs.append(parse_expr("((d(a) v d(b)) ^ (d(b) v 2*d(c))) - 0.75*d(c)"))
+    for e in exprs:
+        m = to_maxmin(e)
         hyps = break_normals(m, gens, exact=True)
         cells = exact_cells(gens, hyps)
         assert len(cells) > 2

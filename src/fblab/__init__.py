@@ -29,9 +29,6 @@ from .expr import (
     Sum,
     absval,
     evaluate,
-    expr_dumps,
-    expr_loads,
-    neg,
     parse_expr,
     support,
     to_maxmin,

@@ -31,7 +31,7 @@ over groups of mins of linear functionals, via bottom-up distribution:
 
 from __future__ import annotations
 
-import json
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
@@ -51,17 +51,12 @@ __all__ = [
     "ExprSyntaxError",
     "MaxMinSizeError",
     "SpaceError",
-    "neg",
     "absval",
     "support",
     "evaluate",
     "to_maxmin",
     "parse_expr",
     "to_text",
-    "expr_to_json",
-    "expr_from_json",
-    "expr_dumps",
-    "expr_loads",
     "valid_generator_name",
 ]
 
@@ -132,10 +127,6 @@ class Meet:
 LatticeExpr = Union[Gen, Scale, Sum, Join, Meet]
 
 
-def neg(e: LatticeExpr) -> LatticeExpr:
-    return Scale(-1.0, e)
-
-
 def absval(e: LatticeExpr) -> LatticeExpr:
     """|e| as a derived node: e v (-1*e)."""
     return Join(e, Scale(-1.0, e))
@@ -197,15 +188,6 @@ class LinearFunctional:
     def from_map(coeffs: Mapping[str, float]) -> "LinearFunctional":
         pruned = tuple(sorted((g, c) for g, c in coeffs.items() if c != 0))
         return LinearFunctional(pruned)
-
-    def coeff(self, name: str):
-        for g, c in self.items:
-            if g == name:
-                return c
-        return 0
-
-    def as_dict(self) -> dict:
-        return dict(self.items)
 
     def vector(self, generators) -> tuple:
         d = dict(self.items)
@@ -370,24 +352,10 @@ def to_maxmin(e: LatticeExpr, cap: int = 10_000) -> MaxMinForm:
                 for g in child.groups:
                     total *= len(g)
                     _check_cap(total * len(child.groups), cap)
-                groups = []
-                idx = [0] * len(child.groups)
-                while True:
-                    groups.append(
-                        _dedup_group(
-                            child.groups[i][idx[i]].scaled(c)
-                            for i in range(len(child.groups))
-                        )
-                    )
-                    j = len(idx) - 1
-                    while j >= 0:
-                        idx[j] += 1
-                        if idx[j] < len(child.groups[j]):
-                            break
-                        idx[j] = 0
-                        j -= 1
-                    if j < 0:
-                        break
+                groups = (
+                    _dedup_group(f.scaled(c) for f in choice)
+                    for choice in itertools.product(*child.groups)
+                )
                 m = MaxMinForm(_dedup_groups(groups))
         elif isinstance(t, Sum):
             a, b = rec(t.left), rec(t.right)
@@ -655,42 +623,3 @@ def _fmt(e: LatticeExpr, ctx: int, lattice_kind) -> str:
         if mine != lattice_kind:
             return f"({s})"
     return s
-
-
-# ---------------------------------------------------------------------------
-# JSON encoding: kind tag plus children, scalars as IEEE doubles
-
-
-def expr_to_json(e: LatticeExpr) -> dict:
-    if isinstance(e, Gen):
-        return {"kind": "gen", "name": e.name}
-    if isinstance(e, Scale):
-        return {"kind": "scale", "factor": e.factor, "child": expr_to_json(e.child)}
-    for klass, tag in ((Sum, "sum"), (Join, "join"), (Meet, "meet")):
-        if isinstance(e, klass):
-            return {
-                "kind": tag,
-                "left": expr_to_json(e.left),
-                "right": expr_to_json(e.right),
-            }
-    raise ExprError(f"not a lattice expression: {e!r}")
-
-
-def expr_from_json(obj: Mapping) -> LatticeExpr:
-    kind = obj.get("kind")
-    if kind == "gen":
-        return Gen(obj["name"])
-    if kind == "scale":
-        return Scale(float(obj["factor"]), expr_from_json(obj["child"]))
-    if kind in ("sum", "join", "meet"):
-        klass = {"sum": Sum, "join": Join, "meet": Meet}[kind]
-        return klass(expr_from_json(obj["left"]), expr_from_json(obj["right"]))
-    raise ExprError(f"unknown expression node kind {kind!r}")
-
-
-def expr_dumps(e: LatticeExpr) -> str:
-    return json.dumps(expr_to_json(e))
-
-
-def expr_loads(text: str) -> LatticeExpr:
-    return expr_from_json(json.loads(text))

@@ -306,7 +306,7 @@ def pl_parts(f, generators, exact: bool = False):
         breaks, zero_sets = f.fan.hyperplanes, f.pieces
 
         def value(x):
-            return pl_value(f, x, exact)
+            return pl_value(f, x)
     else:
         f.check_generators(generators)
         m = _exact_form(f) if exact else f
@@ -457,7 +457,7 @@ def _fan_rays(rows, n, exact):
     return candidate_rays([rows[i] for i in independent], n, exact), 1
 
 
-def pl_value(f: PLFunction, point, exact: bool = False):
+def pl_value(f: PLFunction, point):
     """f at one point: the piece of the sector that holds it (_sector)."""
     return f.pieces[_sector(f.fan, point)].evaluate(dict(zip(f.fan.generators, point)))
 

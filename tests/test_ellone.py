@@ -107,6 +107,20 @@ def test_disjoint_lower_bounds():
     assert rep["pass"]
 
 
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+def test_lower_bound_slack_is_relative(scale):
+    # a zero family certifies nothing at any lambda scale; the disjoint
+    # family certifies sum |lambda| at every scale
+    inp = build_disjoint_instance(6)
+    res = extract(inp, schedule(0.1), length=3)
+    lam = [scale, -scale, scale]
+    zeros = [lambda y: 0.0] * len(inp.fs)
+    assert not verify_lower_bound(res, zeros, lam)["pass"]
+    rep = verify_lower_bound(res, inp.fs, lam)
+    assert rep["certified_value"] == 3 * scale
+    assert rep["pass"]
+
+
 def test_disjoint_random_lambdas():
     inp = build_disjoint_instance(8)
     res = extract(inp, schedule(0.05), length=4)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fblab import homs
 from fblab.expr import Gen, Join, Scale, Sum, absval, parse_expr, to_maxmin
 from fblab.fblnorm import exact_fbl_norm, fbl_space
 from fblab.homs import (
@@ -147,6 +148,27 @@ def test_laws_on_random_pairs():
     rep = check_hom_laws(hom, pairs)
     assert rep["pass"], rep["failures"]
     assert rep["pairs"] == 100
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1e-3, 1.0, 1e3, 1e9])
+def test_laws_are_relative_to_magnitude(scale, monkeypatch):
+    # every nonnegative-weight family is a homomorphism, so only rounding
+    # separates the two sides, at any magnitude
+    hom = EvalHom(("a", "b"), ((0.1, (1.0, 0.3)), (0.7, (-0.2, 1.0))))
+    pair = (Scale(scale, parse_expr("1e9*d(a) + 3.3*d(b)")),
+            Scale(scale, parse_expr("0.1*d(a) v 7e8*d(b)")))
+    rep = check_hom_laws(hom, [pair])
+    assert rep["pass"], rep
+
+    exact_apply = homs.apply_hom
+
+    def perturbed(h, e):
+        out = exact_apply(h, e)
+        return (out[0] * (1 + 1e-8),) + out[1:] if isinstance(e, Sum) else out
+
+    monkeypatch.setattr(homs, "apply_hom", perturbed)
+    rep = check_hom_laws(hom, [pair])
+    assert rep["failures"] == {"join": [], "sum": [0], "scale": []}
 
 
 def test_meet_commutes_too():

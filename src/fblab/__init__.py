@@ -64,7 +64,6 @@ from .fblnorm import (
     exact_fbl_norm,
     expr_evaluator,
     fbl_space,
-    fbl_vs_polyhedral_check,
     linf_vertex_space,
     load_certificate,
     make_certificate,
@@ -92,7 +91,6 @@ from .ckretract import (
     SectionBundle,
     TargetFunction,
     build_section,
-    finite_coordinate_approximant,
     interval01,
     target_from_pairs,
     target_join,

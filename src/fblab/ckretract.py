@@ -28,9 +28,8 @@ All breakpoint arithmetic is rational; float pieces are emitted unless
 exact=True.  Verification helpers decide the section identity T(Sh) = h on
 all of K (exactly, on the segments between kinks of Sh(1, .) and h, within
 a tolerance relative to sup|h|), check the norm bound ||Sh|| <= sup|h| (over
-the two-generator space; reports flag the restriction), decide the
-lattice-homomorphism laws of S in Fractions, and build the finite-coordinate
-approximants f_n(x) = f_plus(v(x)) that are constant along rays.
+the two-generator space; reports flag the restriction) and decide the
+lattice-homomorphism laws of S in Fractions.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -59,12 +58,10 @@ __all__ = [
     "target_join",
     "target_lincomb",
     "sup_norm",
-    "sample_K",
     "build_section",
     "verify_section",
     "verify_norm_bound",
     "verify_hom_laws",
-    "finite_coordinate_approximant",
 ]
 
 GENERATORS = ("one", "id")
@@ -305,12 +302,6 @@ class SectionBundle:
         w = self.v_eval(x)[1]
         return float(_u_of_c(self.K, min(max(w, 0.0), 1.0)))
 
-    def f_slice(self, w) -> float:
-        """The slice function at id-coordinate w in [-1, 1]."""
-        w = as_fraction(w)
-        a, b = _segment(self.table, w)
-        return float(a + b * w)
-
 
 def build_section(K: KSpec, h: TargetFunction, exact: bool = False) -> SectionBundle:
     """Assemble Sh symbolically as a PLFunction over ("one", "id").
@@ -362,25 +353,6 @@ def build_section(K: KSpec, h: TargetFunction, exact: bool = False) -> SectionBu
 
 # ---------------------------------------------------------------------------
 # verification
-
-
-def sample_K(K: KSpec, rng, size: int) -> list:
-    """size points of K: length-weighted over intervals, endpoints for points."""
-    lengths = [float(b - a) for a, b in K.intervals]
-    total = sum(lengths)
-    out = []
-    for _ in range(size):
-        if total == 0.0:
-            a, b = K.intervals[rng.integers(0, len(K.intervals))]
-            out.append(float(a))
-        else:
-            u = rng.uniform(0.0, total)
-            for (a, b), ln in zip(K.intervals, lengths):
-                if u <= ln or (a, b) == K.intervals[-1]:
-                    out.append(float(a) + min(u, ln))
-                    break
-                u -= ln
-    return out
 
 
 def verify_section(b: SectionBundle) -> dict:
@@ -497,56 +469,3 @@ def verify_hom_laws(K: KSpec, pairs: Sequence, samples: int = 10_000) -> dict:
             }
         )
     return {"pass": all(r["pass"] for r in results), "pairs": results}
-
-
-# ---------------------------------------------------------------------------
-# finite-coordinate approximants
-
-
-def finite_coordinate_approximant(
-    f_slice: Callable, coords, grid: int
-) -> dict:
-    """Grid interpolant of the slice function, pulled back along v.
-
-    coords is the generator subset the approximant may depend on; only
-    "id" matters on the slice (the "one" coordinate is pinned to 1 there),
-    so without it the approximant is the constant f_slice(0).  The pullback
-    f_n(s,t) = f_plus(clip(t/s, -1, 1)) is constant along rays.  Returns
-    the interpolant, the pullback, and the sampled sup deviation.
-    """
-    coords = tuple(coords)
-    for c in coords:
-        if c not in GENERATORS:
-            raise CKError(f"unknown coordinate {c!r}")
-    if grid < 2:
-        raise CKError("grid must be at least 2")
-    knots = np.linspace(-1.0, 1.0, grid)
-    if "id" in coords:
-        vals = np.array([float(f_slice(w)) for w in knots])
-
-        def f_plus(w):
-            return float(np.interp(min(max(float(w), -1.0), 1.0), knots, vals))
-
-    else:
-        const = float(f_slice(0.0))
-
-        def f_plus(w):
-            return const
-
-    def f_n(x):
-        s, t = float(x[0]), float(x[1])
-        if s != 0.0:
-            w = min(max(t / s, -1.0), 1.0)
-        else:
-            w = 0.0 if t == 0 else math.copysign(1.0, t)
-        return f_plus(w)
-
-    dense = np.linspace(-1.0, 1.0, 2001)
-    deviation = max(abs(float(f_slice(w)) - f_plus(w)) for w in dense)
-    return {
-        "f_plus": f_plus,
-        "f_n": f_n,
-        "deviation": deviation,
-        "grid": grid,
-        "coords": coords,
-    }

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -36,9 +37,9 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, float) and obj == float("inf"):
-        return "inf"
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return str(obj)
     return obj
 
 
@@ -57,7 +58,7 @@ def _report(args, payload, started: float) -> dict:
 
 
 def _emit(args, payload, started: float, ok: bool, summary: str) -> int:
-    print(json.dumps(_report(args, payload, started)))
+    print(json.dumps(_report(args, payload, started), allow_nan=False))
     if not args.json_only:
         print(summary, file=sys.stderr)
     return 0 if ok else 1
@@ -164,6 +165,15 @@ def _cmd_lemma34(args) -> int:
     )
 
 
+# phi-demo's hom-law pairs: {top} is the subset {1..N}, which is a
+# non-singleton generator from N = 2 on, and {last} is the singleton {N}
+PHI_LAW_PAIRS = (
+    ("d(s1)", "d({top})"),
+    ("d(s1) - 0.5*d({top})", "-d({last})"),
+    ("|d({top}) - 2*d({last})|", "d({last}) ^ -3*d(s1)"),
+)
+
+
 def _cmd_phi_demo(args) -> int:
     started = time.monotonic()
     inst = homs.build_phi(args.n)
@@ -175,6 +185,11 @@ def _cmd_phi_demo(args) -> int:
         images[name] = list(img)
         want = [1.0 if j == n else 0.0 for j in range(1, args.n + 1)]
         basis_ok = basis_ok and list(img) == want
+    names = {"top": inst.generators[-1], "last": f"s{args.n}"}
+    pairs = [tuple(parse_expr(t.format(**names)) for t in pair)
+             for pair in PHI_LAW_PAIRS]
+    laws = homs.check_hom_laws(inst.hom, pairs)
+    verdicts = {law: not failed for law, failed in laws["failures"].items()}
     payload = {
         "N": args.n,
         "subsets": [list(a) for a in inst.subsets],
@@ -182,16 +197,24 @@ def _cmd_phi_demo(args) -> int:
         "chi_points": [list(p) for p in inst.chi_points],
         "singleton_images": images,
         "basis_lift_exact": basis_ok,
+        "hom_laws": {
+            **laws,
+            "pairs": [[to_text(e), to_text(g)] for e, g in pairs],
+            "verdicts": verdicts,
+        },
     }
     if not args.json_only:
         for g, a in zip(inst.generators, inst.subsets):
             print(f"  {g:>12}  A={set(a)}", file=sys.stderr)
         for n in range(1, args.n + 1):
             print(f"  chi_{n} = {inst.chi_points[n - 1]}", file=sys.stderr)
+    law_text = ", ".join(f"{law} {'pass' if ok else 'FAIL'}"
+                         for law, ok in verdicts.items())
     return _emit(
-        args, payload, started, basis_ok,
+        args, payload, started, basis_ok and laws["pass"],
         f"subset family at N={args.n}: {len(inst.generators)} generators, "
-        f"basis lift {'exact' if basis_ok else 'FAILED'}",
+        f"basis lift {'exact' if basis_ok else 'FAILED'}, "
+        f"hom laws on {len(pairs)} pairs: {law_text}",
     )
 
 

@@ -32,6 +32,7 @@ over groups of mins of linear functionals, via bottom-up distribution:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
@@ -325,7 +326,8 @@ def to_maxmin(e: LatticeExpr, cap: int = 10_000) -> MaxMinForm:
 
     The cap bounds the total functional count (sum of group sizes) of every
     intermediate form; exceeding it raises MaxMinSizeError rather than
-    grinding on.
+    grinding on.  A coefficient that leaves the floats (a product or sum of
+    scalars past the largest float) raises ExprError.
     """
     memo: dict = {}
 
@@ -383,7 +385,10 @@ def to_maxmin(e: LatticeExpr, cap: int = 10_000) -> MaxMinForm:
         memo[t] = m
         return m
 
-    return rec(e)
+    m = rec(e)
+    if not all(math.isfinite(c) for g in m.groups for f in g for _, c in f.items):
+        raise ExprError("a coefficient of the max-min form is not finite")
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -447,8 +452,11 @@ class _Scanner:
                 i = j
                 while i < len(text) and text[i].isdigit():
                     i += 1
+        value = float(text[start:i])
+        if math.isinf(value):
+            raise ExprSyntaxError("number literal overflows a float", start)
         self.pos = i
-        return float(text[start:i])
+        return value
 
 
 def parse_expr(text: str) -> LatticeExpr:

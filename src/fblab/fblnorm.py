@@ -54,7 +54,7 @@ import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -64,11 +64,9 @@ from .expr import (
     MaxMinEvaluator,
     LinearFunctional,
     SpaceError,
-    evaluate,
     parse_expr,
     support,
     to_maxmin,
-    to_text,
 )
 from .lp import OPTIMAL, solve_lp
 from .numeric import as_fraction, candidate_rays
@@ -90,7 +88,6 @@ __all__ = [
     "exact_fbl_norm",
     "oracle_lower_bound",
     "check_lemma34",
-    "fbl_vs_polyhedral_check",
     "norm_of_expression",
     "make_certificate",
     "write_certificate",
@@ -183,13 +180,16 @@ class AdmissibilityReport:
 def admissible(
     config: DualConfig, space: AdmissibilitySpace, tol: float = ADMISSIBILITY_TOL
 ) -> AdmissibilityReport:
-    """Check sum_i |<x_i, v>| <= 1 + tol against every ball vertex."""
+    """Check sum_i |<x_i, v>| <= 1 + tol against every ball vertex; a
+    non-finite sum is not admissible."""
     worst = 0.0
     worst_v = None
     for v in space.ball_vertices:
         s = 0.0
         for x in config.points:
             s += abs(sum(float(a) * float(b) for a, b in zip(x, v)))
+        if not math.isfinite(s):
+            return AdmissibilityReport(False, s, tuple(v))
         if s > worst:
             worst = s
             worst_v = tuple(v)
@@ -685,40 +685,6 @@ def check_lemma34(
     }
 
 
-def fbl_vs_polyhedral_check(
-    e: LatticeExpr,
-    generators=None,
-    budget: int = 8000,
-    seed: int = 0,
-) -> dict:
-    """Same expression, two admissibility spaces.
-
-    The free-lattice norm is reported next to the norm of the sign-vector
-    ball, a genuinely different norm, and an oracle run on that ball that
-    must agree with it: at most a relative 1e-3 below it and 1e-9 above.
-    """
-    gens = tuple(generators) if generators is not None else tuple(sorted(support(e)))
-    m = to_maxmin(e)
-
-    b1 = exact_fbl_norm(m, fbl_space(gens))
-
-    space_sign = linf_vertex_space(gens)
-    b3 = exact_fbl_norm(m, space_sign)
-    F = MaxMinEvaluator(m, gens)
-    oracle = oracle_lower_bound(F, space_sign, budget=budget, seed=seed)
-
-    return {
-        "free_norm": b1.upper,
-        "sign_ball_norm": b3.upper,
-        "sign_ball_oracle": oracle.lower,
-        "sign_ball_agreement": (
-            b3.lower - 1e-3 * abs(b3.lower)
-            <= oracle.lower
-            <= b3.upper + 1e-9 * abs(b3.upper)
-        ),
-    }
-
-
 # ---------------------------------------------------------------------------
 # certificates
 
@@ -794,17 +760,21 @@ def load_certificate(path) -> dict:
 def replay_certificate(cert: Mapping) -> dict:
     """Re-check a certificate: admissibility plus bit-identical revaluation.
 
-    Returns a report dict; "pass" is True iff the family is admissible, the
+    Returns a report dict; "pass" is True iff every point is well formed
+    (one finite coordinate per generator), the family is admissible, the
     recomputed value equals the recorded one exactly (same arithmetic), and
     the value is consistent with the claimed norm for the recorded mode:
     within a relative 1e-9 of it in "exact" mode, and at most 1e-9*|claim|
-    above it in "lower" mode.
+    above it in "lower" mode.  A malformed family is not evaluated; its
+    value is NaN.
     """
     space = _space_from_json(cert["space"])
     config = DualConfig(tuple(tuple(float(c) for c in x) for x in cert["points"]))
     F = _replay_evaluator(cert["function"], space.generators)
+    well_formed = all(len(x) == len(space.generators) and all(map(math.isfinite, x))
+                      for x in config.points)
     adm = admissible(config, space)
-    value = config_value(F, config)
+    value = config_value(F, config) if well_formed else math.nan
     recorded = float(cert["value"])
     claimed = float(cert["claimed_norm"])
     mode = cert["mode"]
@@ -813,9 +783,10 @@ def replay_certificate(cert: Mapping) -> dict:
         claim_ok = abs(value - claimed) <= 1e-9 * max(abs(value), abs(claimed))
     else:
         claim_ok = value <= claimed + 1e-9 * abs(claimed)
-    passed = adm.ok and value_matches and claim_ok
+    passed = well_formed and adm.ok and value_matches and claim_ok
     return {
         "pass": bool(passed),
+        "well_formed": well_formed,
         "admissible": bool(adm.ok),
         "worst_vertex_sum": adm.worst_sum,
         "value": value,

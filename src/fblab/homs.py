@@ -53,9 +53,6 @@ class EvalHom:
             if any(abs(v) > 1 for v in x):
                 raise HomError("target point outside the cube")
 
-    def rank(self) -> int:
-        return len(self.targets)
-
 
 def apply_hom(h: EvalHom, e: LatticeExpr) -> tuple:
     """Componentwise c_j * e(x_j); raises if e uses unknown generators."""

@@ -1,13 +1,17 @@
-"""Every exported name and every name the benchmark traces resolves.
+"""Every exported name and every name the benchmark traces resolves, and
+every exported name has a caller outside the tests.
 
 perfbench/spans.py wraps its TARGETS with a plain getattr, so a deleted or
 renamed function breaks traced benchmark runs; __all__ lists drift the
-same way when a function goes.
+same way when a function goes.  A name only tests reach computes what no
+fblab command prints.
 """
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -18,7 +22,8 @@ from fblab import plfan
 from fblab.expr import parse_expr, to_maxmin
 from stored import stored_from_form
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def _fblab_modules():
@@ -47,6 +52,41 @@ def test_every_exported_name_exists():
     missing = [(m.__name__, name) for m in modules
                for name in getattr(m, "__all__", ()) if not hasattr(m, name)]
     assert missing == []
+
+
+def _defined_names(node):
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return {t.id for t in targets if isinstance(t, ast.Name)}
+    return set()
+
+
+def unreached_exports(root):
+    """(module, name) for each __all__ name of root/src/fblab/*.py that no
+    top-level statement of src/fblab reads, outside the one defining it (an
+    import into __init__ is not a read), and that no word of root/perfbench/*.py
+    names."""
+    exports, reads = [], []
+    for path in sorted((root / "src" / "fblab").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if "__all__" in _defined_names(node):
+                exports += [(path.stem, elt.value) for elt in node.value.elts]
+            elif path.stem != "__init__":
+                names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+                names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+                reads.append((path.stem, _defined_names(node), names))
+    bench = {word for path in (root / "perfbench").glob("*.py")
+             for word in re.findall(r"\w+", path.read_text())}
+    return [(mod, name) for mod, name in exports
+            if name not in bench
+            and not any(name in names and not (m == mod and name in defined)
+                        for m, defined, names in reads)]
+
+
+def test_every_exported_name_has_a_caller_outside_the_tests():
+    assert unreached_exports(ROOT) == []
 
 
 def test_traced_counts_read_real_results():

@@ -10,9 +10,7 @@ from fblab.ckretract import (
     CKError,
     KSpec,
     build_section,
-    finite_coordinate_approximant,
     interval01,
-    sample_K,
     sup_norm,
     target_from_pairs,
     target_join,
@@ -40,6 +38,25 @@ def pipeline_value(b, x):
 
 def H(K, *pairs):
     return target_from_pairs(K, [(Fraction(c), Fraction(v)) for c, v in pairs])
+
+
+def sample_K(K, rng, size):
+    """size points of K: length-weighted over intervals, endpoints for points."""
+    lengths = [float(b - a) for a, b in K.intervals]
+    total = sum(lengths)
+    out = []
+    for _ in range(size):
+        if total == 0.0:
+            a, b = K.intervals[rng.integers(0, len(K.intervals))]
+            out.append(float(a))
+        else:
+            u = rng.uniform(0.0, total)
+            for (a, b), ln in zip(K.intervals, lengths):
+                if u <= ln or (a, b) == K.intervals[-1]:
+                    out.append(float(a) + min(u, ln))
+                    break
+                u -= ln
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -537,51 +554,3 @@ def test_section_homogeneity_and_slope_bound():
             vlx = pl_value(b.Sh, tuple(lam * x))
             assert abs(vlx - lam * vx) <= 1e-12
             assert abs(vx) <= hs * abs(float(x[0])) + 1e-12
-
-
-# ---------------------------------------------------------------------------
-# finite-coordinate approximants
-
-
-def test_affine_slice_is_reproduced_at_grid_two():
-    rep = finite_coordinate_approximant(lambda w: 2.0 * w - 0.5, ("id",), 2)
-    assert rep["deviation"] <= 1e-12
-
-
-def test_constant_slice_zero_deviation_any_grid():
-    for grid in (2, 3, 17):
-        rep = finite_coordinate_approximant(lambda w: 0.75, ("one", "id"), grid)
-        assert rep["deviation"] == 0.0
-
-
-def test_two_point_deviation_shrinks_with_grid():
-    K = two_points()
-    b = build_section(K, H(K, (0, 0), (1, 1)))
-    d32 = finite_coordinate_approximant(b.f_slice, ("id",), 32)["deviation"]
-    d64 = finite_coordinate_approximant(b.f_slice, ("id",), 64)["deviation"]
-    assert d64 <= d32
-    assert d64 > 0.0
-
-
-def test_approximant_without_id_is_constant():
-    rep = finite_coordinate_approximant(lambda w: w, ("one",), 8)
-    assert rep["f_plus"](0.7) == rep["f_plus"](-0.3) == 0.0
-
-
-def test_pullback_is_constant_on_rays():
-    K = interval01()
-    b = build_section(K, H(K, (0, 0), (Fraction(1, 2), 1), (1, 0)))
-    rep = finite_coordinate_approximant(b.f_slice, ("id",), 16)
-    f_n = rep["f_n"]
-    rng = np.random.default_rng(109)
-    for _ in range(300):
-        x = rng.uniform(-2.0, 2.0, 2)
-        lam = float(rng.uniform(0.05, 1.0))
-        assert abs(f_n(tuple(lam * x)) - f_n(tuple(x))) <= 1e-12
-
-
-def test_approximant_validates_arguments():
-    with pytest.raises(CKError):
-        finite_coordinate_approximant(lambda w: w, ("id",), 1)
-    with pytest.raises(CKError):
-        finite_coordinate_approximant(lambda w: w, ("elsewhere",), 4)

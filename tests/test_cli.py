@@ -4,19 +4,28 @@ import dataclasses
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from fblab import ckretract, cli, fblnorm, plfan
+from fblab import ckretract, cli, fblnorm, homs, plfan
+from fblab.expr import Scale, parse_expr, support
 from fblab.lp import LPError
 
 
 DATA = Path(__file__).parent / "data"
 
 
+def _reject_constant(name):
+    raise ValueError(f"report holds the non-JSON constant {name}")
+
+
 def run_cli(capsys, argv):
+    """Run fblab in-process; the report must be strict JSON (no NaN or
+    Infinity)."""
     code = cli.run(argv)
     captured = capsys.readouterr()
-    report = json.loads(captured.out) if captured.out.strip() else None
+    report = (json.loads(captured.out, parse_constant=_reject_constant)
+              if captured.out.strip() else None)
     return code, report, captured.err
 
 
@@ -162,6 +171,30 @@ def test_replay_rejects_tampered_certificate(tmp_path, capsys):
     assert rep["payload"]["value_matches"] is False
 
 
+@pytest.mark.parametrize("h, points, value", [
+    # a third coordinate was dropped by admissibility, and a point of
+    # length 3 was evaluated outside its sector: ||Sh|| = 1, not 99.9
+    ("0:0,1/100:1,1:1", [[0.001, 0.999, 0.0]], 99.9),
+    # NaN made every vertex sum NaN, which never exceeded the worst sum
+    ("0:1,1:1", [[1.0, float("nan")]] * 5, 5.0),
+], ids=["extra-coordinate", "nan-coordinate"])
+def test_replay_rejects_malformed_points(tmp_path, capsys, h, points, value):
+    cert = tmp_path / "forged.cert.json"
+    code, _, _ = run_cli(capsys, ["ck-section", "--k", "interval", "--h", h,
+                                  "--cert", str(cert), "--json-only"])
+    assert code == 0
+    doc = json.loads(cert.read_text())
+    doc.update(points=points, value=value, claimed_norm=value)
+    cert.write_text(json.dumps(doc))
+    code, rep, err = run_cli(capsys, ["replay-cert", str(cert), "--json-only"])
+    assert code == 1
+    p = rep["payload"]
+    assert p["pass"] is False
+    assert p["well_formed"] is False
+    assert p["value"] == "nan"
+    assert err == ""
+
+
 def test_replay_missing_file_is_usage_error(capsys):
     code, rep, err = run_cli(capsys, ["replay-cert", "/nonexistent/x.json",
                                       "--json-only"])
@@ -260,6 +293,50 @@ def test_phi_demo_two(capsys):
     assert p["chi_points"] == [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]
     assert p["basis_lift_exact"] is True
     assert p["singleton_images"]["s1"] == [1.0, 0.0]
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_phi_demo_reports_the_hom_laws(capsys, n):
+    code, rep, err = run_cli(capsys, ["phi-demo", "--n", str(n)])
+    assert code == 0
+    laws = rep["payload"]["hom_laws"]
+    assert laws["pass"] is True
+    assert laws["verdicts"] == {"join": True, "sum": True, "scale": True}
+    assert len(laws["pairs"]) == len(cli.PHI_LAW_PAIRS)
+    names = {g for pair in laws["pairs"] for text in pair for g in support(parse_expr(text))}
+    assert names <= set(rep["payload"]["generators"])
+    # from N = 2 on some pair uses a generator of a subset with two or more elements
+    assert any("_" in g for g in names) == (n >= 2)
+    assert "join pass, sum pass, scale pass" in err
+
+
+_apply_hom, _check_hom_laws = homs.apply_hom, homs.check_hom_laws
+
+
+def _failing_scale(h, e):
+    # check_hom_laws scales by 2.5, a factor no pair of phi-demo uses
+    out = _apply_hom(h, e)
+    return (out[0] + 1.0,) + out[1:] if isinstance(e, Scale) and e.factor == 2.5 else out
+
+
+def _failing_join_report(h, pairs):
+    rep = _check_hom_laws(h, pairs)
+    return {**rep, "pass": False, "failures": {**rep["failures"], "join": [0]}}
+
+
+@pytest.mark.parametrize("target, tampered, law", [
+    ("apply_hom", _failing_scale, "scale"),
+    ("check_hom_laws", _failing_join_report, "join"),
+])
+def test_phi_demo_exits_one_when_a_hom_law_fails(capsys, monkeypatch, target, tampered, law):
+    monkeypatch.setattr(homs, target, tampered)
+    code, rep, err = run_cli(capsys, ["phi-demo", "--n", "3"])
+    assert code == 1
+    p = rep["payload"]
+    assert p["basis_lift_exact"] is True
+    assert p["hom_laws"]["pass"] is False
+    assert [k for k, ok in p["hom_laws"]["verdicts"].items() if not ok] == [law]
+    assert f"{law} FAIL" in err
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +460,29 @@ def test_bad_expression_exits_two(capsys):
     code, rep, err = run_cli(capsys, ["norm", "--expr", "d(a) +", "--json-only"])
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("text", [
+    "1e309*d(a)",  # the literal overflows
+    "1e200*(1e200*d(a))",  # a product of scalars overflows
+    "1e200*1e200*d(a)",
+    "1e308*d(a)+1e308*d(a)",  # a sum of coefficients overflows
+])
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_non_finite_scalars_are_usage_errors(capsys, text, exact):
+    """These printed "value": NaN with exit 0, or exited 1, or raised
+    OverflowError in exact mode."""
+    argv = ["norm", "--expr", text, "--json-only"] + (["--exact"] if exact else [])
+    code, rep, err = run_cli(capsys, argv)
+    assert code == 2
+    assert rep is None
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_reports_map_non_finite_floats_to_strings():
+    got = cli._jsonable({"a": float("nan"), "b": [float("-inf"), np.float64("inf")], "c": 1.5})
+    assert got == {"a": "nan", "b": ["-inf", "inf"], "c": 1.5}
+    json.dumps(got, allow_nan=False)
 
 
 def test_bad_kspec_exits_two(capsys):

@@ -79,6 +79,21 @@ def test_parse_scientific_notation_scalar():
     assert e == Scale(0.25, Gen("a"))
 
 
+def test_parse_rejects_an_overflowing_literal():
+    with pytest.raises(ExprSyntaxError, match="overflows"):
+        parse_expr("1e309*d(a)")
+    assert parse_expr("1e308*d(a)") == Scale(1e308, Gen("a"))
+
+
+@pytest.mark.parametrize("text", [
+    "1e200*(1e200*d(a))", "1e200*1e200*d(a)", "1e308*d(a)+1e308*d(a)",
+    "(1e308*d(a) v d(b)) + (1e308*d(a) ^ d(b))",
+])
+def test_maxmin_rejects_a_coefficient_that_is_not_finite(text):
+    with pytest.raises(ExprError, match="not finite"):
+        to_maxmin(parse_expr(text))
+
+
 def test_roundtrip_on_handwritten_forms():
     for text in (
         "d(a)",

@@ -1,5 +1,7 @@
 """Norm computations: admissibility, exact LP route, oracle, certificates."""
 
+import contextlib
+import io
 import json
 import math
 from fractions import Fraction
@@ -21,7 +23,6 @@ from fblab.fblnorm import (
     exact_fbl_norm,
     expr_evaluator,
     fbl_space,
-    fbl_vs_polyhedral_check,
     linf_vertex_space,
     make_certificate,
     norm_of_expression,
@@ -57,6 +58,21 @@ def brute_force_lower(F, space, rng, tries=3000, max_points=3):
     return best
 
 
+def assert_linf_oracle_meets_linf_norm(text, budget):
+    """What `fblab oracle --space linf` prints lands at most a relative 1e-3
+    below the exact norm over the sign-vector ball that `fblab norm --space
+    linf` prints, and at most 1e-9 above it; returns that norm."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.run(["norm", "--expr", text, "--space", "linf", "--json-only"]) == 0
+        assert cli.run(["oracle", "--expr", text, "--space", "linf",
+                        "--budget", str(budget), "--json-only"]) == 0
+    norm, oracle = (json.loads(line)["payload"] for line in out.getvalue().splitlines())
+    exact, lower = norm["upper"], oracle["lower"]
+    assert exact - 1e-3 * abs(exact) <= lower <= exact + 1e-9 * abs(exact), (text, lower, exact)
+    return exact
+
+
 # ---------------------------------------------------------------------------
 # no fan from three generators up
 
@@ -75,7 +91,7 @@ def test_norms_and_cube_sups_build_no_fan_past_two_generators(monkeypatch, capsy
         assert norm_of_expression(e).upper == pytest.approx(norm, rel=1e-12)
         assert norm_of_expression(e, exact=True).upper == Fraction(norm)
         assert check_lemma34(e, "c", budget=500)["pass"]
-        assert fbl_vs_polyhedral_check(e, budget=500)["sign_ball_agreement"]
+        assert_linf_oracle_meets_linf_norm(text, 500)
         assert cli.run(["norm", "--expr", text, "--json-only"]) == 0
         assert cli.run(["norm", "--expr", text, "--exact", "--json-only"]) == 0
         payload = json.loads(capsys.readouterr().out.splitlines()[-1])["payload"]
@@ -107,8 +123,11 @@ def test_norm_rejects_a_space_that_misses_a_generator():
 
 
 def test_two_space_check_rejects_generators_that_miss_one():
+    e = parse_expr("d(a) v d(b)")
     with pytest.raises(SpaceError):
-        fbl_vs_polyhedral_check(parse_expr("d(a) v d(b)"), generators=("a",))
+        exact_fbl_norm(to_maxmin(e), linf_vertex_space(("a",)))
+    with pytest.raises(SpaceError):
+        expr_evaluator(e, ("a",))
 
 
 def test_product_bound_rejects_a_space_that_misses_a_generator():
@@ -151,14 +170,9 @@ def test_product_bound_verdict_is_relative(monkeypatch):
     assert rep["margin"] < 0
 
 
-def test_two_space_agreement_is_relative(monkeypatch):
-    # at scale 1e-12 an absolute 1e-3 below the norm let a lower bound 0 pass
-    e = parse_expr("1e-12*(d(a) v d(b))")
-    norm = exact_fbl_norm(to_maxmin(e), linf_vertex_space(("a", "b"))).upper
-    for lower in (norm * (1 + 1e-6), 0.0):
-        monkeypatch.setattr("fblab.fblnorm.oracle_lower_bound",
-                            _oracle_returning(lambda space: lower))
-        assert not fbl_vs_polyhedral_check(e)["sign_ball_agreement"], lower
+def test_two_space_agreement_is_relative():
+    # at scale 1e-12 an absolute 1e-3 below the norm would admit a lower bound 0
+    assert_linf_oracle_meets_linf_norm("1e-12*(d(a) v d(b))", 2000)
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +230,14 @@ def test_admissible_mixed_halves():
     s = fbl_space(("a", "b"))
     rep = admissible(DualConfig(((0.5, -0.5), (-0.5, 0.5))), s)
     assert rep.ok
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_admissible_rejects_a_non_finite_sum(bad):
+    # a NaN sum never exceeded the worst sum, so NaN points passed
+    rep = admissible(DualConfig(((1.0, bad),) * 5), fbl_space(("a", "b")))
+    assert not rep.ok
+    assert not math.isfinite(rep.worst_sum)
 
 
 # ---------------------------------------------------------------------------
@@ -433,8 +455,6 @@ def test_oracle_rejects_a_budget_that_is_not_an_integer_of_at_least_one(budget):
                            budget=budget, seed=0)
     with pytest.raises(ValueError, match="budget"):
         check_lemma34(e, "a", budget=budget)
-    with pytest.raises(ValueError, match="budget"):
-        fbl_vs_polyhedral_check(e, budget=budget)
 
 
 # ---------------------------------------------------------------------------
@@ -694,17 +714,13 @@ def test_product_bound_requires_generator_in_space():
 
 
 def test_two_space_check_single_generator():
-    rep = fbl_vs_polyhedral_check(Gen("a"), budget=2000)
-    assert rep["free_norm"] == pytest.approx(1.0, abs=1e-9)
-    assert set(rep) == {"free_norm", "sign_ball_norm", "sign_ball_oracle",
-                        "sign_ball_agreement"}
+    assert norm_of_expression(Gen("a")).upper == pytest.approx(1.0, abs=1e-9)
+    assert assert_linf_oracle_meets_linf_norm("d(a)", 2000) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_two_space_check_sum():
-    rep = fbl_vs_polyhedral_check(parse_expr("d(a) + d(b)"), budget=4000)
-    assert rep["free_norm"] == pytest.approx(2.0, abs=1e-9)
-    assert 0.0 < rep["sign_ball_norm"] <= 2.0 + 1e-9
-    assert rep["sign_ball_agreement"]
+    assert norm_of_expression(parse_expr("d(a) + d(b)")).upper == pytest.approx(2.0, abs=1e-9)
+    assert 0.0 < assert_linf_oracle_meets_linf_norm("d(a) + d(b)", 4000) <= 2.0 + 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -744,6 +760,16 @@ def test_certificate_detects_inadmissible_points():
     rep = replay_certificate(cert)
     assert not rep["admissible"]
     assert not rep["pass"]
+
+
+def test_certificate_rejects_malformed_points():
+    space = fbl_space(("a", "b"))
+    cert = make_certificate(space, DualConfig(((0.5, 0.5),)), 1.0, "exact", {"expr": "d(a) + d(b)"})
+    assert replay_certificate(cert)["pass"]
+    for points in ([[0.5, 0.5, 0.0]], [[1.0]], [[0.5, math.nan]], [[math.inf, 0.0]]):
+        rep = replay_certificate({**cert, "points": points})
+        assert not rep["pass"] and not rep["well_formed"], points
+        assert math.isnan(rep["value"])
 
 
 def test_certificate_product_function_replays():

@@ -45,7 +45,7 @@ def test_build_level_two_points():
 def test_build_level_three_size():
     inst = build_phi(3)
     assert len(inst.generators) == 7
-    assert inst.hom.rank() == 3
+    assert len(inst.hom.targets) == 3
 
 
 def test_build_level_out_of_range():

@@ -82,7 +82,6 @@ from .ellone import (
     build_disjoint_instance,
     build_perturbed_instance,
     extract,
-    schedule,
     verify_lower_bound,
 )
 from .ckretract import (

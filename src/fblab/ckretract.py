@@ -402,7 +402,7 @@ def verify_section(b: SectionBundle) -> dict:
     }
 
 
-def verify_norm_bound(b: SectionBundle, exact: bool = False) -> dict:
+def verify_norm_bound(b: SectionBundle) -> dict:
     """exact_fbl_norm(Sh) <= sup|h| * (1 + 1e-9), over the two-generator
     space.
 
@@ -412,7 +412,7 @@ def verify_norm_bound(b: SectionBundle, exact: bool = False) -> dict:
     [0, 1], so the sup is the largest table entry in absolute value.
     """
     space = fbl_space(GENERATORS)
-    bracket = exact_fbl_norm(b.Sh, space, exact=exact)
+    bracket = exact_fbl_norm(b.Sh, space)
     h_sup = float(b.h_sup)
     slice_sup = float(max(abs(v) for _, v in b.table))
     return {

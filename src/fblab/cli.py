@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import ckretract, ellone, fblnorm, homs, plfan
-from .expr import ExprError, parse_expr, support, to_maxmin, to_text
+from .expr import ExprError, parse_expr, support, to_text
 
 __all__ = ["run", "main"]
 
@@ -89,7 +89,7 @@ def _cmd_norm(args) -> int:
     e = parse_expr(args.expr)
     gens = tuple(sorted(support(e)))
     space = _space_for(args.space, gens)
-    bracket = fblnorm.exact_fbl_norm(to_maxmin(e), space, exact=args.exact)
+    bracket = fblnorm.norm_of_expression(e, space, exact=args.exact)
     cert_path = _write_cert_if_asked(
         args, space, bracket.certificate, float(bracket.upper), "exact",
         {"expr": to_text(e)},
@@ -224,8 +224,7 @@ def _cmd_extract(args) -> int:
         inp = ellone.build_disjoint_instance(args.n)
     else:
         inp = ellone.build_perturbed_instance(args.n)
-    sched = ellone.schedule(args.eps)
-    res = ellone.extract(inp, sched, length=args.len)
+    res = ellone.extract(inp, ellone.EpsilonSchedule(args.eps), length=args.len)
     rng = np.random.default_rng(args.seed)
     checks = []
     all_pass = not res.exhausted
@@ -246,7 +245,6 @@ def _cmd_extract(args) -> int:
         "requested_length": res.requested_length,
         "exhausted": res.exhausted,
         "exhaustion_note": res.exhaustion_note,
-        "strategies": list(res.strategies),
         "transcript": res.transcript,
         "verifications": checks,
     }

@@ -6,25 +6,24 @@ finite coordinate set.  Pointwise decay is not checkable at a finite
 truncation, so the extraction asks instead for a later point that vanishes
 exactly on the coordinates already used.
 
-The extraction runs two passes.
-
-Pass (a) builds stages: stage k picks the first index m_k > m_{k-1} whose
-point x_{m_k} vanishes exactly on the previous coordinate set F_{m_{k-1}}
-(a linear scan, recorded in the transcript with delta 0), then grows
-F_{m_k} from F_{m_{k-1}} by adding coordinates in decreasing |x_{m_k}|
+The extraction runs one loop.  Stage k picks the first index m_k > m_{k-1}
+whose point x_{m_k} vanishes exactly on the previous coordinate set
+F_{m_{k-1}} (a linear scan, recorded in the transcript with delta 0), then
+grows F_{m_k} from F_{m_{k-1}} by adding coordinates in decreasing |x_{m_k}|
 order until the truncated point y_{m_k} = x_{m_k} restricted to F_{m_k}
-satisfies |f_{m_k}(y_{m_k}) - 1| <= eps_kk.  Greedy growth can miss a
-valid F for non-monotone f, so a capped exhaustive subset search is the
-fallback; the result records which strategy produced each stage.
-Because the F sets are nested and each new point vanishes on the previous
-set, the y supports are pairwise disjoint, and disjoint cube truncations
-form an admissible family (every coordinate column sums to at most one).
+satisfies |f_{m_k}(y_{m_k}) - 1| <= eps_kk.  There is no subset search:
+the last addition leaves x_{m_k} whole, so greedy growth can fail only when
+eps_kk is below the 1e-9 of the hypothesis check.  Because the F sets are
+nested and each new point vanishes on the previous set, the y supports are
+pairwise disjoint, and disjoint cube truncations form an admissible family
+(every coordinate column sums to at most one).
 
-Pass (b) thins the stages: nu_1 = 1, and nu_p is the first later stage
-whose function is small at all chosen y's and whose y is small under all
-chosen functions, with thresholds from the epsilon schedule.  Stages are
-created lazily while pass (b) scans, and running out of indices is an
-exhaustion report rather than an exception.
+A built stage is kept as term p of the selection when its function is
+small at every kept y and its y is small under every kept function, with
+thresholds from the epsilon schedule; stage 1 is always kept, and a
+rejected stage still extends F.  The loop stops at the requested number of
+kept stages, or when no stage can be built, which is an exhaustion report
+rather than an exception.
 
 The payoff, checked by verify_lower_bound: for any scalars lambda_k,
 sum_i |sum_k lambda_k f_{n_k}(y_i)| >= (1 - eps) * sum_k |lambda_k|, so the
@@ -34,7 +33,6 @@ the y family is the replayable certificate.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -46,7 +44,6 @@ __all__ = [
     "ExtractionResult",
     "ExtractionError",
     "HypothesisViolation",
-    "schedule",
     "extract",
     "verify_lower_bound",
     "build_disjoint_instance",
@@ -54,7 +51,6 @@ __all__ = [
 ]
 
 POINT_EVAL_TOL = 1e-9
-EXHAUSTIVE_CAP = 100_000
 
 
 class ExtractionError(ValueError):
@@ -79,10 +75,6 @@ class EpsilonSchedule:
         if i < 1 or j < 1:
             raise ExtractionError("schedule indices start at 1")
         return self.eps * 2.0 ** (-(i + j))
-
-
-def schedule(eps: float) -> EpsilonSchedule:
-    return EpsilonSchedule(eps)
 
 
 @dataclass
@@ -113,14 +105,13 @@ class _Stage:
     F: tuple
     y: dict
     f_at_y: float
-    strategy: str
 
 
 @dataclass
 class ExtractionResult:
     selected: tuple  # chosen original indices m_{nu_1} < m_{nu_2} < ...
     nu: tuple  # positions within the stage sequence
-    stage_indices: tuple  # all m_k built by pass (a)
+    stage_indices: tuple  # all m_k built, kept or not
     F_sets: tuple  # F for each selected stage
     ys: tuple  # truncated dual points (dicts) for each selected stage
     f_at_y: tuple  # f_{m_nu_k}(y_{m_nu_k}) for each selected stage
@@ -128,11 +119,7 @@ class ExtractionResult:
     requested_length: int
     exhausted: bool
     exhaustion_note: str
-    strategies: tuple  # per selected stage: "greedy" or "exhaustive"
     transcript: list = field(default_factory=list)
-
-    def ok(self) -> bool:
-        return not self.exhausted
 
 
 def _check_hypotheses(inp: ExtractionInput, n: int) -> None:
@@ -166,111 +153,67 @@ def _prune_F(f, x, F_prev: tuple, F: list, tol: float) -> tuple:
 
 
 def _grow_F(inp: ExtractionInput, n: int, F_prev: tuple, tol: float):
-    """Find F >= F_prev with |f_n(x_n|F) - 1| <= tol.
+    """Find F >= F_prev with |f_n(x_n|F) - 1| <= tol, or None.
 
-    Greedy first: add coordinates by decreasing |x_n| (ties by generator
-    order), testing after each addition, then prune to a minimal set.
-    Fallback: exhaustive search over subsets of x_n's support, smallest
-    first, capped.
+    Add coordinates by decreasing |x_n| (ties by generator order), testing
+    after each addition, then prune to a minimal set.  x_n vanishes on
+    F_prev, so the last test truncates nothing and reads f_n(x_n), which
+    the hypothesis check puts within 1e-9 of 1.
     """
     x = inp.xs[n - 1]
     f = inp.fs[n - 1]
     support = [c for c in inp.L if x.get(c, 0.0) != 0.0 and c not in F_prev]
-    order = {c: i for i, c in enumerate(inp.L)}
-    support.sort(key=lambda c: (-abs(x[c]), order[c]))
-
-    F = list(F_prev)
-    if abs(f(_truncate(x, F)) - 1.0) <= tol:
-        return tuple(F), "greedy"
-    for c in support:
-        F.append(c)
-        if abs(f(_truncate(x, F)) - 1.0) <= tol:
-            return _prune_F(f, x, F_prev, F, tol), "greedy"
-
-    tried = 0
+    support.sort(key=lambda c: -abs(x[c]))  # stable: ties keep L's order
     for r in range(len(support) + 1):
-        for combo in itertools.combinations(support, r):
-            tried += 1
-            if tried > EXHAUSTIVE_CAP:
-                return None, "exhausted"
-            F = list(F_prev) + list(combo)
-            if abs(f(_truncate(x, F)) - 1.0) <= tol:
-                return tuple(F), "exhaustive"
-    return None, "exhausted"
+        F = list(F_prev) + support[:r]
+        if abs(f(_truncate(x, F)) - 1.0) <= tol:
+            return _prune_F(f, x, F_prev, F, tol)
+    return None
 
 
 def extract(
     inp: ExtractionInput, sched: EpsilonSchedule, length: int = 4
 ) -> ExtractionResult:
-    """Run both passes; see the module docstring for the algorithm."""
+    """Build, thin and keep stages in one loop; see the module docstring."""
     if length < 1:
         raise ExtractionError("requested length must be positive")
     transcript: list = []
     stages: list = []
-
-    def build_next_stage() -> bool:
-        k = len(stages) + 1
-        prev_F = stages[-1].F if stages else ()
-        start = (stages[-1].m + 1) if stages else 1
+    nu: list = []
+    F: tuple = ()
+    start = 1
+    while len(nu) < length:
         n = next((m for m in range(start, inp.N_max + 1)
-                  if all(inp.xs[m - 1].get(c, 0.0) == 0.0 for c in prev_F)), None)
+                  if all(inp.xs[m - 1].get(c, 0.0) == 0.0 for c in F)), None)
         transcript.append(
-            {"call": len(transcript) + 1, "F": list(prev_F), "delta": 0.0,
+            {"call": len(transcript) + 1, "F": list(F), "delta": 0.0,
              "start": start, "result": n}
         )
         if n is None:
-            return False
-        _check_hypotheses(inp, n)
-        tol = sched.entry(k, k)
-        F, strategy = _grow_F(inp, n, prev_F, tol)
-        if F is None:
-            return False
-        y = _truncate(inp.xs[n - 1], F)
-        stages.append(_Stage(n, F, y, inp.fs[n - 1](y), strategy))
-        return True
-
-    def ensure_stage(k: int) -> bool:
-        while len(stages) < k:
-            if not build_next_stage():
-                return False
-        return True
-
-    exhausted = False
-    note = ""
-    nu: list = []
-    while len(nu) < length:
-        p = len(nu) + 1
-        if p == 1:
-            if not ensure_stage(1):
-                exhausted, note = True, "no stage satisfies the vanishing step"
-                break
-            nu.append(1)
-            continue
-        cand = nu[-1] + 1
-        found = False
-        while True:
-            if not ensure_stage(cand):
-                exhausted = True
-                note = f"ran out of stages while selecting term {p}"
-                break
-            st = stages[cand - 1]
-            ok = True
-            for j, nj in enumerate(nu, start=1):
-                prev = stages[nj - 1]
-                if abs(inp.fs[st.m - 1](prev.y)) > sched.entry(j, p):
-                    ok = False
-                    break
-                if abs(inp.fs[prev.m - 1](st.y)) > sched.entry(p, j):
-                    ok = False
-                    break
-            if ok:
-                nu.append(cand)
-                found = True
-                break
-            cand += 1
-        if not found:
             break
+        _check_hypotheses(inp, n)
+        k = len(stages) + 1
+        F = _grow_F(inp, n, F, sched.entry(k, k))
+        if F is None:
+            break
+        f = inp.fs[n - 1]
+        y = _truncate(inp.xs[n - 1], F)
+        stages.append(_Stage(n, F, y, f(y)))
+        start = n + 1
+        p = len(nu) + 1
+        kept = (stages[i - 1] for i in nu)
+        if all(abs(f(st.y)) <= sched.entry(j, p)
+               and abs(inp.fs[st.m - 1](y)) <= sched.entry(p, j)
+               for j, st in enumerate(kept, start=1)):
+            nu.append(k)
 
+    exhausted = len(nu) < length
+    if not exhausted:
+        note = ""
+    elif nu:
+        note = f"ran out of stages while selecting term {len(nu) + 1}"
+    else:
+        note = "no stage satisfies the vanishing step"
     chosen = [stages[i - 1] for i in nu]
     return ExtractionResult(
         selected=tuple(st.m for st in chosen),
@@ -283,7 +226,6 @@ def extract(
         requested_length=length,
         exhausted=exhausted,
         exhaustion_note=note,
-        strategies=tuple(st.strategy for st in chosen),
         transcript=transcript,
     )
 

@@ -236,12 +236,7 @@ class MaxMinForm:
 
     def functionals(self) -> list:
         """Distinct functionals across all groups, in first-appearance order."""
-        seen = []
-        for g in self.groups:
-            for f in g:
-                if f not in seen:
-                    seen.append(f)
-        return seen
+        return list(dict.fromkeys(f for g in self.groups for f in g))
 
     def value(self, point: Mapping[str, float]) -> float:
         return max(min(f.evaluate(point) for f in g) for g in self.groups)
@@ -299,19 +294,11 @@ class MaxMinEvaluator:
 
 
 def _dedup_group(group: Iterable[LinearFunctional]) -> tuple:
-    out = []
-    for f in group:
-        if f not in out:
-            out.append(f)
-    return tuple(sorted(out, key=lambda f: f.items))
+    return tuple(sorted(dict.fromkeys(group), key=lambda f: f.items))
 
 
 def _dedup_groups(groups: Iterable[tuple]) -> tuple:
-    out = []
-    for g in groups:
-        if g not in out:
-            out.append(g)
-    return tuple(out)
+    return tuple(dict.fromkeys(groups))
 
 
 def _check_cap(n_functionals: int, cap: int):

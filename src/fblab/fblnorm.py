@@ -180,8 +180,13 @@ class AdmissibilityReport:
 def admissible(
     config: DualConfig, space: AdmissibilitySpace, tol: float = ADMISSIBILITY_TOL
 ) -> AdmissibilityReport:
-    """Check sum_i |<x_i, v>| <= 1 + tol against every ball vertex; a
-    non-finite sum is not admissible."""
+    """Check sum_i |<x_i, v>| <= 1 + tol against every ball vertex.
+
+    A non-finite sum is not admissible, and neither is a family with a
+    point whose length is not the generator count (its sum is NaN).
+    """
+    if any(len(x) != len(space.generators) for x in config.points):
+        return AdmissibilityReport(False, math.nan, None)
     worst = 0.0
     worst_v = None
     for v in space.ball_vertices:

@@ -183,7 +183,7 @@ def test_criterion_5_extraction_lower_bounds(acceptance_log, cert_store):
     for label, build, N, length in combos:
         for eps in (0.05, 0.1, 0.2):
             inp = build(N)
-            res = ellone.extract(inp, ellone.schedule(eps), length=length)
+            res = ellone.extract(inp, ellone.EpsilonSchedule(eps), length=length)
             if res.exhausted:
                 bad.append((label, eps, "exhausted"))
                 continue

@@ -347,6 +347,11 @@ def test_extract_disjoint_default(capsys):
     code, rep, _ = run_cli(capsys, ["extract-l1", "--json-only"])
     assert code == 0
     p = rep["payload"]
+    assert set(p) == {
+        "instance", "selected", "nu", "stage_indices", "F_sets", "ys", "f_at_y",
+        "eps", "requested_length", "exhausted", "exhaustion_note", "transcript",
+        "verifications",
+    }
     assert p["instance"] == "disjoint"
     assert len(p["selected"]) == 4
     assert p["nu"] == [1, 2, 3, 4]

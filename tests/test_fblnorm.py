@@ -240,6 +240,16 @@ def test_admissible_rejects_a_non_finite_sum(bad):
     assert not math.isfinite(rep.worst_sum)
 
 
+@pytest.mark.parametrize("point", [(0.5, 0.5, 9.0), (0.5,)])
+def test_admissible_rejects_a_point_of_the_wrong_length(point):
+    # zipping with the ball vertices dropped the extra 9.0 and padded
+    # nothing for the short point, so both passed with worst sum 0.5
+    rep = admissible(DualConfig((point,)), fbl_space(("a", "b")))
+    assert not rep.ok
+    assert math.isnan(rep.worst_sum)
+    assert rep.worst_vertex is None
+
+
 # ---------------------------------------------------------------------------
 # config_value
 

@@ -34,9 +34,10 @@ lattice-homomorphism laws of S in Fractions.
 
 from __future__ import annotations
 
-import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -137,7 +138,8 @@ class TargetFunction:
     Every interval endpoint of K must appear as a breakpoint, every
     breakpoint must lie in K, and h is linear between neighbours inside an
     interval.  Values at points outside K are never requested directly;
-    compositions go through the nearest-point projection.
+    compositions go through the nearest-point projection.  value(c) is one
+    _segment lookup in the breakpoints, read into segments on first use.
     """
 
     K: KSpec
@@ -155,24 +157,38 @@ class TargetFunction:
             if a not in have or b not in have:
                 raise CKError("every K interval endpoint needs a breakpoint")
 
+    @cached_property
+    def _lookup(self) -> tuple:
+        return _segments(self.breakpoints)
+
     def value(self, c) -> Fraction:
         c = as_fraction(c)
-        a, b = _segment(self.breakpoints, c)
+        a, b = _segment(self._lookup, c)
         return a + b * c
 
 
-def _segment(table, c) -> tuple:
-    """(a, b) such that a + b*c is the value at c of the function linear
-    between the ascending (point, value) pairs of table and constant beyond
-    its ends; c in Fractions keeps the value exact."""
-    if c <= table[0][0]:
-        return table[0][1], Fraction(0)
-    if c >= table[-1][0]:
-        return table[-1][1], Fraction(0)
+def _segments(table) -> tuple:
+    """(points, segments) of the function linear between the ascending
+    (point, value) pairs of table and constant beyond its ends, read for
+    _segment: segments[i] is the (a, b) of points[i - 1] < c <= points[i],
+    and the first and last entries are the constants beyond the ends."""
+    segments = [(table[0][1], Fraction(0))]
     for (c0, v0), (c1, v1) in zip(table, table[1:]):
-        if c <= c1:
-            b = (v1 - v0) / (c1 - c0)
-            return v0 - b * c0, b
+        b = (v1 - v0) / (c1 - c0)
+        segments.append((v0 - b * c0, b))
+    segments.append((table[-1][1], Fraction(0)))
+    return [c for c, _ in table], segments
+
+
+def _segment(segs, c) -> tuple:
+    """(a, b) such that a + b*c is the value at c of the function that
+    _segments read: one bisect_left on its points, with c at or beyond an
+    end reading the constant there.  The (a, b) were formed from the table
+    once, so c in Fractions keeps the value exact."""
+    points, segments = segs
+    if c >= points[-1]:
+        return segments[-1]
+    return segments[bisect_left(points, c)]
 
 
 def target_from_pairs(K: KSpec, pairs) -> TargetFunction:
@@ -186,7 +202,7 @@ def sup_norm(h: TargetFunction) -> Fraction:
     return max(abs(v) for _, v in h.breakpoints)
 
 
-def _merged_points(K: KSpec, h1: TargetFunction, h2: TargetFunction) -> list:
+def _merged_points(h1: TargetFunction, h2: TargetFunction) -> list:
     pts = {p for p, _ in h1.breakpoints} | {p for p, _ in h2.breakpoints}
     return sorted(pts)
 
@@ -195,7 +211,7 @@ def target_join(h1: TargetFunction, h2: TargetFunction) -> TargetFunction:
     """max(h1, h2) as a TargetFunction; inserts segment crossing points."""
     if h1.K != h2.K:
         raise CKError("join needs a common K")
-    pts = _merged_points(h1.K, h1, h2)
+    pts = _merged_points(h1, h2)
     out = set()
     for p in pts:
         out.add(p)
@@ -215,7 +231,7 @@ def target_lincomb(a, h1: TargetFunction, b, h2: TargetFunction) -> TargetFuncti
         raise CKError("linear combination needs a common K")
     a = as_fraction(a)
     b = as_fraction(b)
-    pts = _merged_points(h1.K, h1, h2)
+    pts = _merged_points(h1, h2)
     bps = tuple((p, a * h1.value(p) + b * h2.value(p)) for p in pts)
     return TargetFunction(h1.K, bps)
 
@@ -225,37 +241,36 @@ def target_lincomb(a, h1: TargetFunction, b, h2: TargetFunction) -> TargetFuncti
 
 
 def _gap_data(K: KSpec):
+    """(mids, alpha): the midpoints of K's gaps and alpha = 2 / min gap, the
+    slope of u's ramps; no midpoints and no alpha for one interval."""
     gaps = K.gaps()
     if not gaps:
         return (), None
     min_gap = min(a2 - b1 for b1, a2 in gaps)
     if min_gap == 0:
         raise CKError("touching intervals should be merged")
-    return gaps, Fraction(2, 1) / min_gap
+    return tuple((b1 + a2) / 2 for b1, a2 in gaps), Fraction(2, 1) / min_gap
 
 
-def _u_of_c(K: KSpec, c) -> Fraction:
-    """1 on K, 0 exactly at gap midpoints, linear ramp of slope alpha between."""
-    c = as_fraction(c)
-    gaps, alpha = _gap_data(K)
-    if not gaps:
+def _u_of_c(mids, alpha, c: Fraction) -> Fraction:
+    """u at c for the gap data (mids, alpha) of K: 1 on K, 0 exactly at gap
+    midpoints, linear ramp of slope alpha between."""
+    if not mids:
         return Fraction(1)
-    dist = min(abs(c - (b1 + a2) / 2) for b1, a2 in gaps)
-    return min(Fraction(1), alpha * dist)
+    return min(Fraction(1), alpha * min(abs(c - mid) for mid in mids))
 
 
-def _slice_breakpoints(K: KSpec, h: TargetFunction) -> list:
+def _slice_breakpoints(K: KSpec, h: TargetFunction, mids, alpha) -> list:
     pts = {Fraction(0), Fraction(1)}
     for p, _ in h.breakpoints:
         pts.add(p)
     for a, b in K.intervals:
         pts.add(a)
         pts.add(b)
-    gaps, alpha = _gap_data(K)
-    for b1, a2 in gaps:
-        mid = (b1 + a2) / 2
+    if mids:
         r = Fraction(1) / alpha
-        pts.update((mid - r, mid, mid + r))
+        for mid in mids:
+            pts.update((mid - r, mid, mid + r))
     return sorted(p for p in pts if 0 <= p <= 1)
 
 
@@ -265,9 +280,10 @@ def slice_table(K: KSpec, h: TargetFunction) -> tuple:
     Linear between consecutive entries; this is what Sh restricts to on the
     ray slice, and what build_section unwinds into homogeneous pieces.
     """
+    mids, alpha = _gap_data(K)
     table = []
-    for c in _slice_breakpoints(K, h):
-        u = _u_of_c(K, c)
+    for c in _slice_breakpoints(K, h, mids, alpha):
+        u = _u_of_c(mids, alpha, c)
         val = Fraction(0) if u == 0 else h.value(K.project(c)) * u
         table.append((c, val))
     return tuple(table)
@@ -286,22 +302,6 @@ class SectionBundle:
     table: tuple  # slice breakpoint table
     h_sup: Fraction
 
-    def v_eval(self, x) -> tuple:
-        s, t = float(x[0]), float(x[1])
-        if s != 0.0:
-            w = min(max(t / s, -1.0), 1.0)
-        else:
-            w = 0.0 if t == 0 else math.copysign(1.0, t)
-        return (1.0, w)
-
-    def phi_eval(self, x) -> float:
-        w = self.v_eval(x)[1]
-        return float(self.K.project(min(max(w, 0.0), 1.0)))
-
-    def u_eval(self, x) -> float:
-        w = self.v_eval(x)[1]
-        return float(_u_of_c(self.K, min(max(w, 0.0), 1.0)))
-
 
 def build_section(K: KSpec, h: TargetFunction, exact: bool = False) -> SectionBundle:
     """Assemble Sh symbolically as a PLFunction over ("one", "id").
@@ -309,9 +309,10 @@ def build_section(K: KSpec, h: TargetFunction, exact: bool = False) -> SectionBu
     Fan hyperplanes: s, t, t - s, t + s, and t - c*s for every interior
     slice breakpoint c, so every clip corner and slice kink is a ray of the
     fan.  Each sector (p, q) is read at p + q: with s-sign sigma and ratio
-    rho = t/s there, the slice segment a + b*c holding rho turns into the
-    piece sigma*(a*s + b*t); sectors beyond the clip range use the constant
-    slice values at 0 or 1.
+    rho = t/s there, the slice segment a + b*c holding rho (_segment, in
+    the slice table read once per call) turns into the piece
+    sigma*(a*s + b*t); sectors beyond the clip range use the constant slice
+    values at 0 or 1.
     """
     if h.K != K:
         raise CKError("h is defined on a different K")
@@ -333,11 +334,12 @@ def build_section(K: KSpec, h: TargetFunction, exact: bool = False) -> SectionBu
             )
     fan = plfan.arrangement_fan(normals, GENERATORS, exact=exact)
 
+    segs = _segments(table)
     pieces = []
     for p, q in fan.cells:
         ws, wt = as_fraction(p[0] + q[0]), as_fraction(p[1] + q[1])
         sigma = 1 if ws > 0 else -1
-        a, b = _segment(table, wt / ws)
+        a, b = _segment(segs, wt / ws)
         coeffs = {}
         if a != 0:
             coeffs["one"] = num(sigma * a)
@@ -368,11 +370,29 @@ def verify_section(b: SectionBundle) -> dict:
     covers each segment's own piece at both ends, single-point intervals,
     and sectors that meet K in one point only.  `checked` counts these
     evaluations.
+
+    The holding sectors are located by bisection, not by a scan.  The fan's
+    rays from (1, 0) to (1, 1) start the sectors that meet the slice
+    0 <= k <= 1, and their slopes t/s, read once in Fractions, ascend.
+    Bisecting k among them gives the sector starting at or before k; the
+    sector ending at k when k is a slope, and the wrap-around sector ending
+    at (1, 0) when k = 0, are the only others whose closed sector can hold
+    (1, k).  The exact cross-product test decides these candidates in
+    ascending index order, so the verdict, `checked` and the failures come
+    out as a test of every sector would give them.
     """
     fan = b.Sh.fan
+    rays = []  # exact, from (1, 0) through the first ray past (1, 1)
+    for r in fan.rays:
+        rays.append(tuple(as_fraction(v) for v in r))
+        if not 0 <= rays[-1][1] <= rays[-1][0]:
+            break
+    slopes = [t / s for s, t in rays[:-1]]
+    wrap = len(fan.rays) - 1
+    ends = {i: (rays[i], rays[i + 1]) for i in range(len(slopes))}
+    ends[wrap] = (tuple(as_fraction(v) for v in fan.rays[wrap]), rays[0])
+    pieces = {i: [as_fraction(v) for v in b.Sh.pieces[i].vector(GENERATORS)] for i in ends}
     rows = [[as_fraction(v) for v in hp.vector(GENERATORS)] for hp in fan.hyperplanes]
-    cells = [[[as_fraction(v) for v in r] for r in cell] for cell in fan.cells]
-    pieces = [[as_fraction(v) for v in p.vector(GENERATORS)] for p in b.Sh.pieces]
     bends = [-a / c for a, c in rows if c != 0] + [p for p, _ in b.h.breakpoints]
     limit = 1e-12 * float(b.h_sup)
     worst = 0.0
@@ -381,8 +401,17 @@ def verify_section(b: SectionBundle) -> dict:
     for lo, hi in b.K.intervals:
         for k in sorted({lo, hi}.union(x for x in bends if lo < x < hi)):
             want = b.h.value(k)
-            holding = [idx for idx, (p, q) in enumerate(cells)
-                       if p[0] * k - p[1] >= 0 and q[1] - k * q[0] >= 0]
+            i = bisect_right(slopes, k) - 1
+            near = {i}
+            if i > 0 and slopes[i] == k:
+                near.add(i - 1)
+            if k == 0:
+                near.add(wrap)
+            holding = []
+            for idx in sorted(near):
+                p, q = ends[idx]
+                if p[0] * k - p[1] >= 0 and q[1] - k * q[0] >= 0:
+                    holding.append(idx)
             if not holding:
                 raise plfan.FanError(f"no sector contains (1, {k}); fan incomplete")
             for idx in holding:

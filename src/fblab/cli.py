@@ -420,9 +420,7 @@ def run(argv) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ExprError, ckretract.CKError, ellone.ExtractionError,
-            fblnorm.SpaceError, plfan.FanError, OSError, KeyError,
-            ValueError) as exc:
+    except (ValueError, OSError, KeyError, plfan.FanError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -23,7 +23,9 @@ small at every kept y and its y is small under every kept function, with
 thresholds from the epsilon schedule; stage 1 is always kept, and a
 rejected stage still extends F.  The loop stops at the requested number of
 kept stages, or when no stage can be built, which is an exhaustion report
-rather than an exception.
+rather than an exception.  Its note says whether the vanishing scan ran out
+of indices or greedy growth missed a stage's window (naming the stage and
+its index).
 
 The payoff, checked by verify_lower_bound: for any scalars lambda_k,
 sum_i |sum_k lambda_k f_{n_k}(y_i)| >= (1 - eps) * sum_k |lambda_k|, so the
@@ -182,6 +184,7 @@ def extract(
     nu: list = []
     F: tuple = ()
     start = 1
+    miss = ""
     while len(nu) < length:
         n = next((m for m in range(start, inp.N_max + 1)
                   if all(inp.xs[m - 1].get(c, 0.0) == 0.0 for c in F)), None)
@@ -195,6 +198,7 @@ def extract(
         k = len(stages) + 1
         F = _grow_F(inp, n, F, sched.entry(k, k))
         if F is None:
+            miss = f"greedy growth misses the window of stage {k} at index {n}"
             break
         f = inp.fs[n - 1]
         y = _truncate(inp.xs[n - 1], F)
@@ -208,8 +212,8 @@ def extract(
             nu.append(k)
 
     exhausted = len(nu) < length
-    if not exhausted:
-        note = ""
+    if miss or not exhausted:
+        note = miss
     elif nu:
         note = f"ran out of stages while selecting term {len(nu) + 1}"
     else:

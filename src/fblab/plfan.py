@@ -16,7 +16,9 @@ point exactly on a ray takes the sector that starts there (its
 counter-clockwise side).
 
 Operations on stored functions run over the merged rays of both operands,
-so that each merged sector lies in one sector of each.  pl_equal compares
+so that each merged sector lies in one sector of each; one linear pass over
+the two sorted angle lists merges the rays and locates every merged sector
+in both operands (_refine).  pl_equal compares
 the two pieces at both ends of every merged sector, pl_lincomb combines
 them, and pl_pointwise_max splits a sector (p, q) where the difference d
 of the two pieces changes sign, at the crossing ray |d(q)| p + |d(p)| q.
@@ -120,6 +122,8 @@ class Fan:
 
     @cached_property
     def angles(self) -> tuple:
+        """_angle of every ray, ascending; filled in when a fan is built
+        from rays whose angles are already known (_sorted_fan)."""
         return tuple(_angle(r) for r in self.rays)
 
 
@@ -231,11 +235,20 @@ def _axes(n: int, exact: bool) -> list:
 
 
 def _sorted_rays(rays) -> tuple:
-    """rays sorted by _angle, the first of every direction kept."""
+    """(rays, angles): rays sorted by _angle, the first of every direction
+    kept, and their angles."""
     by_angle = {}
     for r in rays:
         by_angle.setdefault(_angle(r), r)
-    return tuple(by_angle[a] for a in sorted(by_angle))
+    angles = tuple(sorted(by_angle))
+    return tuple(by_angle[a] for a in angles), angles
+
+
+def _sorted_fan(generators, hyperplanes, rays, angles) -> Fan:
+    """A Fan of rays already sorted by _angle, with those angles cached."""
+    fan = Fan(generators, hyperplanes, rays)
+    fan.__dict__["angles"] = angles  # where cached_property keeps Fan.angles
+    return fan
 
 
 def _merge_parallel(rows, exact):
@@ -267,7 +280,8 @@ def arrangement_fan(normals, generators, exact: bool = False) -> Fan:
         raise FanError(f"fans take one or two generators, not {n}")
     hyps = dedup_normals(normals, exact)
     rows = [hp.vector(generators) for hp in hyps]
-    return Fan(generators, tuple(hyps), _sorted_rays(_line_rays(rows) + _axes(n, exact)))
+    rays, angles = _sorted_rays(_line_rays(rows) + _axes(n, exact))
+    return _sorted_fan(generators, tuple(hyps), rays, angles)
 
 
 def _exact_form(m: MaxMinForm) -> MaxMinForm:
@@ -479,16 +493,35 @@ def pl_value_many(f: PLFunction, points: np.ndarray) -> np.ndarray:
 
 def _refine(f: PLFunction, g: PLFunction, exact: bool, what: str):
     """The fan of the merged rays of f and g, with both hyperplane lists,
-    and per sector the pieces of f and of g on it."""
+    and per sector the pieces of f and of g on it.
+
+    The merge is one linear pass over the two fans' cached angles, which
+    ascend; on equal angles f's ray is kept.  A merged sector lies in the
+    sector of f that starts at the last ray of f at or before its own start,
+    and that ray's position is the count of f's rays the pass has taken;
+    likewise for g.  Angles are only compared, never recomputed, so the
+    rays are the sorted union and the pieces are the ones a bisection of
+    each merged ray (_sector) would pick, in either arithmetic.
+    """
     if f.fan.generators != g.fan.generators:
         raise FanError(f"{what} needs a shared generator tuple")
-    fan = Fan(
-        f.fan.generators,
-        tuple(dedup_normals(f.fan.hyperplanes + g.fan.hyperplanes, exact)),
-        _sorted_rays(f.fan.rays + g.fan.rays),
-    )
-    pairs = [(f.pieces[_sector(f.fan, p)], g.pieces[_sector(g.fan, p)]) for p, _ in fan.cells]
-    return fan, pairs
+    fa, ga = f.fan.angles, g.fan.angles
+    rays, angles, pairs = [], [], []
+    i = j = 0
+    while i < len(fa) or j < len(ga):
+        if j == len(ga) or (i < len(fa) and fa[i] <= ga[j]):
+            rays.append(f.fan.rays[i])
+            angles.append(fa[i])
+            if j < len(ga) and ga[j] == fa[i]:
+                j += 1
+            i += 1
+        else:
+            rays.append(g.fan.rays[j])
+            angles.append(ga[j])
+            j += 1
+        pairs.append((f.pieces[i - 1], g.pieces[j - 1]))
+    hyps = dedup_normals(f.fan.hyperplanes + g.fan.hyperplanes, exact)
+    return _sorted_fan(f.fan.generators, tuple(hyps), tuple(rays), tuple(angles)), pairs
 
 
 def pl_equal(f: PLFunction, g: PLFunction, exact: bool = False) -> bool:
@@ -522,12 +555,13 @@ def pl_pointwise_max(f: PLFunction, g: PLFunction, exact: bool = False) -> PLFun
     """
     fan, pairs = _refine(f, g, exact, "pl_pointwise_max")
     gens = fan.generators
-    rays, pieces, breaks = [], [], []
+    rays, angles, pieces, breaks = [], [], [], []
     ends = fan.angles[1:] + (8,)
     for (p, q), (pf, pg), lo, hi in zip(fan.cells, pairs, fan.angles, ends):
         d = pf.minus(pg)
         dp, dq = (d.evaluate(dict(zip(gens, r))) for r in (p, q))
         rays.append(p)
+        angles.append(lo)
         if dp * dq <= 0 and not d.is_zero:
             breaks.append(d)
         if min(dp, dq) < 0 < max(dp, dq):
@@ -535,13 +569,15 @@ def pl_pointwise_max(f: PLFunction, g: PLFunction, exact: bool = False) -> PLFun
             scale = max(abs(v) for v in r)
             r = tuple(v / scale for v in r)
             # a float crossing may round onto an end of a thin sector
-            if lo < _angle(r) < hi:
+            if lo < (angle := _angle(r)) < hi:
                 rays.append(r)
+                angles.append(angle)
                 pieces += [pf, pg] if dp > 0 else [pg, pf]
                 continue
         pieces.append(pf if dp + dq >= 0 else pg)
     hyps = dedup_normals(list(fan.hyperplanes) + breaks, exact)
-    return PLFunction(Fan(gens, tuple(hyps), tuple(rays)), tuple(pieces))
+    out = _sorted_fan(gens, tuple(hyps), tuple(rays), tuple(angles))
+    return PLFunction(out, tuple(pieces))
 
 
 def pl_lincomb(a, f: PLFunction, b, g: PLFunction, exact: bool = False) -> PLFunction:
@@ -615,8 +651,9 @@ def plfunction_from_json(obj) -> PLFunction:
         witnesses = [tuple(_num_from_json(v) for v in c["witness"]) for c in obj["cells"]]
         rows = [h.vector(gens) for h in hyps]
         exact = isinstance(witnesses[0][0], Fraction)
-        fan = Fan(gens, hyps, _sorted_rays(_line_rays(rows) + _axes(len(gens), exact)))
-        walls = [_angle(r) for r in _sorted_rays(_line_rays(rows))]
+        rays, angles = _sorted_rays(_line_rays(rows) + _axes(len(gens), exact))
+        fan = _sorted_fan(gens, hyps, rays, angles)
+        walls = _sorted_rays(_line_rays(rows))[1]
 
         def cell(x):
             return (bisect_right(walls, _angle(x)) - 1) % max(1, len(walls))

@@ -1,6 +1,7 @@
 """Interval retract sections: pipeline, symbolic assembly, bounds, laws."""
 
 import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -21,10 +22,33 @@ from fblab.ckretract import (
     verify_norm_bound,
     verify_section,
 )
+from fblab.ckretract import _gap_data, _segment, _segments, _u_of_c
 from fblab import plfan
 from fblab.expr import LinearFunctional
 from fblab.plfan import PLFunction, pl_value, pl_value_many
 from fblab.fblnorm import DualConfig, admissible, config_value, fbl_space
+
+
+def v_eval(x) -> tuple:
+    """The ray-invariant retraction v(s, t) = (1, clip(t/s, -1, 1)), in floats."""
+    s, t = float(x[0]), float(x[1])
+    if s != 0.0:
+        w = min(max(t / s, -1.0), 1.0)
+    else:
+        w = 0.0 if t == 0 else math.copysign(1.0, t)
+    return (1.0, w)
+
+
+def phi_eval(K, x) -> float:
+    """The nearest point of K to the clipped slice coordinate of x."""
+    w = v_eval(x)[1]
+    return float(K.project(min(max(w, 0.0), 1.0)))
+
+
+def u_eval(K, x) -> float:
+    """u at the clipped slice coordinate of x."""
+    w = v_eval(x)[1]
+    return float(_u_of_c(*_gap_data(K), Fraction(min(max(w, 0.0), 1.0))))
 
 
 def pipeline_value(b, x):
@@ -32,8 +56,8 @@ def pipeline_value(b, x):
     s = float(x[0])
     if s == 0.0:
         return 0.0
-    c = Fraction(b.phi_eval(x))
-    return float(b.h.value(c)) * b.u_eval(x) * abs(s)
+    c = Fraction(phi_eval(b.K, x))
+    return float(b.h.value(c)) * u_eval(b.K, x) * abs(s)
 
 
 def H(K, *pairs):
@@ -321,47 +345,167 @@ def test_union_sections_property():
 
 
 # ---------------------------------------------------------------------------
+# sorted lookups against brute-force scans
+
+
+def scan_segment(table, c):
+    """(a, b) of the segment holding c, by walking the ascending (point,
+    value) table; the constant at or beyond an end."""
+    if c <= table[0][0]:
+        return table[0][1], Fraction(0)
+    if c >= table[-1][0]:
+        return table[-1][1], Fraction(0)
+    for (c0, v0), (c1, v1) in zip(table, table[1:]):
+        if c <= c1:
+            b = (v1 - v0) / (c1 - c0)
+            return v0 - b * c0, b
+
+
+def scan_verify_section(b):
+    """verify_section's report from the exact cross-product test of every
+    sector at every cut point, with h read by scan_segment."""
+    fan = b.Sh.fan
+    rows = [[Fraction(v) for v in hp.vector(b.generators)] for hp in fan.hyperplanes]
+    cells = [[[Fraction(v) for v in r] for r in cell] for cell in fan.cells]
+    pieces = [[Fraction(v) for v in p.vector(b.generators)] for p in b.Sh.pieces]
+    bends = [-a / c for a, c in rows if c != 0] + [p for p, _ in b.h.breakpoints]
+    limit = 1e-12 * float(b.h_sup)
+    worst, checked, failures = 0.0, 0, []
+    for lo, hi in b.K.intervals:
+        for k in sorted({lo, hi}.union(x for x in bends if lo < x < hi)):
+            a, c = scan_segment(b.h.breakpoints, k)
+            want = a + c * k
+            for idx, (p, q) in enumerate(cells):
+                if p[0] * k - p[1] >= 0 and q[1] - k * q[0] >= 0:
+                    a, c = pieces[idx]
+                    got = a + c * k
+                    dev = float(abs(got - want))
+                    checked += 1
+                    worst = max(worst, dev)
+                    if dev > limit:
+                        failures.append({"k": float(k), "cell": idx, "Sh": float(got),
+                                         "h": float(want), "deviation": dev})
+    return {"pass": not failures, "worst_deviation": worst, "checked": checked,
+            "failures": failures[:10]}
+
+
+# Every K endpoint inside (0, 1) is the slope of a fan ray (in float fans
+# when it is dyadic), so cut points fall on rays, and 0 is in every K here.
+# A non-dyadic breakpoint rounds in float fans; single-point intervals meet
+# sectors in one point.
+LOOKUP_CASES = [
+    (interval01(), ((0, 0), (Fraction(1, 3), 2), (1, -1))),
+    (two_points(), ((0, 3), (1, -2))),
+    (union_of_intervals([(0, 0), (Fraction(1, 4), 1)]),
+     ((0, 2), (Fraction(1, 4), 1), (Fraction(2, 3), -1), (1, 1))),
+    (union_of_intervals([(0, Fraction(1, 3)), (Fraction(1, 2), Fraction(1, 2)),
+                         (Fraction(2, 3), 1)]),
+     ((0, 1), (Fraction(1, 3), -1), (Fraction(1, 2), 3), (Fraction(2, 3), 0), (1, 2))),
+    MUTATION_CASES[3],
+]
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("K, pairs", LOOKUP_CASES)
+def test_verify_section_matches_a_scan_of_every_sector(K, pairs, exact):
+    """The full report, failures in order, for the section, for each piece
+    bumped by a relative 1e-9, and for all pieces scaled by 1.5."""
+    b = build_section(K, H(K, *pairs), exact=exact)
+    one = Fraction(1) if exact else 1.0
+    bump = LinearFunctional.from_map({"one": one / 10**9 * max(1, b.h_sup)})
+    mutants = [b, dataclasses.replace(
+        b, Sh=PLFunction(b.Sh.fan, tuple(p.scaled(3 * one / 2) for p in b.Sh.pieces)))]
+    mutants += [_with_piece(b, idx, b.Sh.pieces[idx].plus(bump))
+                for idx in range(len(b.Sh.pieces))]
+    reports = [verify_section(m) for m in mutants]
+    assert reports == [scan_verify_section(m) for m in mutants]
+    assert reports[0]["pass"] and not reports[1]["pass"]
+    assert sum(not r["pass"] for r in reports[2:]) >= 2
+
+
+def test_verify_section_matches_a_scan_on_random_unions():
+    rng = np.random.default_rng(619)
+    for _ in range(6):
+        K, h = _random_union_target(rng)
+        for exact in (False, True):
+            b = build_section(K, h, exact=exact)
+            assert verify_section(b) == scan_verify_section(b)
+
+
+def test_segment_lookup_matches_a_walk_of_the_table():
+    """At every table point, between neighbours and beyond both ends."""
+    tables = [build_section(K, H(K, *pairs)).table for K, pairs in LOOKUP_CASES]
+    tables += [H(K, *pairs).breakpoints for K, pairs in LOOKUP_CASES]
+    tables.append(((Fraction(1, 2), Fraction(3)),))
+    for table in tables:
+        segs = _segments(table)
+        pts = [c for c, _ in table]
+        probes = pts + [(c0 + c1) / 2 for c0, c1 in zip(pts, pts[1:])] + [pts[0] - 1, pts[-1] + 1]
+        for c in probes:
+            assert _segment(segs, c) == scan_segment(table, c), (table, c)
+    for K, pairs in LOOKUP_CASES:
+        h = H(K, *pairs)
+        for c, v in h.breakpoints:
+            assert h.value(c) == v
+
+
+def test_hom_laws_on_a_union_with_interior_breakpoints():
+    K = union_of_intervals([(0, Fraction(1, 3)), (Fraction(1, 2), 1)])
+    h1 = H(K, (0, 1), (Fraction(1, 6), -1), (Fraction(1, 3), 2), (Fraction(1, 2), 0),
+           (Fraction(3, 4), 3), (1, -1))
+    h2 = H(K, (0, -1), (Fraction(1, 4), 2), (Fraction(1, 3), 0), (Fraction(1, 2), 1),
+           (Fraction(5, 8), -2), (1, 2))
+    # h1 - h2 changes sign inside both intervals, so the join gains breakpoints
+    own = {p for p, _ in h1.breakpoints + h2.breakpoints}
+    assert len({p for p, _ in target_join(h1, h2).breakpoints} - own) >= 2
+    rep = verify_hom_laws(K, [(h1, h2), (h2, h1)], samples=200)
+    assert rep["pass"], rep
+    for pair in rep["pairs"]:
+        assert pair["join_pl_equal"] and pair["linear_pl_equal"]
+        assert pair["join_sample_dev"] <= 1e-12 and pair["linear_sample_dev"] <= 1e-12
+    # the join law at exact points of the slice and off it, with no fan merge
+    S1, S2, Sj = (build_section(K, h, exact=True).Sh for h in (h1, h2, target_join(h1, h2)))
+    points = [(Fraction(1), Fraction(k, 24)) for k in range(-3, 28)]
+    for x in points + [(Fraction(-2), Fraction(1, 5))]:
+        assert pl_value(Sj, x) == max(pl_value(S1, x), pl_value(S2, x))
+
+
+# ---------------------------------------------------------------------------
 # u, phi, v behavior
 
 
 def test_u_and_phi_on_the_embedded_copy():
-    for K, pairs in (
-        (interval01(), ((0, 1), (1, 1))),
-        (two_points(), ((0, 1), (1, 1))),
-        (union_of_intervals([(0, Fraction(1, 4)), (Fraction(1, 2), 1)]),
-         ((0, 1), (Fraction(1, 4), 1), (Fraction(1, 2), 1), (1, 1))),
+    for K in (
+        interval01(),
+        two_points(),
+        union_of_intervals([(0, Fraction(1, 4)), (Fraction(1, 2), 1)]),
     ):
-        b = build_section(K, H(K, *pairs))
         rng = np.random.default_rng(89)
         for k in sample_K(K, rng, 50):
-            assert b.u_eval((1.0, k)) == pytest.approx(1.0, abs=1e-12)
-            assert b.phi_eval((1.0, k)) == pytest.approx(k, abs=1e-12)
+            assert u_eval(K, (1.0, k)) == pytest.approx(1.0, abs=1e-12)
+            assert phi_eval(K, (1.0, k)) == pytest.approx(k, abs=1e-12)
 
 
 def test_u_vanishes_at_gap_midpoints():
     K = union_of_intervals([(0, Fraction(1, 4)), (Fraction(1, 2), 1)])
-    b = build_section(K, H(K, (0, 1), (Fraction(1, 4), 1), (Fraction(1, 2), 1), (1, 1)))
-    assert b.u_eval((1.0, 0.375)) == 0.0
-    assert b.u_eval((1.0, 0.3125)) == pytest.approx(0.5, abs=1e-12)
+    assert u_eval(K, (1.0, 0.375)) == 0.0
+    assert u_eval(K, (1.0, 0.3125)) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_two_point_u_is_distance_ramp():
     K = two_points()
-    b = build_section(K, H(K, (0, 1), (1, 1)))
-    assert b.u_eval((1.0, 0.5)) == 0.0
-    assert b.u_eval((1.0, 0.25)) == pytest.approx(0.5, abs=1e-12)
-    assert b.u_eval((1.0, 1.0)) == 1.0
+    assert u_eval(K, (1.0, 0.5)) == 0.0
+    assert u_eval(K, (1.0, 0.25)) == pytest.approx(0.5, abs=1e-12)
+    assert u_eval(K, (1.0, 1.0)) == 1.0
 
 
 def test_v_is_ray_invariant():
-    K = interval01()
-    b = build_section(K, H(K, (0, 0), (1, 1)))
     rng = np.random.default_rng(97)
     for _ in range(200):
         x = rng.uniform(-2.0, 2.0, 2)
         lam = float(rng.uniform(0.05, 1.0))
-        v1 = b.v_eval(tuple(x))
-        v2 = b.v_eval(tuple(lam * x))
+        v1 = v_eval(tuple(x))
+        v2 = v_eval(tuple(lam * x))
         assert v1[0] == v2[0] == 1.0
         assert abs(v1[1] - v2[1]) <= 1e-9
 

@@ -250,9 +250,26 @@ def test_a_stage_that_misses_its_window_ends_the_extraction():
     )
     res = extract(inp, EpsilonSchedule(1e-12), length=2)
     assert res.exhausted
-    assert res.exhaustion_note == "no stage satisfies the vanishing step"
+    assert res.exhaustion_note == "greedy growth misses the window of stage 1 at index 1"
     assert res.selected == () and res.nu == () and res.stage_indices == ()
     assert res.transcript == [scan(1, [], 1, 1)]
+
+
+def test_a_growth_miss_names_its_stage_and_index():
+    # stage 1 is x_1 itself; x_2 does not vanish on F = (c1), so stage 2 is
+    # index 3, whose f misses the stage-2 window by 5e-10
+    inp = ExtractionInput(
+        fs=[lambda y: float(y.get("c1", 0.0)), lambda y: float(y.get("c1", 0.0)),
+            lambda y: (1.0 + 5e-10) * float(y.get("c3", 0.0))],
+        xs=[{"c1": 1.0}, {"c1": 1.0}, {"c3": 1.0}],
+        L=("c1", "c2", "c3"),
+        N_max=3,
+    )
+    res = extract(inp, EpsilonSchedule(1e-12), length=2)
+    assert res.exhausted
+    assert res.exhaustion_note == "greedy growth misses the window of stage 2 at index 3"
+    assert res.selected == (1,) and res.nu == (1,) and res.stage_indices == (1,)
+    assert res.transcript == [scan(1, [], 1, 1), scan(2, ["c1"], 2, 3)]
 
 
 def test_growth_is_greedy_only():
@@ -266,7 +283,7 @@ def test_growth_is_greedy_only():
     )
     res = extract(inp, EpsilonSchedule(1e-12), length=1)
     assert res.exhausted
-    assert res.exhaustion_note == "no stage satisfies the vanishing step"
+    assert res.exhaustion_note == "greedy growth misses the window of stage 1 at index 1"
     assert res.selected == () and res.stage_indices == ()
     assert res.transcript == [scan(1, [], 1, 1)]
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+from bisect import bisect_right
 from fractions import Fraction
 from functools import reduce
 from math import comb
@@ -671,6 +672,54 @@ def test_lincomb_matches_expression():
     combo = pl_lincomb(2, exact_stored("|d(a)|", gens), -1, exact_stored("d(b)", gens),
                        exact=True)
     assert pl_equal(combo, exact_stored("2*|d(a)| - d(b)", gens), exact=True)
+
+
+def sorted_union_refine(f, g):
+    """_refine's rays, angles and piece pairs by brute force: every ray of f
+    and then of g sorted by _angle, the first of each angle kept, and per
+    merged ray the pieces that bisecting its angle in each operand picks."""
+    by_angle = {}
+    for r in f.fan.rays + g.fan.rays:
+        by_angle.setdefault(plfan._angle(r), r)
+    angles = sorted(by_angle)
+
+    def piece(h, a):
+        return h.pieces[bisect_right([plfan._angle(r) for r in h.fan.rays], a) - 1]
+
+    return [by_angle[a] for a in angles], angles, [(piece(f, a), piece(g, a)) for a in angles]
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_refine_is_the_sorted_union_of_both_fans(exact):
+    # g = s v t breaks on every line f = s breaks on, so the operands share
+    # rays beyond the axes; a maximum and a combination go through _refine
+    # again with the angles it cached.  Rays are compared by repr, since a
+    # float ray may hold -0.0 where the other operand's has 0.0 at the same
+    # angle, and the tie keeps the first operand's.
+    rng = np.random.default_rng(41)
+
+    def scalar(r):
+        return float(r.choice((-1.0, 1.0, 2.0)))
+
+    shared = 0  # pairs with a ray of both operands off the axes
+    signed_zero_ties = 0
+    for gens in ("a",) * 5 + ("ab",) * 25:
+        s, t = (random_expr_capped(rng, gens, 3, 12, scalar) for _ in range(2))
+        f, g, h = (stored_from_form(to_maxmin(e), gens, exact=exact)
+                   for e in (s, Join(s, t), t))
+        shared += len(set(f.fan.angles) & set(g.fan.angles)) > 2 * len(gens)
+        for a, b in ((f, g), (g, f), (f, h), (h, f), (pl_pointwise_max(f, h, exact=exact), f),
+                     (g, pl_lincomb(2, f, -1, h, exact=exact))):
+            fan, pairs = plfan._refine(a, b, exact, "refine")
+            rays, angles, want = sorted_union_refine(a, b)
+            assert repr(fan.rays) == repr(tuple(rays))
+            assert fan.angles == tuple(angles) == tuple(plfan._angle(r) for r in fan.rays)
+            assert pairs == want
+            assert list(fan.hyperplanes) == plfan.dedup_normals(
+                a.fan.hyperplanes + b.fan.hyperplanes, exact)
+            signed_zero_ties += repr(a.fan.rays[0]) != repr(b.fan.rays[0])
+    assert shared >= 5
+    assert exact or signed_zero_ties >= 5
 
 
 # ---------------------------------------------------------------------------

@@ -308,11 +308,22 @@ def build_section(K: KSpec, h: TargetFunction, exact: bool = False) -> SectionBu
 
     Fan hyperplanes: s, t, t - s, t + s, and t - c*s for every interior
     slice breakpoint c, so every clip corner and slice kink is a ray of the
-    fan.  Each sector (p, q) is read at p + q: with s-sign sigma and ratio
-    rho = t/s there, the slice segment a + b*c holding rho (_segment, in
-    the slice table read once per call) turns into the piece
-    sigma*(a*s + b*t); sectors beyond the clip range use the constant slice
-    values at 0 or 1.
+    fan.  A sector of s-sign sigma whose ratio t/s runs over the slice
+    segment a + b*c carries the piece sigma*(a*s + b*t); sectors beyond the
+    clip range use the constant slice values at 0 or 1.
+
+    The pieces come from a walk of the slice table, not a search.  For
+    table points 0 = c_0 < ... < c_n = 1 the fan's rays are, from (1, 0),
+    (1, c_0) ... (1, c_n), (0, 1), (-1, 1), (-1, -c_0) ... (-1, -c_n),
+    (0, -1) and (1, -1).  So the first n sectors take the table segments
+    in order, with sigma = 1, and the n sectors from (-1, 0) take them
+    again with sigma = -1; of the six others, the two where t/s > 1 take
+    the constant at 1 and the four where t/s < 0 the constant at 0.  That
+    is what reading each sector (p, q) at its witness p + q (_segment of
+    the ratio there) gives, which stays for what the walk cannot vouch
+    for: a float fan that lost rays, when two table points share a normal
+    key or an angle, and a float sector whose witness ratio rounds onto an
+    end of its segment.
     """
     if h.K != K:
         raise CKError("h is defined on a different K")
@@ -335,17 +346,36 @@ def build_section(K: KSpec, h: TargetFunction, exact: bool = False) -> SectionBu
     fan = plfan.arrangement_fan(normals, GENERATORS, exact=exact)
 
     segs = _segments(table)
-    pieces = []
-    for p, q in fan.cells:
+    segments = segs[1]  # constant at 0, the n table segments, constant at 1
+    n = len(table) - 1
+
+    def piece(a, b):
+        return LinearFunctional.from_map({"one": a, "id": b})
+
+    def witness_piece(p, q):
         ws, wt = as_fraction(p[0] + q[0]), as_fraction(p[1] + q[1])
         sigma = 1 if ws > 0 else -1
         a, b = _segment(segs, wt / ws)
-        coeffs = {}
-        if a != 0:
-            coeffs["one"] = num(sigma * a)
-        if b != 0:
-            coeffs["id"] = num(sigma * b)
-        pieces.append(LinearFunctional.from_map(coeffs))
+        return piece(num(sigma * a), num(sigma * b))
+
+    if len(fan.rays) == 2 * n + 6:
+        # float(-a) is -float(a): rounding to nearest is symmetric
+        coeffs = [(num(a), num(b)) for a, b in segments]
+        up = [piece(a, b) for a, b in coeffs]
+        down = [piece(-a, -b) for a, b in coeffs]
+        pieces = up[1:] + down[:1] * 2 + down[1:] + up[:1] * 2
+        for k in range(0 if exact else n):
+            # Float rays round the table points.  mid is the witness ratio
+            # of sectors k and n + 3 + k when mid + mid == a + b, and a
+            # float strictly between the floats a and b lies strictly
+            # between the table points they round.
+            a, b = fan.rays[k][1], fan.rays[k + 1][1]
+            mid = (a + b) / 2
+            if not (a < mid < b and mid + mid == a + b):
+                for i in (k, n + 3 + k):
+                    pieces[i] = witness_piece(*fan.cells[i])
+    else:
+        pieces = [witness_piece(p, q) for p, q in fan.cells]
 
     Sh = plfan.PLFunction(fan, tuple(pieces))
     return SectionBundle(

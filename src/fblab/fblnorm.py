@@ -53,6 +53,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Optional
 
@@ -128,6 +129,13 @@ class AdmissibilitySpace:
         if np.linalg.matrix_rank(np.array(sorted(vset), dtype=float)) < n:
             raise SpaceError("vertex list does not span")
 
+    @cached_property
+    def _vertex_terms(self) -> tuple:
+        """Per ball vertex, its (index, float entry) pairs with a nonzero
+        entry: the products admissible sums for a finite point."""
+        return tuple(tuple((i, float(v[i])) for i in itertools.compress(range(len(v)), v))
+                     for v in self.ball_vertices)
+
     def representatives(self) -> tuple:
         """One vertex per antipodal pair, first-nonzero-positive orientation."""
         seen = set()
@@ -183,16 +191,25 @@ def admissible(
     """Check sum_i |<x_i, v>| <= 1 + tol against every ball vertex.
 
     A non-finite sum is not admissible, and neither is a family with a
-    point whose length is not the generator count (its sum is NaN).
+    point whose length is not the generator count (its sum is NaN).  For
+    finite points each product sum runs over the vertex's nonzero entries
+    only (space._vertex_terms): a zero product leaves a float sum as it is,
+    up to the sign of a zero that abs drops.  A family with a non-finite
+    coordinate takes every entry, since inf * 0 is NaN.
     """
     if any(len(x) != len(space.generators) for x in config.points):
         return AdmissibilityReport(False, math.nan, None)
+    points = [[float(a) for a in x] for x in config.points]
+    if all(math.isfinite(a) for x in points for a in x):
+        terms = space._vertex_terms
+    else:
+        terms = [tuple(enumerate(map(float, v))) for v in space.ball_vertices]
     worst = 0.0
     worst_v = None
-    for v in space.ball_vertices:
+    for v, vt in zip(space.ball_vertices, terms):
         s = 0.0
-        for x in config.points:
-            s += abs(sum(float(a) * float(b) for a, b in zip(x, v)))
+        for x in points:
+            s += abs(sum(x[i] * b for i, b in vt))
         if not math.isfinite(s):
             return AdmissibilityReport(False, s, tuple(v))
         if s > worst:
@@ -755,7 +772,8 @@ def make_certificate(
 
 
 def write_certificate(path, cert: Mapping) -> None:
-    Path(path).write_text(json.dumps(cert, indent=1))
+    """One line of JSON: without indent, json encodes in C."""
+    Path(path).write_text(json.dumps(cert))
 
 
 def load_certificate(path) -> dict:

@@ -140,11 +140,19 @@ def canonical_normal(fn: LinearFunctional, exact: bool) -> LinearFunctional:
     """Scale so the first nonzero coefficient (generator-sorted) is +1.
 
     The items tuple of LinearFunctional is already sorted by generator name,
-    so "first nonzero" is well defined.  Raises for the zero functional.
+    so "first nonzero" is well defined.  Raises for the zero functional.  A
+    normal whose lead is 1 already, as a fan's hyperplanes are, is only put
+    in the arithmetic (Fraction or float coefficients): dividing by 1 would
+    change no value.
     """
     if fn.is_zero:
         raise DegenerateNormalError("zero normal")
     lead = fn.items[0][1]
+    if lead == 1:
+        kind = Fraction if exact else float
+        if all(type(c) is kind for _, c in fn.items):
+            return fn
+        return LinearFunctional(tuple((g, kind(c)) for g, c in fn.items))
     if exact:
         return LinearFunctional(
             tuple((g, as_fraction(c) / as_fraction(lead)) for g, c in fn.items)
@@ -182,17 +190,20 @@ def _angle(p):
     [-1, 1]^2, from (1, 0), in [0, 8); a one-generator p reads as (p[0], 0).
 
     Monotone in the angle, exact in Fractions, and _angles gives the same
-    floats for many points at once.
+    floats for many points at once.  A sup-scaled ray has +/-1 where this
+    divides, and dividing by +/-1 is exact in both arithmetics, so its
+    quotient is read off as the numerator or its negative.
     """
-    x, y = (p[0], p[1]) if len(p) == 2 else (p[0], 0)
+    x, y = (p[0], p[1]) if len(p) == 2 else (p[0], 0 * p[0])  # a zero of its type
     if x > 0 and x >= abs(y):
-        return y / x if y >= 0 else 8 + y / x
+        q = y if x == 1 else y / x
+        return q if y >= 0 else 8 + q
     if y > 0 and y >= abs(x):
-        return 2 - x / y
+        return 2 - (x if y == 1 else x / y)
     if x < 0 and -x >= abs(y):
-        return 4 + y / x
+        return 4 + (-y if x == -1 else y / x)
     if y < 0:
-        return 6 - x / y
+        return 6 - (-x if y == -1 else x / y)
     return 0
 
 

@@ -294,21 +294,21 @@ def test_identity_reads_each_segments_own_piece(K, pairs):
     assert turned >= len(K.intervals)
 
 
-def _random_union_target(rng):
-    """2-3 disjoint intervals on the 1/16 grid; breakpoints on the 1/32 grid
-    with values k/4."""
+def _random_union_target(rng, grid=16):
+    """2-3 disjoint intervals on the 1/grid grid; breakpoints on the
+    1/(2*grid) grid with values k/4."""
     parts = int(rng.integers(2, 4))
-    ends = sorted(int(e) for e in rng.choice(17, size=2 * parts, replace=False))
+    ends = sorted(int(e) for e in rng.choice(grid + 1, size=2 * parts, replace=False))
     K = union_of_intervals(
-        [(Fraction(a, 16), Fraction(b, 16)) for a, b in zip(ends[0::2], ends[1::2])]
+        [(Fraction(a, grid), Fraction(b, grid)) for a, b in zip(ends[0::2], ends[1::2])]
     )
-    return K, _random_target_on(rng, K)
+    return K, _random_target_on(rng, K, 2 * grid)
 
 
-def _random_target_on(rng, K):
+def _random_target_on(rng, K, grid=32):
     pts = {p for iv in K.intervals for p in iv}
-    pts |= {Fraction(int(k), 32) for k in rng.integers(0, 33, 4)
-            if K.contains(Fraction(int(k), 32))}
+    pts |= {Fraction(int(k), grid) for k in rng.integers(0, grid + 1, 4)
+            if K.contains(Fraction(int(k), grid))}
     vals = {p: Fraction(int(rng.integers(-8, 9)), 4) for p in pts}
     return target_from_pairs(K, sorted(vals.items()))
 
@@ -430,6 +430,51 @@ def test_verify_section_matches_a_scan_on_random_unions():
         for exact in (False, True):
             b = build_section(K, h, exact=exact)
             assert verify_section(b) == scan_verify_section(b)
+
+
+def witness_lookup_pieces(fan, table, exact):
+    """Sh's pieces read sector by sector: each sector (p, q) at its witness
+    p + q, with s-sign sigma and the slice segment a + b*c holding the ratio
+    t/s there (scan_segment), gives sigma*(a*s + b*t)."""
+    pieces = []
+    for p, q in fan.cells:
+        ws, wt = Fraction(p[0] + q[0]), Fraction(p[1] + q[1])
+        sigma = 1 if ws > 0 else -1
+        a, b = scan_segment(table, wt / ws)
+        coeffs = {"one": sigma * a, "id": sigma * b}
+        pieces.append(LinearFunctional.from_map(
+            {g: c if exact else float(c) for g, c in coeffs.items()}))
+    return tuple(pieces)
+
+
+# Targets on [0, 1] at the edges of build_section's table walk in floats.
+# 1/3 and 1/3 + 1e-14 share the 12-digit normal key, so the float fan has
+# one ray pair fewer than the table has points.  The floats just below and
+# above 0.6000000000085 keep their normals and rays apart, but the witness
+# ratio of the sector between them rounds onto its lower end.
+WALK_EDGE_TARGETS = [
+    ((0, 0), (Fraction(1, 3), 1), (Fraction(1, 3) + Fraction(1, 10**14), -1), (1, 2)),
+    ((0, 0), (0.6000000000085, 1), (0.6000000000085001, -1), (1, 2)),
+]
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_table_walk_matches_a_witness_lookup_of_every_sector(exact):
+    rng = np.random.default_rng(631)
+    # on the 1/21 grid most points round in floats
+    cases = [_random_union_target(rng, grid) for grid in (16, 21) for _ in range(8)]
+    cases += [(interval01(), H(interval01(), *pairs)) for pairs in WALK_EDGE_TARGETS]
+    cases += [(K, H(K, *pairs)) for K, pairs in LOOKUP_CASES]
+    for K, h in cases:
+        b = build_section(K, h, exact=exact)
+        assert b.Sh.pieces == witness_lookup_pieces(b.Sh.fan, b.table, exact), (K, h)
+    merged, thin = (build_section(interval01(), H(interval01(), *pairs), exact=exact)
+                    for pairs in WALK_EDGE_TARGETS)
+    full = 2 * len(merged.table) + 4
+    assert len(merged.Sh.fan.rays) == (full if exact else full - 2)
+    a, b = (r[1] for r in thin.Sh.fan.rays[1:3])
+    assert len(thin.Sh.fan.rays) == 2 * len(thin.table) + 4
+    assert (Fraction(a + b) / 2 == a) is not exact
 
 
 def test_segment_lookup_matches_a_walk_of_the_table():

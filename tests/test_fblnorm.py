@@ -240,6 +240,46 @@ def test_admissible_rejects_a_non_finite_sum(bad):
     assert not math.isfinite(rep.worst_sum)
 
 
+def dense_admissible(config, space, tol=1e-12):
+    """admissible with every product of every entry, in order."""
+    worst, worst_v = 0.0, None
+    for v in space.ball_vertices:
+        s = 0.0
+        for x in config.points:
+            s += abs(sum(float(a) * float(b) for a, b in zip(x, v)))
+        if not math.isfinite(s):
+            return False, repr(s), tuple(v)
+        if s > worst:
+            worst, worst_v = s, tuple(v)
+    return worst <= 1.0 + tol, repr(worst), worst_v
+
+
+def test_admissible_sums_nonzero_entries_as_the_dense_sum_would():
+    """Verdict, worst sum (to the bit) and worst vertex, on random families
+    with signed zeros and Fractions, and with an infinite or NaN coordinate
+    anywhere: (0.5, inf) has the NaN sum 0.5*1 + inf*0 at (1, 0), where
+    nonzero entries alone would give a finite sum there."""
+    rng = np.random.default_rng(643)
+    spaces = [fbl_space(("a", "b", "c")), linf_vertex_space(("a", "b", "c")),
+              AdmissibilitySpace(("a", "b", "c"), ((1.0, 0.0, -0.5), (-1.0, 0.0, 0.5),
+                                                   (0.0, 2.0, 0.0), (0.0, -2.0, 0.0),
+                                                   (0.0, 0.0, 1.0), (0.0, 0.0, -1.0)))]
+    entries = [0.0, -0.0, 0.25, -0.125, 1 / 3, Fraction(1, 7), -0.6]
+    for _ in range(300):
+        k = int(rng.integers(1, 4))
+        points = [[entries[i] for i in rng.integers(0, len(entries), 3)] for _ in range(k)]
+        if rng.random() < 0.3:
+            points[int(rng.integers(k))][int(rng.integers(3))] = [math.inf, -math.inf,
+                                                                  math.nan][int(rng.integers(3))]
+        config = DualConfig(tuple(tuple(x) for x in points))
+        for space in spaces:
+            rep = admissible(config, space)
+            assert (rep.ok, repr(rep.worst_sum), rep.worst_vertex) == dense_admissible(
+                config, space), (points, space.ball_vertices)
+    rep = admissible(DualConfig(((0.5, math.inf),)), fbl_space(("a", "b")))
+    assert (rep.ok, math.isnan(rep.worst_sum), rep.worst_vertex) == (False, True, (1.0, 0.0))
+
+
 @pytest.mark.parametrize("point", [(0.5, 0.5, 9.0), (0.5,)])
 def test_admissible_rejects_a_point_of_the_wrong_length(point):
     # zipping with the ball vertices dropped the extra 9.0 and padded

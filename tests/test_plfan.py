@@ -363,6 +363,40 @@ def test_point_on_a_ray_takes_the_sector_that_starts_there():
     assert pl_value_many(f, np.array(points)).tolist() == want
 
 
+def division_angle(p):
+    """_angle with a division in every branch."""
+    x, y = (p[0], p[1]) if len(p) == 2 else (p[0], 0)
+    if x > 0 and x >= abs(y):
+        return y / x if y >= 0 else 8 + y / x
+    if y > 0 and y >= abs(x):
+        return 2 - x / y
+    if x < 0 and -x >= abs(y):
+        return 4 + y / x
+    if y < 0:
+        return 6 - x / y
+    return 0
+
+
+def test_angle_reads_unit_divisors_off_as_the_division_would():
+    """Same value, type and zero sign as dividing, on sup-scaled rays (a
+    +/-1 divisor), on other points, and on both axes with signed zeros, in
+    Fractions and floats; the floats are also _angles'."""
+    rng = np.random.default_rng(641)
+    raw = [tuple(int(v) for v in rng.integers(-9, 10, 2)) for _ in range(400)]
+    raw = [r for r in raw if r != (0, 0)]
+    fractions = [tuple(Fraction(v, 7) for v in r) for r in raw]
+    fractions += [tuple(v / max(abs(c) for c in r) for v in r) for r in fractions]
+    floats = [tuple(v / 7 for v in r) for r in raw]
+    floats += [tuple(v / max(abs(c) for c in r) for v in r) for r in floats]
+    floats += [(x, y) for x in (1.0, -1.0, 0.0, -0.0, 0.5) for y in (1.0, -1.0, 0.0, -0.0)]
+    one = [(Fraction(v),) for v in (1, -1, 3, -3)] + [(v,) for v in (1.0, -1.0, 2.5, -2.5)]
+    for p in fractions + floats + one:
+        got, want = plfan._angle(p), division_angle(p)
+        assert (type(got), repr(got)) == (type(want), repr(want)), p
+    for points in (floats, [p for p in one if isinstance(p[0], float)]):
+        assert [plfan._angle(p) for p in points] == plfan._angles(np.array(points)).tolist()
+
+
 # ---------------------------------------------------------------------------
 # max-min forms: pl_parts, pl_from_maxmin, and stored functions built from them
 
@@ -741,3 +775,25 @@ def test_plfunction_json_roundtrip_exact():
     g = plfunction_from_json(plfunction_to_json(f))
     assert g == f
     assert pl_equal(f, g, exact=True)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_a_loaded_function_keeps_its_norm_with_a_repeated_unscaled_hyperplane(exact):
+    """A file may list a hyperplane unscaled and twice.  The norm skips the
+    division only for a normal whose lead is 1 already, so it still scales
+    and deduplicates these, and it is the clean function's (with h listed
+    first, where the file first has it)."""
+    text = "(0.1*d(a) ^ d(b)) v (0.3*d(b) - 0.7*d(a)) v (-0.9*d(a) + 0.2*d(b))"
+    f = stored_from_form(to_maxmin(parse_expr(text)), ("a", "b"), exact=exact)
+    space = fbl_space(("a", "b"))
+
+    def with_hyperplanes(hyps):
+        return PLFunction(dataclasses.replace(f.fan, hyperplanes=hyps), f.pieces)
+
+    for k, h in enumerate(f.fan.hyperplanes):
+        clean = with_hyperplanes((h,) + tuple(x for x in f.fan.hyperplanes if x != h))
+        dirty = (h.scaled(-2),) + f.fan.hyperplanes + (h.scaled(4),)
+        g = plfunction_from_json(plfunction_to_json(with_hyperplanes(dirty)))
+        want, got = (exact_fbl_norm(x, space, exact=exact) for x in (clean, g))
+        assert (got.lower, got.upper, got.certificate, got.diagnostics) == (
+            want.lower, want.upper, want.certificate, want.diagnostics), k

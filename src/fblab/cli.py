@@ -90,18 +90,20 @@ def _cmd_norm(args) -> int:
     gens = tuple(sorted(support(e)))
     space = _space_for(args.space, gens)
     bracket = fblnorm.norm_of_expression(e, space, exact=args.exact)
+    try:
+        upper, lower = float(bracket.upper), float(bracket.lower)
+    except OverflowError:  # an exact norm that no float holds
+        raise OverflowError(f"the norm is {fblnorm.FLOAT_RANGE}") from None
     cert_path = _write_cert_if_asked(
-        args, space, bracket.certificate, float(bracket.upper), "exact",
-        {"expr": to_text(e)},
+        args, space, bracket.certificate, upper, "exact", {"expr": to_text(e)},
     )
-    upper = float(bracket.upper)
-    ok = float(bracket.lower) <= upper + 1e-9 * abs(upper)
+    ok = lower <= upper + 1e-9 * abs(upper)
     payload = {
         "expr": to_text(e),
         "generators": list(gens),
         "space": args.space,
         "value": upper,
-        "lower": float(bracket.lower),
+        "lower": lower,
         "upper": upper,
         "exact_value": bracket.upper if args.exact else None,
         "certificate_points": [list(p) for p in bracket.certificate.points],
@@ -110,7 +112,7 @@ def _cmd_norm(args) -> int:
     }
     return _emit(
         args, payload, started, ok,
-        f"norm {to_text(e)} over {args.space}: {float(bracket.upper)!r}",
+        f"norm {to_text(e)} over {args.space}: {upper!r}",
     )
 
 

@@ -51,6 +51,8 @@ import itertools
 import json
 import math
 import numbers
+import operator
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -98,6 +100,20 @@ __all__ = [
 ]
 
 ADMISSIBILITY_TOL = 1e-12
+# The tail of the error raised for a norm that is no finite float.
+FLOAT_RANGE = f"past the float range (|x| <= {sys.float_info.max:.4g})"
+
+
+def _spans(V: np.ndarray, n: int) -> bool:
+    """Whether np.linalg.matrix_rank(V) is n.  The eigenvalues of the Gram
+    matrix V^T V are the squared singular values of V, and forming and
+    solving it errs by far less than 1e-8 of the largest one while that is
+    a normal float well above the subnormals.  So a smallest one above 1e-8
+    of the largest proves full rank without the SVD, which takes several
+    times as long on many vertices; otherwise matrix_rank decides."""
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        ev = np.linalg.eigvalsh(V.T @ V)
+    return bool(ev[0] > 1e-8 * ev[-1] > 1e-300) or np.linalg.matrix_rank(V) >= n
 
 
 @dataclass(frozen=True)
@@ -120,13 +136,12 @@ class AdmissibilitySpace:
             raise SpaceError("duplicate generator names")
         if not self.ball_vertices:
             raise SpaceError("empty ball vertex list")
-        vset = {tuple(float(x) for x in v) for v in self.ball_vertices}
-        for v in vset:
-            if len(v) != n:
-                raise SpaceError("vertex dimension mismatch")
-            if tuple(-x for x in v) not in vset:
-                raise SpaceError("vertex list is not symmetric")
-        if np.linalg.matrix_rank(np.array(sorted(vset), dtype=float)) < n:
+        vset = {tuple(map(float, v)) for v in self.ball_vertices}
+        if any(len(v) != n for v in vset):
+            raise SpaceError("vertex dimension mismatch")
+        if not all(tuple(map(operator.neg, v)) in vset for v in vset):
+            raise SpaceError("vertex list is not symmetric")
+        if not _spans(np.array(list(vset)), n):
             raise SpaceError("vertex list does not span")
 
     @cached_property
@@ -156,10 +171,10 @@ def fbl_space(generators) -> AdmissibilitySpace:
     n = len(generators)
     verts = []
     for i in range(n):
-        e = [0.0] * n
-        e[i] = 1.0
-        verts.append(tuple(e))
-        verts.append(tuple(-x for x in e))
+        for zero, one in ((0.0, 1.0), (-0.0, -1.0)):
+            v = [zero] * n
+            v[i] = one
+            verts.append(tuple(v))
     return AdmissibilitySpace(generators, tuple(verts))
 
 
@@ -302,7 +317,8 @@ def exact_fbl_norm(
     weighted ray family with zero weights dropped, rescaled by the worst
     vertex sum when rounding pushed it above one, and its value is
     recomputed by direct evaluation, so lower is certified independently of
-    the LP bookkeeping.
+    the LP bookkeeping.  The float route raises OverflowError when a
+    candidate ray's value or the norm is not a finite float.
     """
     gens = space.generators
     n = len(gens)
@@ -318,7 +334,12 @@ def exact_fbl_norm(
     if exact:
         reps = [tuple(as_fraction(c) for c in v) for v in reps]
 
-    cvec = [abs(v) for v in values(rays)]
+    # An overflow here is reported by the OverflowError below, not as a
+    # numpy warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        cvec = [abs(v) for v in values(rays)]
+    if not exact and not all(map(math.isfinite, cvec)):
+        raise OverflowError(f"a candidate ray's value is {FLOAT_RANGE}")
     if exact:
         rows = [[abs(sum(dc * vc for dc, vc in zip(d, v))) for d in rays] for v in reps]
     else:
@@ -358,6 +379,8 @@ def exact_fbl_norm(
     else:
         lower = config_value(value, config)
         upper = float(res.value) * c_scale
+        if not (math.isfinite(upper) and math.isfinite(lower)):
+            raise OverflowError(f"the norm is {FLOAT_RANGE}")
     return NormBracket(
         lower=lower,
         certificate=config,
@@ -428,19 +451,21 @@ def oracle_lower_bound(
     the moves of a chain are valued against the same members, and its
     distinct moves are 0, 1, -1 and x +/- each delta left, per coordinate.
 
-    The restarts run side by side in C slots, C = budget / (300 n s) clamped
-    to [8, 64], s the mean restart size.  Each step of all the slots is one
-    stacked call that runs every slot's chain, up to its first kept move,
-    the end of its restart or the budget: F.batch gets an (N, n) array of
-    rows, the members of every slot (padded with zero rows, which count for
-    nothing) and, per distinct move of a slot's chain, the member the move
-    changes; an F without batch is called row by row.  F being positively
-    homogeneous of the given degree, a configuration's value is its sum of
-    |F| at the unscaled members over sigma**degree, sigma its largest vertex
-    sum, so a move costs F at one row.  A slot's current value comes from the
-    same call as its moves, and every comparison is relative, so for F
-    scaled by 2**j the search and the certificate are the same and the bound
-    is 2**j times as large, bit for bit.
+    The restarts run side by side in C slots, C = budget / (200 n s) clamped
+    to [8, 64], s the mean restart size: about four restarts a slot, each of
+    at least one sweep of 5 n s moves at each of the ten deltas.  Each step
+    of all the slots is one stacked call that runs every slot's chain, up to
+    its first kept move, the end of its restart or the budget: F.batch gets
+    an (N, n) array of rows, the members of every slot (padded with zero
+    rows, which count for nothing) and, per distinct move of a slot's chain,
+    the member the move changes; an F without batch is called row by row.
+    F being positively homogeneous of the given degree, a configuration's
+    value is its sum of |F| at the unscaled members over sigma**degree,
+    sigma its largest vertex sum, so a move costs F at one row.  A slot's
+    current value comes from the same call as its moves, and every
+    comparison is relative, so for F scaled by 2**j the search and the
+    certificate are the same and the bound is 2**j times as large, bit for
+    bit.
 
     budget counts evaluations: 1 per start and 1 per move visited, up to and
     including the move kept.  The slots take their counts in slot order, a
@@ -483,10 +508,11 @@ def oracle_lower_bound(
     Q = 3 + 2 * S
     shift = np.repeat(steps, 2) * np.tile((1.0, -1.0), S)
     kind_step = np.concatenate(((S, S, S), np.repeat(np.arange(S), 2)))
-    # About four restarts per slot of 15 sweeps of 5 n k moves: the budget
-    # cuts the last restart of every slot short, so the slots stay few next
-    # to the restarts.
-    slots = int(np.clip(budget / (4 * 15 * 5 * n * sizes.mean()), 8, 64))
+    # About four restarts per slot, a slot being one restart that climbs
+    # inside the stacked call.  A restart runs at least one sweep of 5 n k
+    # moves per step size, S sweeps; the budget cuts the last restart of
+    # every slot short, so the slots stay few next to the restarts.
+    slots = int(np.clip(budget / (4 * S * 5 * n * sizes.mean()), 8, 64))
     K = sizes[-1]
     gain = 1.0 + 2.0**-40
     # Summing a move's other members afresh, rather than subtracting its
@@ -780,6 +806,30 @@ def load_certificate(path) -> dict:
     return json.loads(Path(path).read_text())
 
 
+def _check_certificate(cert) -> None:
+    """The shape replay_certificate reads; the values it checks itself."""
+    if not isinstance(cert, Mapping):
+        raise ValueError(f"certificate is not a JSON object but a {type(cert).__name__}")
+    missing = [k for k in ("kind", "schema", "space", "points", "value", "claimed_norm",
+                           "mode", "function") if k not in cert]
+    if missing:
+        raise ValueError(f"certificate lacks {', '.join(missing)}")
+    for key, want in (("kind", "fbl-norm-certificate"), ("schema", 1)):
+        if type(cert[key]) is not type(want) or cert[key] != want:
+            raise ValueError(f"certificate {key} is {cert[key]!r}, not {want!r}")
+    space, function, points = cert["space"], cert["function"], cert["points"]
+    if not (isinstance(space, Mapping)
+            and all(isinstance(space.get(k), list) for k in ("generators", "ball_vertices"))):
+        raise ValueError("certificate space is not an object with the lists "
+                         "generators and ball_vertices")
+    if not isinstance(function, Mapping):
+        raise ValueError("certificate function is not an object")
+    if not (isinstance(points, list) and all(isinstance(x, list) for x in points)):
+        raise ValueError("certificate points are not a list of lists")
+    if cert["mode"] not in ("lower", "exact"):
+        raise ValueError(f"certificate mode is {cert['mode']!r}, not 'lower' or 'exact'")
+
+
 def replay_certificate(cert: Mapping) -> dict:
     """Re-check a certificate: admissibility plus bit-identical revaluation.
 
@@ -789,8 +839,11 @@ def replay_certificate(cert: Mapping) -> dict:
     the value is consistent with the claimed norm for the recorded mode:
     within a relative 1e-9 of it in "exact" mode, and at most 1e-9*|claim|
     above it in "lower" mode.  A malformed family is not evaluated; its
-    value is NaN.
+    value is NaN.  Raises ValueError, naming the problem, unless cert is a
+    JSON object of kind "fbl-norm-certificate" and schema 1 that holds every
+    key replay reads.
     """
+    _check_certificate(cert)
     space = _space_from_json(cert["space"])
     config = DualConfig(tuple(tuple(float(c) for c in x) for x in cert["points"]))
     F = _replay_evaluator(cert["function"], space.generators)

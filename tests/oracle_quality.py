@@ -1,13 +1,15 @@
-"""The oracle's quality over many inputs: misses, worst gap and wall time.
+"""The oracle's quality over many inputs: misses, gaps and wall time.
 
     python3 tests/oracle_quality.py
 
 Runs one `oracle` round of the benchmark (perfbench/workloads.py) for each
 bench seed 1-100 and checks it with perfbench's own check_oracle: every
 `oracle` bound lies in [exact - 1e-3, exact + 1e-9], every `lemma34` bound
-is at most its sup norm + 1e-9, and every certificate replays.  Then it runs
-acceptance criterion 2's loop (50 random expressions at budget 20,000) on
-rng seeds 202-205.  It prints one line per miss and a summary, and exits 1
+is at most its sup norm + 1e-9, and every certificate replays; over the
+`oracle` items it reports the worst gap exact - lower, the worst and mean
+relative gap (exact - lower) / exact, and how many relative gaps exceed
+1e-9.  Then it runs acceptance criterion 2's loop (50 random expressions at
+budget 20,000) on rng seeds 202-205.  It prints one line per miss and a summary, and exits 1
 on a miss.  pytest does not collect it: it takes about 30 s.
 """
 
@@ -38,8 +40,9 @@ def exact_norm(text, gens):
 
 
 def bench_rounds(outdir):
-    """Misses and the worst exact - lower over the bench seeds' oracle items."""
-    misses, worst = [], -np.inf
+    """Misses, the worst exact - lower and the relative gaps
+    (exact - lower) / exact over the bench seeds' oracle items."""
+    misses, worst, rel = [], -np.inf, []
     for seed in BENCH_SEEDS:
         items = run.build_inputs("oracle", seed, outdir)
         ctx = run.Context(outdir)
@@ -48,8 +51,10 @@ def bench_rounds(outdir):
         misses += [f"bench seed {seed}: {p}" for p in checks.check_oracle(items, results, seed)]
         for item, res in zip(items, results):
             if item.kind == "oracle" and res is not None:
-                worst = max(worst, exact_norm(item.text, res["gens"]) - res["lower"])
-    return misses, worst
+                exact = exact_norm(item.text, res["gens"])
+                worst = max(worst, exact - res["lower"])
+                rel.append((exact - res["lower"]) / exact if exact else 0.0)
+    return misses, worst, np.array(rel)
 
 
 def criterion_2(seed):
@@ -76,7 +81,7 @@ def criterion_2(seed):
 def main() -> int:
     t0 = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
-        misses, bench_worst = bench_rounds(Path(tmp))
+        misses, bench_worst, rel = bench_rounds(Path(tmp))
     t1 = time.perf_counter()
     crit_worst = -np.inf
     for seed in CRITERION_2_SEEDS:
@@ -88,7 +93,9 @@ def main() -> int:
         print(line)
     print(f"bench seeds {BENCH_SEEDS.start}-{BENCH_SEEDS.stop - 1} "
           f"(600 oracle, 400 lemma34 items): "
-          f"worst exact-oracle gap {bench_worst:.2e}, {t1 - t0:.1f} s")
+          f"worst exact-oracle gap {bench_worst:.2e} (relative {rel.max():.2e}), "
+          f"{np.count_nonzero(rel > 1e-9)} of {len(rel)} oracle items with a relative "
+          f"gap above 1e-9, mean relative gap {rel.mean():.2e}, {t1 - t0:.1f} s")
     print(f"criterion 2 on rng seeds {CRITERION_2_SEEDS.start}-{CRITERION_2_SEEDS.stop - 1} "
           f"(200 expressions): worst exact-oracle gap {crit_worst:.2e}, {t2 - t1:.1f} s")
     print(f"{len(misses)} misses, {t2 - t0:.1f} s")

@@ -203,6 +203,30 @@ def test_replay_missing_file_is_usage_error(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("edit, problem", [
+    # each of the first three used to end in a bare TypeError, KeyError
+    # 'space', or a replay as if of schema 1
+    (lambda doc: [1], "not a JSON object"),
+    (lambda doc: {}, "lacks kind, schema, space"),
+    (lambda doc: {**doc, "schema": 2}, "schema is 2, not 1"),
+    (lambda doc: {**doc, "kind": "fbl-norm-report"},
+     "kind is 'fbl-norm-report', not 'fbl-norm-certificate'"),
+    (lambda doc: {**doc, "space": {"generators": ["a", "b"]}}, "space is not an object"),
+    (lambda doc: {**doc, "points": [1.0, 0.0]}, "points are not a list of lists"),
+    (lambda doc: {**doc, "mode": "upper"}, "mode is 'upper', not 'lower' or 'exact'"),
+], ids=["list", "empty", "schema", "kind", "space", "points", "mode"])
+def test_replay_names_what_is_wrong_with_a_malformed_certificate(
+        tmp_path, capsys, edit, problem):
+    cert = tmp_path / "c.cert.json"
+    run_cli(capsys, ["norm", "--expr", "d(a) v d(b)", "--cert", str(cert), "--json-only"])
+    cert.write_text(json.dumps(edit(json.loads(cert.read_text()))))
+    code, rep, err = run_cli(capsys, ["replay-cert", str(cert), "--json-only"])
+    assert code == 2
+    assert rep is None
+    assert err.startswith("error: certificate ") and problem in err
+    assert err.count("\n") == 1
+
+
 def test_oracle_certificate_replays(tmp_path, capsys):
     cert = tmp_path / "o.cert.json"
     code, rep, _ = run_cli(
@@ -482,6 +506,20 @@ def test_non_finite_scalars_are_usage_errors(capsys, text, exact):
     assert code == 2
     assert rep is None
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("extra", [[], ["--space", "linf"], ["--exact"]],
+                         ids=["l1", "linf", "exact"])
+def test_a_norm_past_the_float_range_is_an_error(capsys, extra):
+    """Each scalar is finite, the norm 2e308 is not: l1 printed "value":
+    "inf" with exit 0, linf "nan" with exit 1, and --exact ended in
+    "error: OverflowError: integer division result too large for a float"."""
+    argv = ["norm", "--expr", "1e308*d(a) + 1e308*d(b)", "--json-only"] + extra
+    code, rep, err = run_cli(capsys, argv)
+    assert code == 2
+    assert rep is None
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "past the float range" in err
 
 
 def test_reports_map_non_finite_floats_to_strings():

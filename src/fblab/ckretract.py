@@ -8,26 +8,29 @@ points i(k) = (1, k); the section S goes the other way, from a piecewise
 linear h on K to a positively homogeneous PL function Sh on (s,t)-space,
 with T(Sh) = Sh(1, .) = h on K.
 
-Construction, from inside out:
+The section, from inside out:
 
   v(s,t) = (1, clip(t/s, -1, 1))        ray-invariant retraction to the slice
   phi(c) = nearest point of K            defined off the gap midpoints
   u(c)   = min(1, alpha * dist(c, gap midpoints)), alpha = 2 / min gap
 
 and Sh(x) = h(phi(c)) * u(c) * |s| with c = clip(t/s, 0, 1).  u is 1 on K
-and vanishes exactly where phi jumps, so the product h(phi(c)) * u(c) is a
-continuous piecewise-linear function of c (the slice function); multiplying
-by |s| and unwinding c = t/s turns each linear segment a + b*c into the
-homogeneous piece sign(s) * (a*s + b*t) on a cone of the (s,t) plane, which
-is how build_section assembles Sh symbolically.  Special slices of K:
+and vanishes exactly where phi jumps, so the slice function
+c -> h(phi(c)) * u(c) is continuous and piecewise linear.  Its breakpoints
+are known in closed form: h's breakpoints, the ends 0 and 1, and three
+points per gap of K (slice_table).  Multiplying by |s| and unwinding
+c = t/s turns each segment a + b*c into the homogeneous piece
+sign(s) * (a*s + b*t) on a sector of the (s,t) plane, so build_section
+reads Sh's rays, hyperplanes and pieces off that table in one walk, in
+Fractions, and rounds the result for the float section.  Special slices
+of K:
 
   full interval [0,1]: no gaps, u == 1, phi = clip, classic retraction;
   the pair {0,1}:       u(c) = |2c - 1|, phi = threshold at 1/2.
 
-All breakpoint arithmetic is rational; float pieces are emitted unless
-exact=True.  Verification helpers decide the section identity T(Sh) = h on
-all of K (exactly, on the segments between kinks of Sh(1, .) and h, within
-a tolerance relative to sup|h|), check the norm bound ||Sh|| <= sup|h| (over
+Verification helpers decide the section identity T(Sh) = h on all of K
+(exactly, on the segments between kinks of Sh(1, .) and h, within a
+tolerance relative to sup|h|), check the norm bound ||Sh|| <= sup|h| (over
 the two-generator space; reports flag the restriction) and decide the
 lattice-homomorphism laws of S in Fractions.
 """
@@ -98,22 +101,8 @@ class KSpec:
         return any(a <= c <= b for a, b in self.intervals)
 
     def gaps(self) -> tuple:
-        out = []
-        for (a1, b1), (a2, b2) in zip(self.intervals, self.intervals[1:]):
-            out.append((b1, a2))
-        return tuple(out)
-
-    def project(self, c) -> Fraction:
-        """Nearest point of K; ties at gap midpoints resolve to the left."""
-        c = as_fraction(c)
-        best = None
-        best_d = None
-        for a, b in self.intervals:
-            p = min(max(c, a), b)
-            d = abs(c - p)
-            if best_d is None or d < best_d:
-                best, best_d = p, d
-        return best
+        """The (b, a) between consecutive intervals (., b) and (a, .)."""
+        return tuple((b, a) for (_, b), (a, _) in zip(self.intervals, self.intervals[1:]))
 
 
 def interval01() -> KSpec:
@@ -137,9 +126,9 @@ class TargetFunction:
 
     Every interval endpoint of K must appear as a breakpoint, every
     breakpoint must lie in K, and h is linear between neighbours inside an
-    interval.  Values at points outside K are never requested directly;
-    compositions go through the nearest-point projection.  value(c) is one
-    _segment lookup in the breakpoints, read into segments on first use.
+    interval.  Values at points outside K are never requested: the slice
+    table reads h at its breakpoints only.  value(c) is one _segment lookup
+    in the breakpoints, read into segments on first use.
     """
 
     K: KSpec
@@ -237,60 +226,37 @@ def target_lincomb(a, h1: TargetFunction, b, h2: TargetFunction) -> TargetFuncti
 
 
 # ---------------------------------------------------------------------------
-# the retraction data u, phi and the slice function
-
-
-def _gap_data(K: KSpec):
-    """(mids, alpha): the midpoints of K's gaps and alpha = 2 / min gap, the
-    slope of u's ramps; no midpoints and no alpha for one interval."""
-    gaps = K.gaps()
-    if not gaps:
-        return (), None
-    min_gap = min(a2 - b1 for b1, a2 in gaps)
-    if min_gap == 0:
-        raise CKError("touching intervals should be merged")
-    return tuple((b1 + a2) / 2 for b1, a2 in gaps), Fraction(2, 1) / min_gap
-
-
-def _u_of_c(mids, alpha, c: Fraction) -> Fraction:
-    """u at c for the gap data (mids, alpha) of K: 1 on K, 0 exactly at gap
-    midpoints, linear ramp of slope alpha between."""
-    if not mids:
-        return Fraction(1)
-    return min(Fraction(1), alpha * min(abs(c - mid) for mid in mids))
-
-
-def _slice_breakpoints(K: KSpec, h: TargetFunction, mids, alpha) -> list:
-    pts = {Fraction(0), Fraction(1)}
-    for p, _ in h.breakpoints:
-        pts.add(p)
-    for a, b in K.intervals:
-        pts.add(a)
-        pts.add(b)
-    if mids:
-        r = Fraction(1) / alpha
-        for mid in mids:
-            pts.update((mid - r, mid, mid + r))
-    return sorted(p for p in pts if 0 <= p <= 1)
+# the slice function and the section
 
 
 def slice_table(K: KSpec, h: TargetFunction) -> tuple:
-    """The slice function c -> h(phi(c)) * u(c) tabulated at its breakpoints.
+    """The slice function c -> h(phi(c)) * u(c) on [0, 1], as the ascending
+    (point, value) table of its breakpoints, read off h and K's gaps.
 
-    Linear between consecutive entries; this is what Sh restricts to on the
-    ray slice, and what build_section unwinds into homogeneous pieces.
+    On K, u is 1 and phi is the identity, so every breakpoint of h enters
+    with its value.  Below K's first point phi is that point, and above its
+    last point that one: the ends are (0, h(a_1)) and (1, h(b_last)).  In a
+    gap (b, a) with midpoint m, and r half the smallest gap, u is 1 up to
+    m - r, where phi is still b, falls to 0 at m and is 1 again from m + r,
+    where phi is a: (m - r, h(b)), (m, 0) and (m + r, h(a)).  In a gap of
+    the smallest length m - r is b and m + r is a, so those entries are h's
+    own.  The points arrive in ascending order, and a dict keeps one entry
+    per point.
     """
-    mids, alpha = _gap_data(K)
-    table = []
-    for c in _slice_breakpoints(K, h, mids, alpha):
-        u = _u_of_c(mids, alpha, c)
-        val = Fraction(0) if u == 0 else h.value(K.project(c)) * u
-        table.append((c, val))
-    return tuple(table)
-
-
-# ---------------------------------------------------------------------------
-# the section bundle
+    gaps = dict(K.gaps())
+    r = min(a - b for b, a in gaps.items()) / 2 if gaps else None
+    value = dict(h.breakpoints)
+    table = {Fraction(0): h.breakpoints[0][1]}
+    for p, v in h.breakpoints:
+        table[p] = v
+        if p in gaps:
+            a = gaps[p]
+            m = (p + a) / 2
+            table[m - r] = v
+            table[m] = Fraction(0)
+            table[m + r] = value[a]
+    table[Fraction(1)] = h.breakpoints[-1][1]
+    return tuple(table.items())
 
 
 @dataclass
@@ -304,80 +270,48 @@ class SectionBundle:
 
 
 def build_section(K: KSpec, h: TargetFunction, exact: bool = False) -> SectionBundle:
-    """Assemble Sh symbolically as a PLFunction over ("one", "id").
+    """Sh as a PLFunction over ("one", "id"), read off the slice table in
+    one walk.
 
-    Fan hyperplanes: s, t, t - s, t + s, and t - c*s for every interior
-    slice breakpoint c, so every clip corner and slice kink is a ray of the
-    fan.  A sector of s-sign sigma whose ratio t/s runs over the slice
-    segment a + b*c carries the piece sigma*(a*s + b*t); sectors beyond the
-    clip range use the constant slice values at 0 or 1.
-
-    The pieces come from a walk of the slice table, not a search.  For
-    table points 0 = c_0 < ... < c_n = 1 the fan's rays are, from (1, 0),
+    For table points 0 = c_0 < ... < c_n = 1, Sh has the rays
     (1, c_0) ... (1, c_n), (0, 1), (-1, 1), (-1, -c_0) ... (-1, -c_n),
-    (0, -1) and (1, -1).  So the first n sectors take the table segments
-    in order, with sigma = 1, and the n sectors from (-1, 0) take them
-    again with sigma = -1; of the six others, the two where t/s > 1 take
-    the constant at 1 and the four where t/s < 0 the constant at 0.  That
-    is what reading each sector (p, q) at its witness p + q (_segment of
-    the ratio there) gives, which stays for what the walk cannot vouch
-    for: a float fan that lost rays, when two table points share a normal
-    key or an angle, and a float sector whose witness ratio rounds onto an
-    end of its segment.
+    (0, -1) and (1, -1), counter-clockwise from (1, 0), and the hyperplanes
+    s, t, t - s, t + s and t - c_k*s for every interior c_k.  A sector of
+    s-sign sigma on which t/s runs over the table segment a + b*c carries
+    the piece sigma*(a*s + b*t).  So the sectors from (1, 0) take the n
+    segments in order and then the constant at 1 (t/s > 1); the two from
+    (0, 1) to (-1, 0) take the constant at 0, negated (t/s < 0); the
+    sectors from (-1, 0) take the segments again, negated, then the
+    constant at 1, negated; and the two from (0, -1) to (1, 0) the constant
+    at 0.
+
+    All of this is computed in Fractions.  The float section is the exact
+    one rounded, coefficient by coefficient; the axis rays (1, -0) and
+    (-0, -1) keep the signed zeros of the null directions of t and s.
+    Where two table points round to one float, the sector between them is
+    empty and is dropped, and so is the repeated hyperplane.
     """
     if h.K != K:
         raise CKError("h is defined on a different K")
     table = slice_table(K, h)
+    num = Fraction if exact else float
+    one, zero = num(1), num(0)
+    inner = [num(c) for c, _ in table[1:-1]]
+    rays = [(one, -zero), *((one, c) for c in inner), (one, one), (zero, one),
+            (-one, one), (-one, zero), *((-one, -c) for c in inner), (-one, -one),
+            (-zero, -one), (one, -one)]
+    normals = [{"one": one}, {"id": one}, {"id": one, "one": -one}, {"id": one, "one": one}]
+    normals += [{"id": one, "one": -c} for c in inner]
+    hyperplanes = dict.fromkeys(LinearFunctional.from_map(m) for m in normals)
 
-    def num(v):
-        return v if exact else float(v)
-
-    normals = [
-        LinearFunctional.from_map({"one": num(Fraction(1))}),
-        LinearFunctional.from_map({"id": num(Fraction(1))}),
-        LinearFunctional.from_map({"id": num(Fraction(1)), "one": num(Fraction(-1))}),
-        LinearFunctional.from_map({"id": num(Fraction(1)), "one": num(Fraction(1))}),
-    ]
-    for c, _ in table:
-        if 0 < c < 1:
-            normals.append(
-                LinearFunctional.from_map({"id": num(Fraction(1)), "one": num(-c)})
-            )
-    fan = plfan.arrangement_fan(normals, GENERATORS, exact=exact)
-
-    segs = _segments(table)
-    segments = segs[1]  # constant at 0, the n table segments, constant at 1
-    n = len(table) - 1
-
-    def piece(a, b):
-        return LinearFunctional.from_map({"one": a, "id": b})
-
-    def witness_piece(p, q):
-        ws, wt = as_fraction(p[0] + q[0]), as_fraction(p[1] + q[1])
-        sigma = 1 if ws > 0 else -1
-        a, b = _segment(segs, wt / ws)
-        return piece(num(sigma * a), num(sigma * b))
-
-    if len(fan.rays) == 2 * n + 6:
-        # float(-a) is -float(a): rounding to nearest is symmetric
-        coeffs = [(num(a), num(b)) for a, b in segments]
-        up = [piece(a, b) for a, b in coeffs]
-        down = [piece(-a, -b) for a, b in coeffs]
-        pieces = up[1:] + down[:1] * 2 + down[1:] + up[:1] * 2
-        for k in range(0 if exact else n):
-            # Float rays round the table points.  mid is the witness ratio
-            # of sectors k and n + 3 + k when mid + mid == a + b, and a
-            # float strictly between the floats a and b lies strictly
-            # between the table points they round.
-            a, b = fan.rays[k][1], fan.rays[k + 1][1]
-            mid = (a + b) / 2
-            if not (a < mid < b and mid + mid == a + b):
-                for i in (k, n + 3 + k):
-                    pieces[i] = witness_piece(*fan.cells[i])
-    else:
-        pieces = [witness_piece(p, q) for p, q in fan.cells]
-
-    Sh = plfan.PLFunction(fan, tuple(pieces))
+    # the constant at 0, the n table segments, the constant at 1
+    up = [(num(a), num(b)) for a, b in _segments(table)[1]]
+    down = [(-a, -b) for a, b in up]
+    coeffs = up[1:] + down[:1] * 2 + down[1:] + up[:1] * 2
+    pieces = [LinearFunctional.from_map({"one": a, "id": b}) for a, b in coeffs]
+    keep = [i for i, r in enumerate(rays) if r != rays[i + 1 - len(rays)]]
+    fan = plfan.Fan(GENERATORS, tuple(hyperplanes), tuple(rays[i] for i in keep))
+    Sh = plfan.PLFunction(fan, tuple(pieces[i] for i in keep))
     return SectionBundle(
         K=K, h=h, generators=GENERATORS, Sh=Sh, table=table, h_sup=sup_norm(h)
     )

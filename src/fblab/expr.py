@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
@@ -60,6 +61,9 @@ __all__ = [
     "to_text",
     "valid_generator_name",
 ]
+
+# The tail of the error raised for a float value that is no finite float.
+FLOAT_RANGE = f"past the float range (|x| <= {sys.float_info.max:.4g})"
 
 _NAME_CHARS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
 
@@ -271,7 +275,8 @@ class MaxMinEvaluator:
 
     Each group's row indices are padded with its own first index to one
     width, so a single fancy index gathers every group; min and max do not
-    round, so the padding changes no value.
+    round, so the padding changes no value.  A finite point whose value is
+    not a finite float raises OverflowError (finite_values).
     """
 
     def __init__(self, m: MaxMinForm, generators):
@@ -284,13 +289,27 @@ class MaxMinEvaluator:
         )
 
     def __call__(self, x) -> float:
-        vals = self.rows @ np.asarray(x, dtype=float)
-        return float(vals[self.idx].min(axis=1).max())
+        x = np.asarray(x, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = self.rows @ x
+        value = float(vals[self.idx].min(axis=1).max())
+        return value if math.isfinite(value) else finite_values(x, value)
 
     def batch(self, X: np.ndarray) -> np.ndarray:
         """Values at the points of X, shape (..., n), stacked on leading axes."""
-        vals = np.asarray(X, dtype=float) @ self.rows.T
-        return vals[..., self.idx].min(axis=-1).max(axis=-1)
+        X = np.asarray(X, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = X @ self.rows.T
+        return finite_values(X, vals[..., self.idx].min(axis=-1).max(axis=-1))
+
+
+def finite_values(points, values):
+    """values, unless one of them is not finite while every coordinate of
+    points is: then the function left the floats, and OverflowError says
+    so, naming the float range."""
+    if not np.isfinite(values).all() and np.isfinite(points).all():
+        raise OverflowError(f"a value of the function is {FLOAT_RANGE}")
+    return values
 
 
 def _dedup_group(group: Iterable[LinearFunctional]) -> tuple:

@@ -52,7 +52,6 @@ import json
 import math
 import numbers
 import operator
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -63,6 +62,7 @@ import numpy as np
 
 from . import plfan
 from .expr import (
+    FLOAT_RANGE,
     LatticeExpr,
     MaxMinEvaluator,
     LinearFunctional,
@@ -100,8 +100,6 @@ __all__ = [
 ]
 
 ADMISSIBILITY_TOL = 1e-12
-# The tail of the error raised for a norm that is no finite float.
-FLOAT_RANGE = f"past the float range (|x| <= {sys.float_info.max:.4g})"
 
 
 def _spans(V: np.ndarray, n: int) -> bool:
@@ -318,7 +316,8 @@ def exact_fbl_norm(
     vertex sum when rounding pushed it above one, and its value is
     recomputed by direct evaluation, so lower is certified independently of
     the LP bookkeeping.  The float route raises OverflowError when a
-    candidate ray's value or the norm is not a finite float.
+    candidate ray's value (plfan.pl_parts) or the norm is not a finite
+    float.
     """
     gens = space.generators
     n = len(gens)
@@ -334,12 +333,7 @@ def exact_fbl_norm(
     if exact:
         reps = [tuple(as_fraction(c) for c in v) for v in reps]
 
-    # An overflow here is reported by the OverflowError below, not as a
-    # numpy warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        cvec = [abs(v) for v in values(rays)]
-    if not exact and not all(map(math.isfinite, cvec)):
-        raise OverflowError(f"a candidate ray's value is {FLOAT_RANGE}")
+    cvec = [abs(v) for v in values(rays)]
     if exact:
         rows = [[abs(sum(dc * vc for dc, vc in zip(d, v))) for d in rays] for v in reps]
     else:
@@ -415,6 +409,9 @@ def _homogeneity_spot_check(F, n: int, degree: int, rng) -> None:
             )
 
 
+# A sum past the float range is reported by an OverflowError, not as a numpy
+# warning.
+@np.errstate(over="ignore", invalid="ignore")
 def oracle_lower_bound(
     F,
     space: AdmissibilitySpace,
@@ -478,7 +475,9 @@ def oracle_lower_bound(
     is deterministic given (input, seed, budget).  diagnostics["slots"] is C
     and diagnostics["stacked_calls"] counts the stacked calls.  Raises
     ValueError unless budget is an integer of at least 1: with no evaluation
-    the lower bound 0 would pass every check vacuously.
+    the lower bound 0 would pass every check vacuously, and OverflowError
+    when a configuration's value, or a sum of |F| behind it, leaves the
+    floats.
     """
     if isinstance(budget, bool) or not isinstance(budget, numbers.Integral) or budget < 1:
         raise ValueError(f"budget must be an integer of at least 1, got {budget!r}")
@@ -605,11 +604,14 @@ def oracle_lower_bound(
         m = slots * k
         AM = A[:, :m].reshape(-1, slots, k)
         FM = np.where(member_of[:k] < size[:, None], Fa[:m].reshape(slots, k), 0.0)
-        cur = boundary_values(FM.sum(axis=1), AM.sum(axis=2))
         rest_A = np.take((AM.reshape(-1, k) @ others[k]).reshape(len(reps), -1), row, axis=1)
+        cur = boundary_values(FM.sum(axis=1), AM.sum(axis=2))
         rest_F = (FM @ others[k]).reshape(-1)[row]
+        moved = boundary_values(rest_F + Fa[m:], rest_A + A[:, m:])
+        if not (np.isfinite(cur).all() and np.isfinite(moved).all()):
+            raise OverflowError(f"a configuration's value is {FLOAT_RANGE}")
         V = np.full(reach.size, -np.inf)
-        V[f] = boundary_values(rest_F + Fa[m:], rest_A + A[:, m:])
+        V[f] = moved
 
         # Sweep j of slot s's chain runs at step index sweep[s, j] and visits
         # coordinate orders[s, j, t] at its visit t; sweep 0 is the rest of

@@ -50,7 +50,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .expr import LinearFunctional, MaxMinEvaluator, MaxMinForm, SpaceError
+from .expr import LinearFunctional, MaxMinEvaluator, MaxMinForm, SpaceError, finite_values
 from .numeric import as_fraction, candidate_rays, canonical_ray, independent_rows, ray_key
 
 __all__ = [
@@ -321,8 +321,10 @@ def pl_parts(f, generators, exact: bool = False):
     value(point) at one.  A form is exactified once when exact; its breaks
     are the nonzero pairwise differences of its functionals, and its float
     values come from one MaxMinEvaluator.batch call.  A stored function
-    gives its fan's hyperplanes, its pieces and pl_value.  Raises SpaceError
-    when the generators miss one of a form's or differ from a stored one's.
+    gives its fan's hyperplanes, its pieces and pl_value.  In floats, values
+    raises OverflowError where a finite point gets a value that is not
+    finite (expr.finite_values).  Raises SpaceError when the generators miss
+    one of a form's or differ from a stored one's.
     """
     generators = tuple(generators)
     if isinstance(f, PLFunction):
@@ -342,13 +344,18 @@ def pl_parts(f, generators, exact: bool = False):
         def value(x):
             return m.value(dict(zip(generators, x)))
 
-    if exact or isinstance(f, PLFunction):
+    if exact:
         return breaks, zero_sets, lambda points: [value(x) for x in points], value
-    evaluator = MaxMinEvaluator(m, generators)
+    if isinstance(f, PLFunction):
 
-    def values(points):
-        X = np.array(points, dtype=float).reshape(len(points), len(generators))
-        return evaluator.batch(X).tolist()
+        def values(points):
+            return finite_values(points, [value(x) for x in points])
+    else:
+        evaluator = MaxMinEvaluator(m, generators)
+
+        def values(points):
+            X = np.array(points, dtype=float).reshape(len(points), len(generators))
+            return evaluator.batch(X).tolist()
 
     return breaks, zero_sets, values, value
 

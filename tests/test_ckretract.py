@@ -12,6 +12,7 @@ from fblab.ckretract import (
     KSpec,
     build_section,
     interval01,
+    slice_table,
     sup_norm,
     target_from_pairs,
     target_join,
@@ -22,7 +23,7 @@ from fblab.ckretract import (
     verify_norm_bound,
     verify_section,
 )
-from fblab.ckretract import _gap_data, _segment, _segments, _u_of_c
+from fblab.ckretract import _segment, _segments
 from fblab import plfan
 from fblab.expr import LinearFunctional
 from fblab.plfan import PLFunction, pl_value, pl_value_many
@@ -39,16 +40,36 @@ def v_eval(x) -> tuple:
     return (1.0, w)
 
 
+def nearest(K, c):
+    """The nearest point of K to c; at a gap midpoint the left one."""
+    best = None
+    for a, b in K.intervals:
+        p = min(max(c, a), b)
+        if best is None or abs(c - p) < abs(c - best):
+            best = p
+    return best
+
+
+def ramp(K, c):
+    """u(c): 1 on K, 0 at gap midpoints, slope 2 / (smallest gap) between."""
+    ivs = K.intervals
+    gaps = [(b1, a2) for (_, b1), (a2, _) in zip(ivs, ivs[1:])]
+    if not gaps:
+        return Fraction(1)
+    alpha = 2 / min(a2 - b1 for b1, a2 in gaps)
+    return min(Fraction(1), alpha * min(abs(c - (b1 + a2) / 2) for b1, a2 in gaps))
+
+
 def phi_eval(K, x) -> float:
     """The nearest point of K to the clipped slice coordinate of x."""
     w = v_eval(x)[1]
-    return float(K.project(min(max(w, 0.0), 1.0)))
+    return float(nearest(K, Fraction(min(max(w, 0.0), 1.0))))
 
 
 def u_eval(K, x) -> float:
     """u at the clipped slice coordinate of x."""
     w = v_eval(x)[1]
-    return float(_u_of_c(*_gap_data(K), Fraction(min(max(w, 0.0), 1.0))))
+    return float(ramp(K, Fraction(min(max(w, 0.0), 1.0))))
 
 
 def pipeline_value(b, x):
@@ -96,14 +117,6 @@ def test_kspec_rejects_bad_intervals():
         union_of_intervals([(0, Fraction(3, 2))])
     with pytest.raises(CKError):
         union_of_intervals([])
-
-
-def test_kspec_projection_prefers_left_at_midpoint():
-    K = union_of_intervals([(0, Fraction(1, 4)), (Fraction(1, 2), 1)])
-    assert K.project(Fraction(3, 8)) == Fraction(1, 4)
-    assert K.project(Fraction(5, 16)) == Fraction(1, 4)
-    assert K.project(Fraction(7, 16)) == Fraction(1, 2)
-    assert K.project(Fraction(3, 4)) == Fraction(3, 4)
 
 
 def test_target_requires_breakpoints_in_K():
@@ -345,6 +358,57 @@ def test_union_sections_property():
 
 
 # ---------------------------------------------------------------------------
+# the slice table in closed form, against a per-point referee
+
+
+def slice_referee(K, h, c):
+    """u(c) * h(phi(c)), with the tests' own nearest point, ramp and walk
+    of h's breakpoints."""
+    p = nearest(K, c)
+    a, b = scan_segment(h.breakpoints, p)
+    return ramp(K, c) * (a + b * p)
+
+
+SLICE_TABLE_CASES = [
+    (interval01(), ((0, 0), (Fraction(1, 3), 2), (1, -1))),
+    (two_points(), ((0, 3), (1, -2))),
+    # K touching neither 0 nor 1
+    (union_of_intervals([(Fraction(1, 4), Fraction(3, 4))]),
+     ((Fraction(1, 4), 1), (Fraction(1, 2), -2), (Fraction(3, 4), 3))),
+    (union_of_intervals([(Fraction(1, 8), Fraction(3, 8)), (Fraction(5, 8), Fraction(7, 8))]),
+     ((Fraction(1, 8), -1), (Fraction(3, 8), 2), (Fraction(5, 8), 1), (Fraction(7, 8), -3))),
+    # single-point intervals, at an end and inside
+    (union_of_intervals([(0, 0), (Fraction(1, 3), Fraction(1, 3)), (Fraction(1, 2), 1)]),
+     ((0, 2), (Fraction(1, 3), -1), (Fraction(1, 2), 3), (1, 1))),
+    (union_of_intervals([(Fraction(1, 5), Fraction(1, 5)), (Fraction(3, 5), Fraction(3, 5))]),
+     ((Fraction(1, 5), 4), (Fraction(3, 5), -4))),
+    # three gaps of the smallest length and a wider one
+    (union_of_intervals([(0, Fraction(1, 8)), (Fraction(1, 4), Fraction(3, 8)),
+                         (Fraction(1, 2), Fraction(9, 16)), (Fraction(11, 16), Fraction(11, 16)),
+                         (Fraction(15, 16), 1)]),
+     ((0, 1), (Fraction(1, 8), -1), (Fraction(1, 4), 2), (Fraction(3, 8), 0),
+      (Fraction(1, 2), -2), (Fraction(9, 16), 1), (Fraction(11, 16), 3),
+      (Fraction(15, 16), -1), (1, 2))),
+]
+
+
+def test_slice_table_matches_the_referee():
+    """At every table point and every midpoint between two, on [0, 1]; the
+    table is linear between its points, so these pin the slice function."""
+    rng = np.random.default_rng(641)
+    cases = [(K, H(K, *pairs)) for K, pairs in SLICE_TABLE_CASES]
+    cases += [_random_union_target(rng, grid) for grid in (16, 21, 37, 64) for _ in range(10)]
+    for K, h in cases:
+        table = slice_table(K, h)
+        pts = [c for c, _ in table]
+        assert pts[0] == 0 and pts[-1] == 1 and pts == sorted(set(pts)), (K, h)
+        for c, v in table:
+            assert v == slice_referee(K, h, c), (K, h, c)
+        for (c0, v0), (c1, v1) in zip(table, table[1:]):
+            assert (v0 + v1) / 2 == slice_referee(K, h, (c0 + c1) / 2), (K, h, c0, c1)
+
+
+# ---------------------------------------------------------------------------
 # sorted lookups against brute-force scans
 
 
@@ -447,34 +511,64 @@ def witness_lookup_pieces(fan, table, exact):
     return tuple(pieces)
 
 
-# Targets on [0, 1] at the edges of build_section's table walk in floats.
-# 1/3 and 1/3 + 1e-14 share the 12-digit normal key, so the float fan has
-# one ray pair fewer than the table has points.  The floats just below and
-# above 0.6000000000085 keep their normals and rays apart, but the witness
-# ratio of the sector between them rounds onto its lower end.
+def rounded_section(b):
+    """(hyperplanes, [(cell, piece), ...]) of the exact section b rounded to
+    floats: every coefficient rounded, each sector whose two rays round to
+    one float dropped, and a hyperplane that rounds onto an earlier one."""
+    def rounded(fn):
+        return LinearFunctional.from_map({g: float(c) for g, c in fn.items})
+
+    hyps = tuple(dict.fromkeys(rounded(hp) for hp in b.Sh.fan.hyperplanes))
+    cells = [(tuple(tuple(map(float, r)) for r in cell), rounded(piece))
+             for cell, piece in zip(b.Sh.fan.cells, b.Sh.pieces)]
+    return hyps, [(cell, piece) for cell, piece in cells if cell[0] != cell[1]]
+
+
+# Targets on [0, 1] at the edges of the float section.  1/3 and 1/3 + 1e-14
+# share the 12-digit normal key of plfan.dedup_normals but are distinct
+# floats.  The floats just below and above 0.6000000000085 are apart, but
+# the witness ratio of the sector between them rounds onto its lower end.
+# 1/3 and 1/3 + 1e-20 round to one float, so the sector between them is
+# empty in floats.
 WALK_EDGE_TARGETS = [
     ((0, 0), (Fraction(1, 3), 1), (Fraction(1, 3) + Fraction(1, 10**14), -1), (1, 2)),
     ((0, 0), (0.6000000000085, 1), (0.6000000000085001, -1), (1, 2)),
+    ((0, 0), (Fraction(1, 3), 1), (Fraction(1, 3) + Fraction(1, 10**20), -1), (1, 2)),
 ]
 
 
 @pytest.mark.parametrize("exact", [False, True])
 def test_table_walk_matches_a_witness_lookup_of_every_sector(exact):
+    """Exact sections equal the witness lookup of every sector; float
+    sections equal the exact ones rounded, sector by sector, and away from
+    the edges the float witness lookup too."""
     rng = np.random.default_rng(631)
     # on the 1/21 grid most points round in floats
-    cases = [_random_union_target(rng, grid) for grid in (16, 21) for _ in range(8)]
-    cases += [(interval01(), H(interval01(), *pairs)) for pairs in WALK_EDGE_TARGETS]
-    cases += [(K, H(K, *pairs)) for K, pairs in LOOKUP_CASES]
-    for K, h in cases:
+    generic = [_random_union_target(rng, grid) for grid in (16, 21) for _ in range(8)]
+    generic += [(K, H(K, *pairs)) for K, pairs in LOOKUP_CASES]
+    edges = [(interval01(), H(interval01(), *pairs)) for pairs in WALK_EDGE_TARGETS]
+    builds = []
+    for i, (K, h) in enumerate(generic + edges):
         b = build_section(K, h, exact=exact)
-        assert b.Sh.pieces == witness_lookup_pieces(b.Sh.fan, b.table, exact), (K, h)
-    merged, thin = (build_section(interval01(), H(interval01(), *pairs), exact=exact)
-                    for pairs in WALK_EDGE_TARGETS)
-    full = 2 * len(merged.table) + 4
-    assert len(merged.Sh.fan.rays) == (full if exact else full - 2)
-    a, b = (r[1] for r in thin.Sh.fan.rays[1:3])
-    assert len(thin.Sh.fan.rays) == 2 * len(thin.table) + 4
-    assert (Fraction(a + b) / 2 == a) is not exact
+        builds.append(b)
+        if i < len(generic) or exact:
+            assert b.Sh.pieces == witness_lookup_pieces(b.Sh.fan, b.table, exact), (K, h)
+        if not exact:
+            hyps, cells = rounded_section(build_section(K, h, exact=True))
+            assert b.Sh.fan.hyperplanes == hyps, (K, h)
+            assert list(zip(b.Sh.fan.cells, b.Sh.pieces)) == cells, (K, h)
+    merged, thin, dropped = builds[len(generic):]
+    for b in (merged, thin):
+        assert len(b.Sh.fan.rays) == 2 * len(b.table) + 4
+        assert len(b.Sh.fan.hyperplanes) == len(b.table) + 2
+    # the witness of the thin sector reads the segment below it in floats
+    a, c = (r[1] for r in thin.Sh.fan.rays[1:3])
+    assert (Fraction(a + c) / 2 == a) is not exact
+    if not exact:
+        assert thin.Sh.pieces != witness_lookup_pieces(thin.Sh.fan, thin.table, False)
+    # one ray, one sector and one hyperplane fewer in floats
+    assert len(dropped.Sh.fan.rays) == 2 * len(dropped.table) + (4 if exact else 2)
+    assert len(dropped.Sh.fan.hyperplanes) == len(dropped.table) + (2 if exact else 1)
 
 
 def test_segment_lookup_matches_a_walk_of_the_table():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -520,6 +521,23 @@ def test_a_norm_past_the_float_range_is_an_error(capsys, extra):
     assert rep is None
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "past the float range" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--budget", "200"],
+    ["lemma34-check", "--gen", "a", "--budget", "200"],
+])
+def test_oracle_and_lemma34_past_the_float_range_are_errors(capsys, argv):
+    """lemma34-check reported "sup_norm" and "margin" "inf" with "pass" true
+    and exit 0; oracle printed six numpy overflow warnings and exit 0."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would end the run
+        code, rep, err = run_cli(capsys, argv + ["--expr", "1e308*d(a) + 1e308*d(b)",
+                                                 "--json-only"])
+    assert code == 2
+    assert rep is None
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "past the float range" in err and "Warning" not in err
 
 
 def test_reports_map_non_finite_floats_to_strings():

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -521,6 +522,19 @@ def test_oracle_certificate_is_sound():
     assert config_value(F, bracket.certificate) == pytest.approx(
         bracket.lower, abs=1e-9
     )
+
+
+def test_oracle_raises_when_a_configuration_leaves_the_floats():
+    """Each value of F is a finite float at these members, but two members
+    near 1 sum past the float range.  This came back as a lower bound of
+    1e308 computed from overflowed and NaN sums, after numpy warnings."""
+    def F(x):
+        return 1e308 * abs(float(x[0]))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="configuration's value is past the float range"):
+            oracle_lower_bound(F, fbl_space(("a",)), budget=2000, seed=0)
 
 
 def test_oracle_rejects_inhomogeneous_evaluator():

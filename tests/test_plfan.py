@@ -267,7 +267,9 @@ def zaslavsky_generic(n, h):
 @pytest.mark.parametrize("exact", [False, True])
 def test_generic_fans_match_zaslavsky_count(exact):
     # one and two generators: the fan's cells; three and four: the exact
-    # enumeration that the cube sup references below rely on
+    # enumeration that the cube sup references below rely on.  Both
+    # parameters draw the same integer normals, and the enumeration's LPs
+    # are exact in either arithmetic, so it runs once, on the Fractions.
     rng = np.random.default_rng(73)
     for n, hs in ((1, (1,)), (2, (1, 2, 3, 5, 8)), (3, (1, 2, 3, 4, 5, 7)), (4, (2, 4, 5))):
         gens = "abcd"[:n]
@@ -276,13 +278,13 @@ def test_generic_fans_match_zaslavsky_count(exact):
             if n <= 2:
                 fan = arrangement_fan(normals, gens, exact=exact)
                 hyps = fan.hyperplanes
-                signs = set(cell_signs(fan))
                 assert len(fan.cells) <= 2 * h + 4
+                assert len(set(cell_signs(fan))) == zaslavsky_generic(n, h)
             else:
                 hyps = plfan.dedup_normals(normals, exact)
-                signs = set(exact_cells(gens, hyps))
+                if exact:
+                    assert len(set(exact_cells(gens, hyps))) == zaslavsky_generic(n, h)
             assert len(hyps) == h
-            assert len(signs) == zaslavsky_generic(n, h)
 
 
 @pytest.mark.parametrize("exact", [False, True])

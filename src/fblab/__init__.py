@@ -38,7 +38,6 @@ from .lp import OPTIMAL, UNBOUNDED, LPError, LPResult, solve_lp
 from .plfan import (
     Fan,
     FanError,
-    FanSizeError,
     PLFunction,
     arrangement_fan,
     fan_from_json,

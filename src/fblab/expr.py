@@ -49,6 +49,7 @@ __all__ = [
     "LinearFunctional",
     "MaxMinForm",
     "MaxMinEvaluator",
+    "MAXMIN_CAP",
     "ExprError",
     "ExprSyntaxError",
     "MaxMinSizeError",
@@ -61,6 +62,9 @@ __all__ = [
     "to_text",
     "valid_generator_name",
 ]
+
+# The functional cap of a max-min form (to_maxmin, MaxMinForm.negated).
+MAXMIN_CAP = 10_000
 
 # The tail of the error raised for a float value that is no finite float.
 FLOAT_RANGE = f"past the float range (|x| <= {sys.float_info.max:.4g})"
@@ -269,6 +273,39 @@ class MaxMinForm:
             group_idx.append(np.array(idx, dtype=int))
         return np.array(rows, dtype=float), group_idx
 
+    def negated(self, cap: int) -> "MaxMinForm":
+        """The form of -f, with no group that contains another.
+
+        -max_G min_{l in G} l = min_G max_{l in G} -l, so the groups fold in
+        one at a time, from the empty group: each group H so far and each
+        negated functional n of the next group give the group H + {n}.  A
+        group that contains another never attains the max and is dropped.
+        As no kept H contains another, the dropped ones are exactly: every
+        H + {n} with n outside H when H holds some n (H itself stays), and
+        H + {n} when a kept group holding n lies in H + {n}.
+        Raises MaxMinSizeError as soon as a step passes cap functionals.
+        """
+        kept = [frozenset()]
+        for group in self.groups:
+            negs = list(dict.fromkeys(f.scaled(-1) for f in group))
+            holding = {}
+            for h in kept:
+                for f in h:
+                    holding.setdefault(f, []).append(h)
+            out, size = [], 0
+            for h in kept:
+                if not h.isdisjoint(negs):
+                    grown = [h]
+                else:
+                    grown = [h | {f} for f in negs
+                             if not any(g - {f} <= h for g in holding.get(f, ()))]
+                for g in grown:
+                    size += len(g)
+                    _check_cap(size, cap)
+                out += grown
+            kept = out
+        return MaxMinForm(tuple(_dedup_group(h) for h in kept))
+
 
 class MaxMinEvaluator:
     """Vectorized evaluator of a max-min form over a fixed generator order.
@@ -327,7 +364,7 @@ def _check_cap(n_functionals: int, cap: int):
         )
 
 
-def to_maxmin(e: LatticeExpr, cap: int = 10_000) -> MaxMinForm:
+def to_maxmin(e: LatticeExpr, cap: int = MAXMIN_CAP) -> MaxMinForm:
     """Normal form of an expression, with subterm memoization and a size cap.
 
     The cap bounds the total functional count (sum of group sizes) of every

@@ -1,9 +1,12 @@
 """Dense primal simplex with Bland's rule, started from the slack basis.
 
-The only LP fblab solves is the norm LP: maximize c.x subject to
-A_ub x <= b_ub and x >= 0, with b_ub >= 0.  A nonnegative right-hand side
-makes the slack basis feasible, so the simplex starts there and needs no
-phase 1, no artificial columns and no variable substitution.
+fblab solves two kinds of LP, both in the one form maximize c.x subject
+to A_ub x <= b_ub and x >= 0, with b_ub >= 0: the norm LP
+(fblnorm.exact_fbl_norm) and, in Fractions, one LP per max-min group of
+a cube sup norm (plfan.sup_norm_on_cube, which shifts its box to make
+every right-hand side nonnegative).  A nonnegative right-hand side makes
+the slack basis feasible, so the simplex starts there and needs no phase
+1, no artificial columns and no variable substitution.
 
 One code path serves two arithmetic modes: float64 tableaus with a 1e-9
 comparison tolerance, and exact Fraction tableaus (object dtype) with zero

@@ -1,13 +1,11 @@
-"""Candidate rays and ranks of hyperplane normals, in floats or exactly.
+"""Candidate rays of hyperplane normals, in floats or exactly.
 
 A null direction of n-1 rows in R^n is found one way only: as the vector
 of the rows' signed maximal minors (candidate_rays).  Floats take the
 minors in numpy blocks, with relative rank and residual tests.  Exact mode
 reads every entry, float or Fraction, as an exact integer ratio, clears
 each row's denominators and takes the minors as Python ints by one
-fraction-free elimination (_eliminate), with no tolerance at any n.  The
-same elimination gives exact ranks and independent rows
-(independent_rows) in both arithmetics.
+fraction-free elimination (_eliminate), with no tolerance at any n.
 """
 
 from __future__ import annotations
@@ -21,9 +19,6 @@ import numpy as np
 __all__ = [
     "NULL_RTOL",
     "as_fraction",
-    "independent_rows",
-    "canonical_ray",
-    "ray_key",
     "candidate_rays",
 ]
 
@@ -65,11 +60,9 @@ def _eliminate(mat, n):
     stays an integer minor of the input; on return every pivot row holds the
     same pivot D, +/- the determinant of the pivot rows on the pivot
     columns, in its pivot column and 0 in the other pivot columns.  Returns
-    the pivot columns and the input indices of the pivot rows; their count
-    is the rank.
+    the pivot columns; their count is the rank.
     """
     m = len(mat)
-    order = list(range(m))
     pivots = []
     prev = 1
     for col in range(n):
@@ -80,7 +73,6 @@ def _eliminate(mat, n):
         if i is None:
             continue
         mat[r], mat[i] = mat[i], mat[r]
-        order[r], order[i] = order[i], order[r]
         top = mat[r]
         p = top[col]
         for k in range(m):
@@ -89,14 +81,7 @@ def _eliminate(mat, n):
                 mat[k] = [(p * x - a * y) // prev for x, y in zip(mat[k], top)]
         prev = p
         pivots.append(col)
-    return pivots, order[: len(pivots)]
-
-
-def independent_rows(rows, n) -> list:
-    """Indices, ascending, of a maximal linearly independent set of the
-    length-n rows, decided exactly in integers for floats and Fractions
-    alike; their count is the rank."""
-    return sorted(_eliminate(_int_rows(rows), n)[1])
+    return pivots
 
 
 def _int_null_direction(rows, n):
@@ -108,7 +93,7 @@ def _int_null_direction(rows, n):
     f (Cramer), so d_f = D and d_{c_i} = -(row i)_f.  Entries after f are 0.
     """
     mat = list(rows)
-    pivots, _ = _eliminate(mat, n)
+    pivots = _eliminate(mat, n)
     if len(pivots) < n - 1:
         return None
     free = next(c for c in range(n) if c not in pivots)
@@ -119,33 +104,10 @@ def _int_null_direction(rows, n):
     return d if d[free] > 0 else [-v for v in d]
 
 
-def canonical_ray(d, exact: bool):
-    """Scale a direction by a positive factor so its largest entry is +/-1.
-
-    Positive scaling preserves the ray (and every evaluation sign along it),
-    so this is a dedup key for directions: d and -d stay distinct, positive
-    multiples collapse.  Sup-norm scaling keeps every component in [-1, 1],
-    which the norm LP downstream relies on for conditioning.  Returns None
-    for the zero vector.
-    """
-    lead = max(abs(v) for v in d) if d else None
-    if not lead:
-        return None
-    scaled = [v / lead for v in d]
-    if not exact:
-        scaled = [float(v) for v in scaled]
-    return scaled
-
-
-def ray_key(d, exact: bool) -> tuple:
-    """Dedup key of a canonical ray: the ray itself, or 10 digits of it."""
-    return tuple(d) if exact else _float_ray_keys([d])[0]
-
-
 def _float_ray_keys(rays) -> list:
-    """The float ray_key of each ray of a (K, n) block: its entries rounded
-    to 10 decimal digits by np.round, elementwise, so that a ray's key does
-    not depend on the block it comes in.
+    """The float dedup key of each ray of a (K, n) block: its entries
+    rounded to 10 decimal digits by np.round, elementwise, so that a ray's
+    key does not depend on the block it comes in.
     """
     return list(map(tuple, np.round(np.asarray(rays, dtype=float), 10).tolist()))
 
@@ -180,8 +142,8 @@ def _float_ray_block(rows, subsets):
 def candidate_rays(vectors, n, exact: bool):
     """All +/- null directions of (n-1)-subsets of the row vectors.
 
-    Each direction is scaled to sup norm 1 (canonical_ray) and listed once,
-    in subset order, d before -d.  With n == 1 the two rays are +1 and -1.
+    Each direction is scaled to sup norm 1 and listed once, in subset
+    order, d before -d.  With n == 1 the two rays are +1 and -1.
 
     For a subset M of n-1 rows, d is the vector of its signed maximal
     minors d_j = (-1)^j det(M without column j), the generalized cross
@@ -190,12 +152,13 @@ def candidate_rays(vectors, n, exact: bool):
     (_int_null_direction): a subset is rank-deficient when all are 0, and
     rays are deduplicated by their gcd-reduced integer vectors.  Float mode
     takes (b, -a) for n == 2, else one np.linalg.det call over the stacked
-    minors of a block of _RAY_BLOCK subsets, and dedups by ray_key.  There
-    a subset is rank-deficient when sup|d| is at most _RANK_RTOL times the
-    product of its rows' sup norms, each row must satisfy |<row, d>| <=
-    NULL_RTOL * sup|row| * sup|d|, and "nonzero" means above _ORIENT_RTOL *
-    sup|d|.  Blocks bound the memory on long hyperplane lists; each subset
-    is computed apart, so a ray does not depend on its block.
+    minors of a block of _RAY_BLOCK subsets, and dedups by 10 rounded
+    digits (_float_ray_keys).  There a subset is rank-deficient when sup|d|
+    is at most _RANK_RTOL times the product of its rows' sup norms, each row
+    must satisfy |<row, d>| <= NULL_RTOL * sup|row| * sup|d|, and "nonzero"
+    means above _ORIENT_RTOL * sup|d|.  Blocks bound the memory on long
+    hyperplane lists; each subset is computed apart, so a ray does not
+    depend on its block.
     """
     if n == 1:
         one = Fraction(1) if exact else 1.0

@@ -28,21 +28,19 @@ A result's hyperplanes list every line it breaks on: for the maximum,
 every nonzero d that vanishes on a closed sector, since the larger piece
 may change on an axis ray that neither operand breaks on.
 
-The norm and the cube sup norm take a max-min form, over any number of
-generators, or a stored PLFunction, and read only break hyperplanes, zero
-sets and values; pl_parts alone tells the two apart.  A form breaks on the
-pairwise differences of its functionals and is evaluated through them.
+The norm takes a max-min form, over any number of generators, or a stored
+PLFunction, and reads only break hyperplanes, zero sets and values;
+pl_parts alone tells the two apart.  A form breaks on the pairwise
+differences of its functionals and is evaluated through them.
 
-The sup norm on the cube runs no LP (sup_norm_on_cube): it evaluates f at
-the vertices of (closed cell) intersect cube, one block of generators tied
-together by hyperplanes at a time, and enumerates each cube face's vertices
-from the rows that cross that face.  Nothing in this module solves an LP.
+The sup norm on the cube takes a max-min form and solves one small exact
+LP per group of the form and of its negation (sup_norm_on_cube): the max
+of a group's min over the cube is an LP, and f is the max of its groups.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,14 +48,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .expr import LinearFunctional, MaxMinEvaluator, MaxMinForm, SpaceError, finite_values
-from .numeric import as_fraction, candidate_rays, canonical_ray, independent_rows, ray_key
+from .expr import (
+    MAXMIN_CAP, LinearFunctional, MaxMinEvaluator, MaxMinForm, SpaceError, finite_values,
+)
+from .lp import solve_lp
+from .numeric import as_fraction
 
 __all__ = [
     "Fan",
     "PLFunction",
     "FanError",
-    "FanSizeError",
     "DegenerateNormalError",
     "canonical_normal",
     "dedup_normals",
@@ -76,19 +76,7 @@ __all__ = [
     "plfunction_from_json",
 ]
 
-# Faces plus solves sup_norm_on_cube may spend on one block before it
-# raises FanSizeError, so that a block too large for vertex enumeration
-# fails within seconds instead of running for minutes.  A solve is one
-# (n-1)-subset of a full-rank face's rows, or one face of lower rank
-# (_fan_rays).
-SUP_WORK_CAP = 1_000_000
-
-
 class FanError(RuntimeError):
-    pass
-
-
-class FanSizeError(FanError):
     pass
 
 
@@ -161,15 +149,10 @@ def canonical_normal(fn: LinearFunctional, exact: bool) -> LinearFunctional:
     return LinearFunctional(tuple((g, float(c) / lead) for g, c in fn.items))
 
 
-def _rounded(values, exact: bool) -> tuple:
-    """Dedup key of a coefficient tuple: exact, or rounded to 12 digits."""
-    if exact:
-        return tuple(values)
-    return tuple(round(v, 12) for v in values)
-
-
 def _normal_key(fn: LinearFunctional, exact: bool):
-    return tuple(g for g, _ in fn.items), _rounded((c for _, c in fn.items), exact)
+    """Dedup key of a normal: its coefficients, exact or rounded to 12 digits."""
+    coeffs = tuple(c if exact else round(c, 12) for _, c in fn.items)
+    return tuple(g for g, _ in fn.items), coeffs
 
 
 def dedup_normals(fns, exact: bool):
@@ -262,19 +245,6 @@ def _sorted_fan(generators, hyperplanes, rays, angles) -> Fan:
     return fan
 
 
-def _merge_parallel(rows, exact):
-    """Keep the first of every family of parallel rows.
-
-    Rows are compared after scaling the first nonzero entry to +1, on the
-    key dedup_normals uses (12 digits in float mode).
-    """
-    merged = {}
-    for row in rows:
-        lead = next(v for v in row if v != 0)
-        merged.setdefault(_rounded((v / lead for v in row), exact), row)
-    return list(merged.values())
-
-
 def arrangement_fan(normals, generators, exact: bool = False) -> Fan:
     """Fan of the central arrangement of the given normals over one or two
     generators.
@@ -360,133 +330,54 @@ def pl_parts(f, generators, exact: bool = False):
     return breaks, zero_sets, values, value
 
 
-def sup_norm_on_cube(f, generators, exact: bool = False):
-    """max |f| over the closed cube [-1, 1]^n, for f a max-min form or a
-    stored PLFunction over the generators (pl_parts), from evaluations alone.
+def sup_norm_on_cube(m: MaxMinForm, generators, exact: bool = False):
+    """max |f| over the closed cube [-1, 1]^n, for f the max-min form m over
+    the generators, by one small LP per group of m and of -m.
 
-    The generators split into blocks, the connected components of "some
-    hyperplane involves both" (a generator in no hyperplane is a block of
-    its own).  A piece's coefficients on a block change only across that
-    block's walls, so f is a sum of one PL function per block, and max f
-    (min f) over the cube is attained by putting a maximizer (minimizer) of
-    every block's part side by side.  Each part is maximized and minimized
-    over the block's origin and the vertices of (closed cell) intersect
-    cube of the block's arrangement (_cube_vertex_rays); sup |f| is the
-    larger of |f| at the two assembled points.  No LP runs, and the work
-    grows with the largest block, not with n: a linear f costs 2n + 2
-    evaluations.  Raises FanSizeError when a block needs more than
-    SUP_WORK_CAP faces and solves.
+    The min over a group G is concave, so its max over the cube is the LP
+    max t s.t. t <= phi(x) for phi in G and x in the cube (_group_argmax),
+    and max f is the largest of these over the groups of m; max -f is the
+    same over the groups of m.negated.  At a group's optimal vertex f is at
+    least that group's max and at most max f, so the largest |f| at all
+    the vertices is the sup.  |f| is read there in the route's own
+    arithmetic: exactly, or by one MaxMinEvaluator batch, which raises
+    OverflowError past the float range.  Raises SpaceError when the
+    generators miss one of m's, and MaxMinSizeError when the form of -f
+    passes expr.MAXMIN_CAP.
     """
     gens = tuple(generators)
+    m.check_generators(gens)
+    points = [_group_argmax(g, gens) for form in (m, m.negated(MAXMIN_CAP))
+              for g in form.groups]
+    if exact:
+        m = _exact_form(m)
+        return max(abs(m.value(dict(zip(gens, x)))) for x in points)
+    X = np.array(points, dtype=float).reshape(len(points), len(gens))
+    return float(np.abs(MaxMinEvaluator(m, gens).batch(X)).max())
+
+
+def _group_argmax(group, gens) -> list:
+    """A point of [-1, 1]^n where min over the group's functionals phi is
+    largest, in Fractions.
+
+    With y = x + 1 in [0, 2]^n and t' = t + M, M the largest l1 norm of the
+    phi, the LP maximize t' s.t. t' - phi(y) <= M - phi(1), y <= 2 and
+    y, t' >= 0 has every right-hand side >= 0, so lp.solve_lp starts at
+    the origin; t' >= 0 cuts off no optimum, since min phi >= -M on the
+    cube.  It runs in Fractions in both modes: a float tableau drops
+    coefficients below its 1e-9 tolerance.
+    """
     n = len(gens)
-    breaks, _, values, _ = pl_parts(f, gens, exact)
-    rows = [list(h.vector(gens)) for h in dedup_normals(breaks, exact)]
-    zero = Fraction(0) if exact else 0.0
-    top, bottom = [zero] * n, [zero] * n
-    for block in _blocks(rows, n):
-        sub = [[row[j] for j in block] for row in rows if any(row[j] for j in block)]
-        points = []
-        for v in _cube_vertex_rays(sub, len(block), exact):
-            x = [zero] * n
-            for j, vj in zip(block, v):
-                x[j] = vj
-            points.append(x)
-        hi = lo = zero
-        for x, fx in zip(points, values(points)):
-            if fx > hi:
-                hi = fx
-                for j in block:
-                    top[j] = x[j]
-            if fx < lo:
-                lo = fx
-                for j in block:
-                    bottom[j] = x[j]
-    return max(abs(v) for v in values([top, bottom]))
-
-
-def _blocks(rows, n):
-    """Coordinates grouped by "some row is nonzero on both", each sorted."""
-    blocks = [{j} for j in range(n)]
-    for row in rows:
-        support = {j for j, v in enumerate(row) if v}
-        joined = [b for b in blocks if b & support]
-        blocks = [b for b in blocks if not b & support] + [set().union(*joined)]
-    return sorted(sorted(b) for b in blocks)
-
-
-def _cube_vertex_rays(rows, n, exact):
-    """Directions through every vertex of (closed cell) intersect [-1, 1]^n.
-
-    rows are the nonzero normals of a central arrangement in R^n; every
-    direction is scaled to sup norm 1 and listed once.  A vertex on exactly
-    one cube facet is a ray of the fan (_fan_rays).
-
-    A vertex whose active facets are x_i = s_i for i in a face S of k >= 2
-    coordinates lies on the plane x_i = s_i s_j x_j (j the first index of
-    S), with coordinates (x_j, x_F) for F the indices off S.  There a row h
-    reads (c, h_F) with c = sum over S of s_i h_i, and the vertex is a ray
-    of the arrangement of those rows that cross the face's relative
-    interior, |c| < sum over F of |h_i|; the others cannot vanish there.
-    Parallel rows are merged first, so the work per face follows the rows
-    the face sees, and a face crossed by no row is a cube vertex.  A vertex
-    needs n independent active constraints, so k >= n - rank(rows), with
-    the rank exact in both arithmetics (numeric.independent_rows).  Raises
-    FanSizeError once the faces and solves of k >= 2 pass SUP_WORK_CAP.
-    """
-    rays, _ = _fan_rays(rows, n, exact)
-    seen = {ray_key(d, exact) for d in rays}
-    rank = len(independent_rows(rows, n))
-    budget = SUP_WORK_CAP
-    for k in range(max(2, n - rank), n + 1):
-        for face in itertools.combinations(range(n), k):
-            off = [i for i in range(n) if i not in face]
-            for signs in itertools.product((1, -1), repeat=k - 1):
-                signs = (1,) + signs
-                restricted = []
-                for h in rows:
-                    c = sum(s * h[i] for i, s in zip(face, signs))
-                    width = sum(abs(h[i]) for i in off)
-                    if abs(c) < width:
-                        restricted.append([c] + [h[i] for i in off])
-                if restricted:
-                    restricted = _merge_parallel(restricted, exact)
-                face_rays, solves = _fan_rays(restricted, n - k + 1, exact)
-                budget -= 1 + solves
-                if budget < 0:
-                    raise FanSizeError(
-                        f"cube sup needs more than {SUP_WORK_CAP} faces and solves"
-                    )
-                for t, *y in face_rays:
-                    x = [0] * n
-                    for i, s in zip(face, signs):
-                        x[i] = s * t
-                    for i, v in zip(off, y):
-                        x[i] = v
-                    x = canonical_ray(x, exact)
-                    key = ray_key(x, exact)
-                    if key not in seen:
-                        seen.add(key)
-                        rays.append(tuple(x))
-    return rays
-
-
-def _fan_rays(rows, n, exact):
-    """numeric.candidate_rays of rows, and the number of solves it took.
-
-    The rank is exact in both arithmetics (numeric.independent_rows).
-    Below rank n - 1 no n-1 rows have a one-dimensional null space, and at
-    rank n - 1 every n-1 rows that have one share the null space of all
-    rows, so the (n-1)-subsets are only enumerated at full rank; at rank
-    n - 1 the rays are those of n-1 independent rows, one solve.
-    """
-    if len(rows) < n - 1:
-        return [], 1
-    independent = independent_rows(rows, n)
-    if len(independent) == n:
-        return candidate_rays(rows, n, exact), math.comb(len(rows), n - 1)
-    if len(independent) < n - 1:
-        return [], 1
-    return candidate_rays([rows[i] for i in independent], n, exact), 1
+    rows = [[as_fraction(c) for c in phi.vector(gens)] for phi in group]
+    bound = max(sum(map(abs, row)) for row in rows)
+    unit = [[int(i == j) for j in range(n)] + [0] for i in range(n)]
+    res = solve_lp(
+        [0] * n + [1],
+        A_ub=[[-c for c in row] + [1] for row in rows] + unit,
+        b_ub=[bound - sum(row) for row in rows] + [2] * n,
+        exact=True,
+    )
+    return [y - 1 for y in res.x[:n]]
 
 
 def pl_value(f: PLFunction, point):

@@ -57,3 +57,6 @@ def test_one_traced_round_reports_every_layer_metric(workload, span, tmp_path):
         assert math.isfinite(metrics[m["name"]]["value"]), m["name"]
         assert metrics[m["name"]]["unit"] == m["unit"], m["name"]
     assert metrics[f"{span}.s"]["value"] > 0
+    if workload == "oracle":
+        # every cube sup LP is counted; spans._count_lp reads its keywords
+        assert metrics["plfan.sup_lps"]["value"] > 0

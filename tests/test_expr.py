@@ -9,6 +9,7 @@ from fblab.expr import (
     ExprError,
     ExprSyntaxError,
     Gen,
+    MAXMIN_CAP,
     Join,
     MaxMinSizeError,
     Meet,
@@ -208,6 +209,19 @@ def test_normal_form_soundness_random():
         for _ in range(100):
             p = random_point(rng, gens)
             assert abs(m.value(p) - evaluate(e, p)) <= 1e-12
+
+
+def test_negated_form_is_minus_f_with_no_group_inside_another():
+    rng = np.random.default_rng(19)
+    gens = ("a", "b", "c")
+    for _ in range(40):
+        m = to_maxmin(random_expr_capped(rng, gens))
+        neg = m.negated(MAXMIN_CAP)
+        groups = [frozenset(g) for g in neg.groups]
+        assert not any(g <= h for i, g in enumerate(groups) for h in groups[i + 1:] + groups[:i])
+        for _ in range(20):
+            p = random_point(rng, gens)
+            assert neg.value(p) == -m.value(p)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Candidate rays and ranks.
+"""Candidate rays.
 
 The float minors route is checked against the exact integer minors, and
 the exact rays against a referee that shares no code with numeric: exact
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from fblab import numeric
-from fblab.numeric import candidate_rays, independent_rows, ray_key
+from fblab.numeric import candidate_rays
 
 
 def exact_as_float(rows, n):
@@ -47,13 +47,14 @@ def test_duplicate_parallel_and_rank_deficient_rows_add_nothing():
     assert candidate_rays(extra, 3, False) == base
     # a stack of rank 1 has no one-dimensional null space in R^3
     assert candidate_rays([[1, 1, 1], [2, 2, 2], [-1, -1, -1]], 3, False) == []
-    # ranks are exact in floats too: 1e-12 is no pivot tolerance
-    assert independent_rows([[1, 0, 0], [1, 1e-12, 0]], 3) == [0, 1]
-    assert independent_rows([[1, 0, 0], [1, Fraction(1e-12), 0]], 3) == [0, 1]
-    assert independent_rows([[1, 1, 1], [2, 2, 2], [-1, -1, -1]], 3) == [0]
     # the zero row is rank-deficient with any partner
     assert candidate_rays([[0, 0, 0], [1, 0, 0]], 3, False) == []
     assert candidate_rays([[0, 0]], 2, False) == []
+
+
+def rounded(rays):
+    """The rays as a set, each entry rounded to 10 digits."""
+    return {tuple(np.round(np.asarray(d, dtype=float), 10).tolist()) for d in rays}
 
 
 @pytest.mark.parametrize("scale", [1e-7, 3e5])
@@ -63,7 +64,7 @@ def test_badly_scaled_rows_give_the_rational_ray_set(scale):
         rows = (rng.integers(-4, 5, (n + 3, n)) * scale).tolist()
         fl = candidate_rays(rows, n, False)
         ex = exact_as_float(rows, n)
-        assert {ray_key(d, False) for d in fl} == {ray_key(d, False) for d in ex}
+        assert rounded(fl) == rounded(ex)
         assert_same_rays(fl, ex)
 
 

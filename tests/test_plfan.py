@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from fblab.expr import (
-    Gen, Join, LinearFunctional, MaxMinEvaluator, Meet, Scale, SpaceError, Sum, absval,
-    parse_expr, to_maxmin,
+    MAXMIN_CAP, Gen, Join, LinearFunctional, MaxMinEvaluator, MaxMinSizeError, Meet, Scale,
+    SpaceError, Sum, absval, parse_expr, to_maxmin,
 )
 from fblab import plfan
 from fblab.fblnorm import exact_fbl_norm, fbl_space, linf_vertex_space
@@ -20,7 +20,6 @@ from fblab.lp import OPTIMAL, solve_lp
 from fblab.plfan import (
     DegenerateNormalError,
     FanError,
-    FanSizeError,
     PLFunction,
     arrangement_fan,
     fan_from_json,
@@ -35,7 +34,7 @@ from fblab.plfan import (
     plfunction_to_json,
     sup_norm_on_cube,
 )
-from exprgen import random_expr_capped
+from exprgen import badly_scaled_scalar, random_expr_capped
 from stored import stored_from_form
 
 
@@ -48,8 +47,7 @@ def rows_of(fan):
 
 
 def break_normals(m, gens, exact=False):
-    """The form's break hyperplanes over gens, deduplicated as the cube sup
-    reads them."""
+    """The form's break hyperplanes over gens, canonical and deduplicated."""
     return plfan.dedup_normals(plfan.pl_parts(m, gens, exact)[0], exact)
 
 
@@ -292,7 +290,8 @@ def test_rank_two_arrangement_in_three_dimensions_is_planar(exact):
     # a function of a and b over (a, b, c): its break planes contain the c
     # axis, so their cells are the planar sectors, and its norm and cube sup
     # are those over (a, b) (l1 over (a, b) is 1-complemented in l1 over
-    # (a, b, c), so FBL norms agree), for the form and its stored function
+    # (a, b, c), so FBL norms agree), for the form and its stored function;
+    # the cube sup of -f is that of f
     rng = np.random.default_rng(79)
     num = Fraction if exact else float
     for _ in range(4):
@@ -308,7 +307,7 @@ def test_rank_two_arrangement_in_three_dimensions_is_planar(exact):
         if exact:
             assert n3.lower == n3.upper == n2.upper == n2.lower
             assert exact_fbl_norm(f2, fbl_space(("a", "b")), exact=True).upper == n2.upper
-            assert s3 == s2 == sup_norm_on_cube(f2, "ab", exact=True)
+            assert s3 == s2 == sup_norm_on_cube(m.negated(MAXMIN_CAP), "ab", exact=True)
         else:
             assert n3.upper == pytest.approx(n2.upper, rel=1e-12)
             assert n3.lower == pytest.approx(n2.lower, rel=1e-12)
@@ -597,21 +596,55 @@ def test_sup_norm_in_eight_generators_by_blocks(exact):
 
 @pytest.mark.parametrize("exact", [False, True])
 def test_sup_norm_takes_a_block_at_its_origin(exact):
-    # -|a| + 2|b| on blocks {a}, {b}: max f = 0 + 2 needs a = 0
-    gens = "ab"
-    parts = [stored_from_form(to_maxmin(parse_expr(t)), gens, exact=exact)
-             for t in ("-|d(a)|", "|d(b)|")]
-    f = pl_lincomb(1, parts[0], 2, parts[1], exact=exact)
-    assert len(f.fan.hyperplanes) == 2
-    assert sup_norm_on_cube(f, gens, exact=exact) == 2
+    # -|a| + 2|b|: max f = 0 + 2 needs a = 0
+    f = to_maxmin(parse_expr("-|d(a)| + 2*|d(b)|"))
+    assert sup_norm_on_cube(f, "ab", exact=exact) == 2
 
 
-def test_sup_norm_raises_past_the_work_cap(monkeypatch):
-    f = to_maxmin(parse_expr("d(a) v d(b) v d(c) v d(d)"))
-    assert sup_norm_on_cube(f, "abcd") == 1
-    monkeypatch.setattr(plfan, "SUP_WORK_CAP", 10)
-    with pytest.raises(FanSizeError):
-        sup_norm_on_cube(f, "abcd")
+@pytest.mark.parametrize("exact", [False, True])
+def test_sup_norm_of_the_sum_of_sixteen_and_seventeen_generators(exact):
+    for gens, expected in (("abcdefghijklmnop", 16), ("abcdefghijklmnopq", 17)):
+        f = to_maxmin(parse_expr("|" + " + ".join(f"d({g})" for g in gens) + "|"))
+        assert sup_norm_on_cube(f, gens, exact=exact) == expected
+
+
+def test_sup_norm_where_the_negated_expression_passes_the_cap():
+    # f = 1.621|a| + g with -1 <= g <= 1 on the cube and g(1, 1) = 1
+    e = parse_expr("1.621*(d(a) v -1.0*d(a)) + "
+                   "((d(a) v (d(b) v -1.0*d(b))) ^ (1.497*d(b) v (d(b) v d(b))))")
+    with pytest.raises(MaxMinSizeError):
+        to_maxmin(Scale(-1.0, e))
+    m = to_maxmin(e)
+    assert sup_norm_on_cube(m, "ab", exact=True) == Fraction(1.621) + 1
+    assert sup_norm_on_cube(m, "ab") == 1.621 + 1.0
+
+
+def test_sup_norm_keeps_a_coefficient_below_the_simplex_tolerance():
+    # at unit scale the 1 of d(d) is 1e-12 of the 1e12 of d(c)
+    m = to_maxmin(parse_expr("1000000.0*(1000000.0*(d(c) v -1.0*d(c))) + d(d)"))
+    assert sup_norm_on_cube(m, "cd") == 1000000000001.0
+    assert sup_norm_on_cube(m, "cd", exact=True) == 1000000000001
+
+
+def test_sup_norm_raises_where_the_negated_form_passes_the_cap():
+    # five meets of seven functionals, no two shared: -f needs 7^5 groups
+    # of five, none inside another
+    meets = [reduce(Meet, [Scale(float(7 * i + j + 1), Gen("a")) for j in range(7)])
+             for i in range(5)]
+    m = to_maxmin(reduce(Join, meets))
+    assert m.size == 35
+    with pytest.raises(MaxMinSizeError):
+        sup_norm_on_cube(m, "a")
+
+
+def test_float_sup_norm_is_the_rounded_exact_one_on_badly_scaled_forms():
+    rng = np.random.default_rng(53)
+    for n in (1, 2, 3):
+        gens = "abc"[:n]
+        for _ in range(8):
+            m = to_maxmin(random_expr_capped(rng, gens, max_size=24, scalar=badly_scaled_scalar))
+            exact = float(sup_norm_on_cube(m, gens, exact=True))
+            assert sup_norm_on_cube(m, gens) == pytest.approx(exact, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------

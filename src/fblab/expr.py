@@ -24,14 +24,15 @@ over groups of mins of linear functionals, via bottom-up distribution:
 * ``join``: union of the two group lists,
 * ``meet``: pairwise unions of groups (min of maxes = max of pairwise mins),
 * ``sum``: pairwise groups of pairwise sums,
-* negative ``scale``: one group per choice function through the child's
-  groups (max-min duality), which is the step that can blow up; a hard size
-  cap guards it.
+* negative ``scale``: the child's form negated (:meth:`MaxMinForm.negated`,
+  max-min duality with absorption), then scaled by ``|c|``; its group count
+  can grow as the product of the child's group sizes.
+
+A hard size cap guards every step.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -276,29 +277,33 @@ class MaxMinForm:
     def negated(self, cap: int) -> "MaxMinForm":
         """The form of -f, with no group that contains another.
 
-        -max_G min_{l in G} l = min_G max_{l in G} -l, so the groups fold in
-        one at a time, from the empty group: each group H so far and each
-        negated functional n of the next group give the group H + {n}.  A
-        group that contains another never attains the max and is dropped.
-        As no kept H contains another, the dropped ones are exactly: every
-        H + {n} with n outside H when H holds some n (H itself stays), and
-        H + {n} when a kept group holding n lies in H + {n}.
-        Raises MaxMinSizeError as soon as a step passes cap functionals.
+        -max_G min_{l in G} l = min_G max_{l in G} -l, so the groups of -f are
+        the minimal sets that meet every negated group.  All of them hold the
+        set S of negated singleton groups, so the fold starts from S and
+        skips every group that meets S.  The other groups fold in one at a
+        time: each kept group H and each negated functional n of the next
+        group give the group H + {n}.  A group that contains another never
+        attains the max and is dropped.  As no kept H contains another, the
+        dropped ones are exactly: every H + {n} with n outside H when H holds
+        some n (H itself stays), and H + {n} when a kept group holding n lies
+        in H + {n}.  Raises MaxMinSizeError as soon as a step passes cap
+        functionals.
         """
-        kept = [frozenset()]
-        for group in self.groups:
-            negs = list(dict.fromkeys(f.scaled(-1) for f in group))
-            holding = {}
-            for h in kept:
-                for f in h:
-                    holding.setdefault(f, []).append(h)
+        neg_groups = [list(dict.fromkeys(f.scaled(-1) for f in g)) for g in self.groups]
+        start = frozenset(negs[0] for negs in neg_groups if len(negs) == 1)
+        _check_cap(len(start), cap)
+        kept = [start]
+        for negs in neg_groups:
+            if not start.isdisjoint(negs):
+                continue
+            holding = {f: [h for h in kept if f in h] for f in negs}
             out, size = [], 0
             for h in kept:
                 if not h.isdisjoint(negs):
                     grown = [h]
                 else:
                     grown = [h | {f} for f in negs
-                             if not any(g - {f} <= h for g in holding.get(f, ()))]
+                             if not any(g - {f} <= h for g in holding[f])]
                 for g in grown:
                     size += len(g)
                     _check_cap(size, cap)
@@ -367,10 +372,12 @@ def _check_cap(n_functionals: int, cap: int):
 def to_maxmin(e: LatticeExpr, cap: int = MAXMIN_CAP) -> MaxMinForm:
     """Normal form of an expression, with subterm memoization and a size cap.
 
-    The cap bounds the total functional count (sum of group sizes) of every
-    intermediate form; exceeding it raises MaxMinSizeError rather than
-    grinding on.  A coefficient that leaves the floats (a product or sum of
-    scalars past the largest float) raises ExprError.
+    c*t for c < 0 is t's form negated (MaxMinForm.negated), then scaled by
+    |c|.  The cap bounds the total functional count (sum of group sizes) of
+    every intermediate form; exceeding it raises MaxMinSizeError rather than
+    grinding on, and a meet or a negation raises as soon as the groups it
+    has built pass it.  A coefficient that leaves the floats (a product or
+    sum of scalars past the largest float) raises ExprError.
     """
     memo: dict = {}
 
@@ -385,23 +392,10 @@ def to_maxmin(e: LatticeExpr, cap: int = MAXMIN_CAP) -> MaxMinForm:
             c = float(t.factor)
             if c == 0:
                 m = MaxMinForm(((ZERO_FUNCTIONAL,),))
-            elif c > 0:
-                m = MaxMinForm(
-                    tuple(tuple(f.scaled(c) for f in g) for g in child.groups)
-                )
             else:
-                # c*max_i min_j f_ij = max over choice functions sigma of
-                # min_i c*f_{i,sigma(i)}; enumerate choices with the cap as
-                # a guard since the count is the product of group sizes.
-                total = 1
-                for g in child.groups:
-                    total *= len(g)
-                    _check_cap(total * len(child.groups), cap)
-                groups = (
-                    _dedup_group(f.scaled(c) for f in choice)
-                    for choice in itertools.product(*child.groups)
-                )
-                m = MaxMinForm(_dedup_groups(groups))
+                m = child if c > 0 else child.negated(cap)
+                if abs(c) != 1:
+                    m = MaxMinForm(tuple(tuple(f.scaled(abs(c)) for f in g) for g in m.groups))
         elif isinstance(t, Sum):
             a, b = rec(t.left), rec(t.right)
             _check_cap(a.size * b.size, cap)
@@ -417,11 +411,15 @@ def to_maxmin(e: LatticeExpr, cap: int = MAXMIN_CAP) -> MaxMinForm:
             m = MaxMinForm(_dedup_groups(a.groups + b.groups))
         elif isinstance(t, Meet):
             a, b = rec(t.left), rec(t.right)
-            groups = []
+            groups, size = {}, 0
             for ga in a.groups:
                 for gb in b.groups:
-                    groups.append(_dedup_group(ga + gb))
-            m = MaxMinForm(_dedup_groups(groups))
+                    g = _dedup_group(ga + gb)
+                    if g not in groups:
+                        groups[g] = None
+                        size += len(g)
+                        _check_cap(size, cap)
+            m = MaxMinForm(tuple(groups))
         else:
             raise ExprError(f"not a lattice expression: {t!r}")
         _check_cap(m.size, cap)

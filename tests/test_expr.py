@@ -1,5 +1,7 @@
 """Expression layer: grammar, evaluation, normal form, text round trips."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from fblab.expr import (
     Gen,
     MAXMIN_CAP,
     Join,
+    LinearFunctional,
     MaxMinSizeError,
     Meet,
     Scale,
@@ -184,20 +187,64 @@ def test_maxmin_cap_reports_size():
     assert to_maxmin(e, cap=40).size == 32
 
 
-@pytest.mark.parametrize("text, groups, sizes", [
-    ("(d(a) ^ d(b)) v (d(a) ^ d(c))", 2, (2, 2)),
-    ("(d(a) ^ d(b) ^ d(c)) v (d(a) ^ d(e)) v d(f)", 3, (3, 2, 1)),
-    ("(d(a) ^ d(b)) v (d(c) ^ d(e)) v (d(a) ^ d(f))", 3, (2, 2, 2)),
-])
-def test_negative_scale_cap_boundary(text, groups, sizes):
-    # the choice-function count times the group count is checked before
-    # enumerating; dedup keeps the resulting form smaller than that
-    e = Scale(-2.0, parse_expr(text))
-    assert len(to_maxmin(e.child).groups) == groups
-    bound = groups * int(np.prod(sizes))
-    assert to_maxmin(e, cap=bound).size <= bound
-    with pytest.raises(MaxMinSizeError, match=f"needs {bound} functionals, cap is {bound - 1}$"):
-        to_maxmin(e, cap=bound - 1)
+def balanced(op, terms):
+    """op folded over terms as a balanced tree; a left-nested chain of a few
+    hundred terms passes Python's recursion limit."""
+    while len(terms) > 1:
+        terms = [reduce(op, terms[i:i + 2]) for i in range(0, len(terms), 2)]
+    return terms[0]
+
+
+def test_meet_raises_as_its_groups_pass_the_cap():
+    # 700 x 700 pairwise unions of four functionals, 1,960,000 in all: the
+    # meet raises at the first distinct group past the cap
+    def side(x, y):
+        return balanced(Join, [Meet(Scale(float(k), Gen(x)), Scale(float(k), Gen(y)))
+                               for k in range(1, 701)])
+
+    with pytest.raises(MaxMinSizeError) as info:
+        to_maxmin(Meet(side("a", "b"), side("c", "e")))
+    needs = int(str(info.value).split()[3])
+    assert MAXMIN_CAP < needs <= MAXMIN_CAP + 4
+
+
+@pytest.mark.parametrize("text, groups, size", [
+    ("(d(a) ^ d(b)) v (d(a) ^ d(c))", 2, 3),
+    ("(d(a) ^ d(b) ^ d(c)) v (d(a) ^ d(e)) v d(f)", 3, 8),
+    ("(d(a) ^ d(b)) v (d(c) ^ d(e)) v (d(a) ^ d(f))", 4, 10),
+], ids=["shared-a", "singleton-f", "three-meets"])
+def test_negative_scale_is_the_absorbed_negation(text, groups, size):
+    # -2*e is e's form negated, with no group inside another, then doubled;
+    # the cap meets the negation at that form's size
+    m = to_maxmin(parse_expr(text))
+    neg = m.negated(size)
+    assert (len(neg.groups), neg.size) == (groups, size)
+    with pytest.raises(MaxMinSizeError, match=f"needs {size} functionals, cap is {size - 1}$"):
+        m.negated(size - 1)
+    doubled = tuple(tuple(f.scaled(2.0) for f in g) for g in neg.groups)
+    assert to_maxmin(Scale(-2.0, parse_expr(text))).groups == doubled
+
+
+def test_negated_meet_of_joins_is_one_group_per_join():
+    # the meet's form has 2**9 groups of nine; its negation is the nine
+    # joins negated, where choice functions through the groups number 9**512
+    e = reduce(Meet, [Join(Scale(float(k), Gen("a")), Scale(float(k), Gen("b")))
+                      for k in range(1, 10)])
+    assert len(to_maxmin(e).groups) == 512
+    m = to_maxmin(Scale(-1.0, e))
+    assert [len(g) for g in m.groups] == [2] * 9
+    assert {frozenset(g) for g in m.groups} == {
+        frozenset(LinearFunctional(((x, -float(k)),)) for x in "ab") for k in range(1, 10)
+    }
+
+
+def test_negated_join_of_disjoint_meets_passes_the_cap():
+    # five meets of seven functionals, no two shared: -f needs 7**5 groups
+    # of five, none inside another
+    meets = [reduce(Meet, [Scale(float(7 * i + j + 1), Gen("a")) for j in range(7)])
+             for i in range(5)]
+    with pytest.raises(MaxMinSizeError):
+        to_maxmin(Scale(-1.0, reduce(Join, meets)))
 
 
 def test_normal_form_soundness_random():
@@ -276,6 +323,19 @@ expr_trees = st.recursive(
 @given(expr_trees)
 def test_text_roundtrip(e):
     assert parse_expr(to_text(e)) == e
+
+
+@settings(max_examples=60, deadline=None)
+@given(expr_trees, st.sampled_from((-1.0, -0.5, -2.0, -0.25, -4.0)),
+       st.tuples(*[st.integers(-8, 8)] * 3))
+def test_negative_scale_property(e, c, eighths):
+    # a power of two scales every coefficient exactly, so the value is c
+    # times e's to the last bit
+    m = to_maxmin(Scale(c, e))
+    groups = [frozenset(g) for g in m.groups]
+    assert not any(g <= h for i, g in enumerate(groups) for h in groups[i + 1:] + groups[:i])
+    p = {g: k / 8 for g, k in zip("abc", eighths)}
+    assert m.value(p) == c * to_maxmin(e).value(p)
 
 
 @settings(max_examples=60, deadline=None)

@@ -608,13 +608,14 @@ def test_sup_norm_of_the_sum_of_sixteen_and_seventeen_generators(exact):
         assert sup_norm_on_cube(f, gens, exact=exact) == expected
 
 
-def test_sup_norm_where_the_negated_expression_passes_the_cap():
-    # f = 1.621|a| + g with -1 <= g <= 1 on the cube and g(1, 1) = 1
+def test_sup_norm_of_a_form_whose_negation_absorbs_groups():
+    # f = 1.621|a| + g with -1 <= g <= 1 on the cube and g(1, 1) = 1; the
+    # choice functions through f's groups number past the cap, while -f's
+    # form, with no group inside another, fits
     e = parse_expr("1.621*(d(a) v -1.0*d(a)) + "
                    "((d(a) v (d(b) v -1.0*d(b))) ^ (1.497*d(b) v (d(b) v d(b))))")
-    with pytest.raises(MaxMinSizeError):
-        to_maxmin(Scale(-1.0, e))
     m = to_maxmin(e)
+    assert to_maxmin(Scale(-1.0, e)) == m.negated(MAXMIN_CAP)
     assert sup_norm_on_cube(m, "ab", exact=True) == Fraction(1.621) + 1
     assert sup_norm_on_cube(m, "ab") == 1.621 + 1.0
 

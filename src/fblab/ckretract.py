@@ -37,7 +37,7 @@ lattice-homomorphism laws of S in Fractions.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -324,40 +324,28 @@ def build_section(K: KSpec, h: TargetFunction, exact: bool = False) -> SectionBu
 def verify_section(b: SectionBundle) -> dict:
     """Decide Sh(1, k) = h(k) on all of K, within 1e-12 * sup|h|.
 
-    On s = 1 the sector of Sh's fan can change only where a fan hyperplane
-    a*s + c*t crosses, at k = -a/c, and h bends only at its breakpoints.
-    Cutting every interval of K at those points leaves segments on which
-    one piece and h are both affine, so their difference peaks at the ends.
-    At every cut point each piece whose closed sector (p, q) holds (1, k),
-    that is p x (1, k) >= 0 and (1, k) x q >= 0, is evaluated in Fractions
-    (the stored coefficients read exactly) and compared with h(k).  That
-    covers each segment's own piece at both ends, single-point intervals,
-    and sectors that meet K in one point only.  `checked` counts these
-    evaluations.
+    On s = 1 the sector of Sh's fan changes only where a ray (1, k) crosses
+    the slice, and h bends only at its breakpoints.  Cutting every interval
+    of K at those points leaves segments on which one piece and h are both
+    affine, so their difference peaks at the ends.  At every cut point each
+    piece whose closed sector holds (1, k) is evaluated in Fractions (the
+    stored coefficients read exactly, plfan.exact_functional) and compared
+    with h(k).  That covers each segment's own piece at both ends,
+    single-point intervals, and sectors that meet K in one point only.
+    `checked` counts these evaluations.
 
-    The holding sectors are located by bisection, not by a scan.  The fan's
-    rays from (1, 0) to (1, 1) start the sectors that meet the slice
-    0 <= k <= 1, and their slopes t/s, read once in Fractions, ascend.
-    Bisecting k among them gives the sector starting at or before k; the
-    sector ending at k when k is a slope, and the wrap-around sector ending
-    at (1, 0) when k = 0, are the only others whose closed sector can hold
-    (1, k).  The exact cross-product test decides these candidates in
-    ascending index order, so the verdict, `checked` and the failures come
-    out as a test of every sector would give them.
+    The holding sectors are found by plfan.pl_sector, the lookup pl_value
+    uses: on the slice a ray's pseudo-angle is its slope k, and the sector
+    starting at or before k holds (1, k).  When k is a ray's angle, the
+    sector ending there holds it too; at k = 0 that is the last sector,
+    which wraps around to (1, 0).  Both are evaluated in ascending index
+    order, so the verdict, `checked` and the failures come out as a test
+    of every sector would give them.
     """
     fan = b.Sh.fan
-    rays = []  # exact, from (1, 0) through the first ray past (1, 1)
-    for r in fan.rays:
-        rays.append(tuple(as_fraction(v) for v in r))
-        if not 0 <= rays[-1][1] <= rays[-1][0]:
-            break
-    slopes = [t / s for s, t in rays[:-1]]
-    wrap = len(fan.rays) - 1
-    ends = {i: (rays[i], rays[i + 1]) for i in range(len(slopes))}
-    ends[wrap] = (tuple(as_fraction(v) for v in fan.rays[wrap]), rays[0])
-    pieces = {i: [as_fraction(v) for v in b.Sh.pieces[i].vector(GENERATORS)] for i in ends}
-    rows = [[as_fraction(v) for v in hp.vector(GENERATORS)] for hp in fan.hyperplanes]
-    bends = [-a / c for a, c in rows if c != 0] + [p for p, _ in b.h.breakpoints]
+    pieces = [plfan.exact_functional(p) for p in b.Sh.pieces]
+    bends = [as_fraction(t) for s, t in fan.rays if s == 1 and 0 <= t <= 1]
+    bends += [p for p, _ in b.h.breakpoints]
     limit = 1e-12 * float(b.h_sup)
     worst = 0.0
     checked = 0
@@ -365,22 +353,10 @@ def verify_section(b: SectionBundle) -> dict:
     for lo, hi in b.K.intervals:
         for k in sorted({lo, hi}.union(x for x in bends if lo < x < hi)):
             want = b.h.value(k)
-            i = bisect_right(slopes, k) - 1
-            near = {i}
-            if i > 0 and slopes[i] == k:
-                near.add(i - 1)
-            if k == 0:
-                near.add(wrap)
-            holding = []
-            for idx in sorted(near):
-                p, q = ends[idx]
-                if p[0] * k - p[1] >= 0 and q[1] - k * q[0] >= 0:
-                    holding.append(idx)
-            if not holding:
-                raise plfan.FanError(f"no sector contains (1, {k}); fan incomplete")
-            for idx in holding:
-                a, c = pieces[idx]
-                got = a + c * k
+            i = plfan.pl_sector(fan, (1, k))
+            near = sorted({i, (i - 1) % len(fan.rays)}) if fan.angles[i] == k else [i]
+            for idx in near:
+                got = pieces[idx].evaluate({"one": 1, "id": k})
                 dev = float(abs(got - want))
                 checked += 1
                 worst = max(worst, dev)
@@ -400,20 +376,16 @@ def verify_norm_bound(b: SectionBundle) -> dict:
     space.
 
     The norm is computed over the generators ("one", "id") only; reports
-    carry a flag saying so.  Also reports the sup of the slice function for
-    reference: it is linear between its table entries and constant outside
-    [0, 1], so the sup is the largest table entry in absolute value.
+    carry a flag saying so.
     """
     space = fbl_space(GENERATORS)
     bracket = exact_fbl_norm(b.Sh, space)
     h_sup = float(b.h_sup)
-    slice_sup = float(max(abs(v) for _, v in b.table))
     return {
         "pass": float(bracket.upper) <= h_sup + 1e-9 * h_sup,
         "norm_upper": float(bracket.upper),
         "norm_lower": float(bracket.lower),
         "h_sup": h_sup,
-        "slice_sup": slice_sup,
         "two_generator_restriction": True,
         "bracket": bracket,
     }

@@ -68,8 +68,10 @@ __all__ = [
     "pl_equal",
     "pl_pointwise_max",
     "pl_lincomb",
+    "pl_sector",
     "pl_value",
     "pl_value_many",
+    "exact_functional",
     "fan_to_json",
     "fan_from_json",
     "plfunction_to_json",
@@ -203,9 +205,11 @@ def _angles(P: np.ndarray) -> np.ndarray:
         )
 
 
-def _sector(fan: Fan, point) -> int:
+def pl_sector(fan: Fan, point) -> int:
     """Index of the cell that holds point: the one starting at or before its
-    angle, so a point on a ray takes the sector that starts there."""
+    angle, so a point on a ray takes the sector that starts there.  The
+    comparison is exact, also for a Fraction point against float angles;
+    the angle of a float ray (1, t) with 0 <= t <= 1 is t itself."""
     return bisect_right(fan.angles, _angle(point)) - 1
 
 
@@ -265,11 +269,13 @@ def arrangement_fan(normals, generators, exact: bool = False) -> Fan:
     return _sorted_fan(generators, tuple(hyps), rays, angles)
 
 
+def exact_functional(fn: LinearFunctional) -> LinearFunctional:
+    """fn with its coefficients read exactly, as Fractions."""
+    return LinearFunctional(tuple((g, as_fraction(c)) for g, c in fn.items))
+
+
 def _exact_form(m: MaxMinForm) -> MaxMinForm:
-    return MaxMinForm(tuple(
-        tuple(LinearFunctional(tuple((g, as_fraction(c)) for g, c in f.items)) for f in grp)
-        for grp in m.groups
-    ))
+    return MaxMinForm(tuple(tuple(map(exact_functional, grp)) for grp in m.groups))
 
 
 def pl_from_maxmin(m: MaxMinForm, generators, exact: bool = False) -> MaxMinForm:
@@ -288,18 +294,26 @@ def pl_parts(f, generators, exact: bool = False):
 
     f is linear off the break hyperplanes, and each of its pieces is one of
     the zero_sets functionals.  values(points) gives f at a list of points,
-    value(point) at one.  A form is exactified once when exact; its breaks
-    are the nonzero pairwise differences of its functionals, and its float
+    value(point) at one.  When exact, a form's functionals, or a stored
+    function's rays and pieces, are read exactly once (exact_functional):
+    the pseudo-angle of a float ray off the first octant is rounded, so
+    locating points against it would not be exact.  A form's breaks are
+    the nonzero pairwise differences of its functionals, and its float
     values come from one MaxMinEvaluator.batch call.  A stored function
-    gives its fan's hyperplanes, its pieces and pl_value.  In floats, values
-    raises OverflowError where a finite point gets a value that is not
-    finite (expr.finite_values).  Raises SpaceError when the generators miss
-    one of a form's or differ from a stored one's.
+    gives its fan's hyperplanes, its pieces and pl_value.  In floats,
+    values raises OverflowError where a finite point gets a value that is
+    not finite (expr.finite_values).  Raises SpaceError when the generators
+    miss one of a form's or differ from a stored one's.
     """
     generators = tuple(generators)
     if isinstance(f, PLFunction):
         if f.fan.generators != generators:
             raise SpaceError("function and space generator order differ")
+        if exact:
+            # rounding to a float never reverses two angles: the order holds
+            rays = tuple(tuple(map(as_fraction, r)) for r in f.fan.rays)
+            fan = Fan(generators, f.fan.hyperplanes, rays)
+            f = PLFunction(fan, tuple(map(exact_functional, f.pieces)))
         breaks, zero_sets = f.fan.hyperplanes, f.pieces
 
         def value(x):
@@ -381,8 +395,8 @@ def _group_argmax(group, gens) -> list:
 
 
 def pl_value(f: PLFunction, point):
-    """f at one point: the piece of the sector that holds it (_sector)."""
-    return f.pieces[_sector(f.fan, point)].evaluate(dict(zip(f.fan.generators, point)))
+    """f at one point: the piece of the sector that holds it (pl_sector)."""
+    return f.pieces[pl_sector(f.fan, point)].evaluate(dict(zip(f.fan.generators, point)))
 
 
 def pl_value_many(f: PLFunction, points: np.ndarray) -> np.ndarray:
@@ -410,7 +424,7 @@ def _refine(f: PLFunction, g: PLFunction, exact: bool, what: str):
     and that ray's position is the count of f's rays the pass has taken;
     likewise for g.  Angles are only compared, never recomputed, so the
     rays are the sorted union and the pieces are the ones a bisection of
-    each merged ray (_sector) would pick, in either arithmetic.
+    each merged ray (pl_sector) would pick, in either arithmetic.
     """
     if f.fan.generators != g.fan.generators:
         raise FanError(f"{what} needs a shared generator tuple")

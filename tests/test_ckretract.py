@@ -27,7 +27,7 @@ from fblab.ckretract import _segment, _segments
 from fblab import plfan
 from fblab.expr import LinearFunctional
 from fblab.plfan import PLFunction, pl_value, pl_value_many
-from fblab.fblnorm import DualConfig, admissible, config_value, fbl_space
+from fblab.fblnorm import DualConfig, admissible, config_value, exact_fbl_norm, fbl_space
 
 
 def v_eval(x) -> tuple:
@@ -454,9 +454,13 @@ def scan_verify_section(b):
 
 
 # Every K endpoint inside (0, 1) is the slope of a fan ray (in float fans
-# when it is dyadic), so cut points fall on rays, and 0 is in every K here.
-# A non-dyadic breakpoint rounds in float fans; single-point intervals meet
-# sectors in one point.
+# when it is dyadic), so cut points fall on rays, and 0 is in every K of the
+# fixed cases.  A non-dyadic breakpoint rounds in float fans; single-point
+# intervals meet sectors in one point.  The seeded cases are bench-like
+# unions of 2-3 intervals with rational ends and breakpoints, dyadic and not.
+_lookup_rng = np.random.default_rng(641)
+_SEEDED_UNIONS = [_random_union_target(_lookup_rng, grid)
+                  for grid in (16, 21, 40) for _ in range(2)]
 LOOKUP_CASES = [
     (interval01(), ((0, 0), (Fraction(1, 3), 2), (1, -1))),
     (two_points(), ((0, 3), (1, -2))),
@@ -466,6 +470,7 @@ LOOKUP_CASES = [
                          (Fraction(2, 3), 1)]),
      ((0, 1), (Fraction(1, 3), -1), (Fraction(1, 2), 3), (Fraction(2, 3), 0), (1, 2))),
     MUTATION_CASES[3],
+    *((K, h.breakpoints) for K, h in _SEEDED_UNIONS),
 ]
 
 
@@ -703,11 +708,26 @@ def test_section_and_norm_verdicts_are_scale_free(scale):
     assert not verify_norm_bound(tampered)["pass"]
 
 
-def test_slice_sup_is_exact_at_an_off_grid_breakpoint():
+def test_exact_norm_of_a_float_section_reads_it_exactly():
+    """exact=True on a float stored function reads its rays and pieces as
+    Fractions, so the bracket closes, in Fractions, on the norm of the same
+    function read exactly.  Reading the pieces alone is not enough: a float
+    ray's pseudo-angle off the first octant is rounded."""
+    rng = np.random.default_rng(7)
     K = interval01()
-    b = build_section(K, H(K, (0, 0), (Fraction(1, 32), 3), (1, -1)))
-    rep = verify_norm_bound(b)
-    assert rep["slice_sup"] == rep["h_sup"] == 3.0
+    targets = [H(K, (0, 0), (Fraction(1, 3), 1), (1, Fraction(1, 10)))]
+    targets += [_random_target_on(rng, K, 40) for _ in range(30)]
+    space = fbl_space(("one", "id"))
+    for h in targets:
+        f = build_section(K, h).Sh
+        exactly = PLFunction(
+            plfan.Fan(f.fan.generators, tuple(map(plfan.exact_functional, f.fan.hyperplanes)),
+                      tuple(tuple(map(Fraction, r)) for r in f.fan.rays)),
+            tuple(map(plfan.exact_functional, f.pieces)))
+        got = exact_fbl_norm(f, space, exact=True)
+        want = exact_fbl_norm(exactly, space, exact=True)
+        assert type(got.lower) is Fraction and type(got.upper) is Fraction
+        assert got.lower == got.upper == want.lower == want.upper, h
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,8 @@ are known in closed form: h's breakpoints, the ends 0 and 1, and three
 points per gap of K (slice_table).  Multiplying by |s| and unwinding
 c = t/s turns each segment a + b*c into the homogeneous piece
 sign(s) * (a*s + b*t) on a sector of the (s,t) plane, so build_section
-reads Sh's rays, hyperplanes and pieces off that table in one walk, in
-Fractions, and rounds the result for the float section.  Special slices
-of K:
+reads Sh's rays and pieces off that table in one walk, in Fractions, and
+rounds the result for the float section.  Special slices of K:
 
   full interval [0,1]: no gaps, u == 1, phi = clip, classic retraction;
   the pair {0,1}:       u(c) = |2c - 1|, phi = threshold at 1/2.
@@ -275,10 +274,10 @@ def build_section(K: KSpec, h: TargetFunction, exact: bool = False) -> SectionBu
 
     For table points 0 = c_0 < ... < c_n = 1, Sh has the rays
     (1, c_0) ... (1, c_n), (0, 1), (-1, 1), (-1, -c_0) ... (-1, -c_n),
-    (0, -1) and (1, -1), counter-clockwise from (1, 0), and the hyperplanes
-    s, t, t - s, t + s and t - c_k*s for every interior c_k.  A sector of
-    s-sign sigma on which t/s runs over the table segment a + b*c carries
-    the piece sigma*(a*s + b*t).  So the sectors from (1, 0) take the n
+    (0, -1) and (1, -1), counter-clockwise from (1, 0); it breaks on the
+    lines through them, s, t, t - s, t + s and t - c_k*s for every interior
+    c_k (plfan.Fan.hyperplanes).  A sector of s-sign sigma on which t/s
+    runs over the table segment a + b*c carries the piece sigma*(a*s + b*t).  So the sectors from (1, 0) take the n
     segments in order and then the constant at 1 (t/s > 1); the two from
     (0, 1) to (-1, 0) take the constant at 0, negated (t/s < 0); the
     sectors from (-1, 0) take the segments again, negated, then the
@@ -289,7 +288,7 @@ def build_section(K: KSpec, h: TargetFunction, exact: bool = False) -> SectionBu
     one rounded, coefficient by coefficient; the axis rays (1, -0) and
     (-0, -1) keep the signed zeros of the null directions of t and s.
     Where two table points round to one float, the sector between them is
-    empty and is dropped, and so is the repeated hyperplane.
+    empty and is dropped, and with it the repeated line.
     """
     if h.K != K:
         raise CKError("h is defined on a different K")
@@ -300,9 +299,6 @@ def build_section(K: KSpec, h: TargetFunction, exact: bool = False) -> SectionBu
     rays = [(one, -zero), *((one, c) for c in inner), (one, one), (zero, one),
             (-one, one), (-one, zero), *((-one, -c) for c in inner), (-one, -one),
             (-zero, -one), (one, -one)]
-    normals = [{"one": one}, {"id": one}, {"id": one, "one": -one}, {"id": one, "one": one}]
-    normals += [{"id": one, "one": -c} for c in inner]
-    hyperplanes = dict.fromkeys(LinearFunctional.from_map(m) for m in normals)
 
     # the constant at 0, the n table segments, the constant at 1
     up = [(num(a), num(b)) for a, b in _segments(table)[1]]
@@ -310,7 +306,7 @@ def build_section(K: KSpec, h: TargetFunction, exact: bool = False) -> SectionBu
     coeffs = up[1:] + down[:1] * 2 + down[1:] + up[:1] * 2
     pieces = [LinearFunctional.from_map({"one": a, "id": b}) for a, b in coeffs]
     keep = [i for i, r in enumerate(rays) if r != rays[i + 1 - len(rays)]]
-    fan = plfan.Fan(GENERATORS, tuple(hyperplanes), tuple(rays[i] for i in keep))
+    fan = plfan.Fan(GENERATORS, tuple(rays[i] for i in keep))
     Sh = plfan.PLFunction(fan, tuple(pieces[i] for i in keep))
     return SectionBundle(
         K=K, h=h, generators=GENERATORS, Sh=Sh, table=table, h_sup=sup_norm(h)
@@ -406,23 +402,23 @@ def verify_hom_laws(K: KSpec, pairs: Sequence, samples: int = 10_000) -> dict:
     All four sections are built exactly.  Joins are built both ways:
     through the target functions (crossing breakpoints inserted) and
     through pl_pointwise_max; combinations through target_lincomb and
-    pl_lincomb.  Each law is decided by pl_equal on the merged rays, and
-    `pass` is both laws.  As a float cross-check only, both sides are also
-    evaluated at `samples` random points of [-1, 1]^2 (seed 0), and
-    the largest differences are reported as join_sample_dev and
-    linear_sample_dev.
+    pl_lincomb, in the sections' own Fractions.  Each law is decided by
+    pl_equal on the merged rays, and `pass` is both laws.  As a float
+    cross-check only, both sides are also evaluated at `samples` random
+    points of [-1, 1]^2 (seed 0), and the largest differences are reported
+    as join_sample_dev and linear_sample_dev.
     """
     results = []
     for h1, h2 in pairs:
         b1 = build_section(K, h1, exact=True)
         b2 = build_section(K, h2, exact=True)
         bj = build_section(K, target_join(h1, h2), exact=True)
-        pmax = plfan.pl_pointwise_max(b1.Sh, b2.Sh, exact=True)
-        join_exact = plfan.pl_equal(bj.Sh, pmax, exact=True)
+        pmax = plfan.pl_pointwise_max(b1.Sh, b2.Sh)
+        join_exact = plfan.pl_equal(bj.Sh, pmax)
 
         bl = build_section(K, target_lincomb(2, h1, -1, h2), exact=True)
-        plin = plfan.pl_lincomb(2, b1.Sh, -1, b2.Sh, exact=True)
-        lin_exact = plfan.pl_equal(bl.Sh, plin, exact=True)
+        plin = plfan.pl_lincomb(2, b1.Sh, -1, b2.Sh)
+        lin_exact = plfan.pl_equal(bl.Sh, plin)
 
         results.append(
             {

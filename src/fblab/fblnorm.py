@@ -15,13 +15,13 @@ Exactness route.  For piecewise-linear f the sup is a finite LP:
 
 1.  Merging.  f is a max-min form or a stored PLFunction, and
     plfan.pl_parts gives its break hyperplanes (for a form, the pairwise
-    differences of its functionals) and its zero sets (every functional of
-    the form, or every piece).  Refine the breaks by the zero sets and by
-    the vertex hyperplanes <., v> = 0.  On each refined cell |f| is
-    linear and every <., v> has constant sign, so two family members in the
-    same cell can be added without changing the objective or any
-    constraint sum.  An optimal family therefore needs at most one point
-    per cell.
+    differences of its functionals; for a stored function, the lines
+    through its rays) and its zero sets (every functional of the form, or
+    every piece).  Refine the breaks by the zero sets and by the vertex
+    hyperplanes <., v> = 0.  On each refined cell |f| is linear and every
+    <., v> has constant sign, so two family members in the same cell can be
+    added without changing the objective or any constraint sum.  An optimal
+    family therefore needs at most one point per cell.
 2.  Ray decomposition.  Each refined cell is a pointed polyhedral cone (the
     vertex normals span), so its points are nonnegative combinations of its
     extreme rays, and both the objective and the constraint sums are linear

@@ -1,15 +1,14 @@
 """Piecewise-linear homogeneous functions on sorted rays, and cube sup norms.
 
-A Fan over two generators is a sorted list of rays: the sup-scaled null
-directions +/-(-b, a) of every line a*s + b*t = 0 of its (deduplicated,
-canonically scaled) hyperplane list, together with +/-e1 and +/-e2, so
-that every sector between consecutive rays is narrower than pi.  The rays
-are sorted counter-clockwise from (1, 0) by a square pseudo-angle, the
-position of the direction on the boundary of [-1, 1]^2 (_angle): no
-trigonometry, and exact in Fractions.  Cell i is the sector from rays[i]
-to rays[i + 1], and a stored PLFunction attaches one linear piece per
-cell.  With one generator the rays are +1 and -1 and the cells the two
-half-lines.
+A Fan over two generators is a sorted list of rays, among them +/-e1 and
++/-e2, so that every sector between consecutive rays is narrower than pi;
+arrangement_fan adds the sup-scaled null directions +/-(-b, a) of every
+line a*s + b*t = 0 of an arrangement.  The rays are sorted
+counter-clockwise from (1, 0) by a square pseudo-angle, the position of
+the direction on the boundary of [-1, 1]^2 (_angle): no trigonometry, and
+exact in Fractions.  Cell i is the sector from rays[i] to rays[i + 1], and
+a stored PLFunction attaches one linear piece per cell.  With one
+generator the rays are +1 and -1 and the cells the two half-lines.
 
 A point is located by bisecting on its pseudo-angle, with no tolerance; a
 point exactly on a ray takes the sector that starts there (its
@@ -24,9 +23,8 @@ them, and pl_pointwise_max splits a sector (p, q) where the difference d
 of the two pieces changes sign, at the crossing ray |d(q)| p + |d(p)| q.
 Pieces always come from the operands and are never solved for, so all
 three are exact in Fractions and stay accurate in floats in thin sectors.
-A result's hyperplanes list every line it breaks on: for the maximum,
-every nonzero d that vanishes on a closed sector, since the larger piece
-may change on an axis ray that neither operand breaks on.
+A stored function is linear on every sector, so it breaks only on the
+lines through its rays: a fan's hyperplanes are derived from them.
 
 The norm takes a max-min form, over any number of generators, or a stored
 PLFunction, and reads only break hyperplanes, zero sets and values;
@@ -88,14 +86,13 @@ class DegenerateNormalError(FanError):
 
 @dataclass(frozen=True)
 class Fan:
-    """Sorted rays of a fan over one or two generators, and its hyperplanes.
+    """Sorted rays of a fan over one or two generators.
 
     Every fan has at least two rays: +1 and -1 over one generator, and at
     least the four axis rays over two.
     """
 
     generators: tuple
-    hyperplanes: tuple  # LinearFunctional normals, canonical and deduplicated
     rays: tuple  # sup-scaled, counter-clockwise from (1, 0), each once
 
     def __post_init__(self):
@@ -116,6 +113,16 @@ class Fan:
         from rays whose angles are already known (_sorted_fan)."""
         return tuple(_angle(r) for r in self.rays)
 
+    @cached_property
+    def hyperplanes(self) -> tuple:
+        """The line through every ray, with normal (-r[1], r[0]) (the
+        coordinate itself over one generator), canonical and each once by
+        exact value, in ray order; Fraction rays give Fraction lines."""
+        g, exact = self.generators, isinstance(self.rays[0][0], Fraction)
+        maps = ({g[0]: 1} if len(r) == 1 else {g[0]: -r[1], g[1]: r[0]} for r in self.rays)
+        return tuple(dict.fromkeys(
+            canonical_normal(LinearFunctional.from_map(m), exact) for m in maps))
+
 
 @dataclass(frozen=True)
 class PLFunction:
@@ -131,9 +138,9 @@ def canonical_normal(fn: LinearFunctional, exact: bool) -> LinearFunctional:
 
     The items tuple of LinearFunctional is already sorted by generator name,
     so "first nonzero" is well defined.  Raises for the zero functional.  A
-    normal whose lead is 1 already, as a fan's hyperplanes are, is only put
-    in the arithmetic (Fraction or float coefficients): dividing by 1 would
-    change no value.
+    normal whose lead is 1 already, as the line of a slice ray is, is only
+    put in the arithmetic (Fraction or float coefficients): dividing by 1
+    would change no value.
     """
     if fn.is_zero:
         raise DegenerateNormalError("zero normal")
@@ -242,9 +249,17 @@ def _sorted_rays(rays) -> tuple:
     return tuple(by_angle[a] for a in angles), angles
 
 
-def _sorted_fan(generators, hyperplanes, rays, angles) -> Fan:
+def _fan_generators(generators) -> tuple:
+    """generators as a tuple; raises FanError unless there are one or two."""
+    generators = tuple(generators)
+    if not 1 <= len(generators) <= 2:
+        raise FanError(f"fans take one or two generators, not {len(generators)}")
+    return generators
+
+
+def _sorted_fan(generators, rays, angles) -> Fan:
     """A Fan of rays already sorted by _angle, with those angles cached."""
-    fan = Fan(generators, hyperplanes, rays)
+    fan = Fan(generators, rays)
     fan.__dict__["angles"] = angles  # where cached_property keeps Fan.angles
     return fan
 
@@ -259,14 +274,10 @@ def arrangement_fan(normals, generators, exact: bool = False) -> Fan:
     tolerance, exact in Fractions.  Raises FanError for three or more
     generators and DegenerateNormalError on a zero normal.
     """
-    generators = tuple(generators)
-    n = len(generators)
-    if not 1 <= n <= 2:
-        raise FanError(f"fans take one or two generators, not {n}")
-    hyps = dedup_normals(normals, exact)
-    rows = [hp.vector(generators) for hp in hyps]
-    rays, angles = _sorted_rays(_line_rays(rows) + _axes(n, exact))
-    return _sorted_fan(generators, tuple(hyps), rays, angles)
+    generators = _fan_generators(generators)
+    rows = [hp.vector(generators) for hp in dedup_normals(normals, exact)]
+    rays, angles = _sorted_rays(_line_rays(rows) + _axes(len(generators), exact))
+    return _sorted_fan(generators, rays, angles)
 
 
 def exact_functional(fn: LinearFunctional) -> LinearFunctional:
@@ -312,7 +323,7 @@ def pl_parts(f, generators, exact: bool = False):
         if exact:
             # rounding to a float never reverses two angles: the order holds
             rays = tuple(tuple(map(as_fraction, r)) for r in f.fan.rays)
-            fan = Fan(generators, f.fan.hyperplanes, rays)
+            fan = Fan(generators, rays)
             f = PLFunction(fan, tuple(map(exact_functional, f.pieces)))
         breaks, zero_sets = f.fan.hyperplanes, f.pieces
 
@@ -414,9 +425,9 @@ def pl_value_many(f: PLFunction, points: np.ndarray) -> np.ndarray:
     return out
 
 
-def _refine(f: PLFunction, g: PLFunction, exact: bool, what: str):
-    """The fan of the merged rays of f and g, with both hyperplane lists,
-    and per sector the pieces of f and of g on it.
+def _refine(f: PLFunction, g: PLFunction, what: str):
+    """The fan of the merged rays of f and g, and per sector the pieces of f
+    and of g on it.
 
     The merge is one linear pass over the two fans' cached angles, which
     ascend; on equal angles f's ray is kept.  A merged sector lies in the
@@ -443,11 +454,10 @@ def _refine(f: PLFunction, g: PLFunction, exact: bool, what: str):
             angles.append(ga[j])
             j += 1
         pairs.append((f.pieces[i - 1], g.pieces[j - 1]))
-    hyps = dedup_normals(f.fan.hyperplanes + g.fan.hyperplanes, exact)
-    return _sorted_fan(f.fan.generators, tuple(hyps), tuple(rays), tuple(angles)), pairs
+    return _sorted_fan(f.fan.generators, tuple(rays), tuple(angles)), pairs
 
 
-def pl_equal(f: PLFunction, g: PLFunction, exact: bool = False) -> bool:
+def pl_equal(f: PLFunction, g: PLFunction) -> bool:
     """Equality as functions, decided at the merged rays of both operands.
 
     Both inputs must live over the same ordered generator tuple.  On every
@@ -456,7 +466,7 @@ def pl_equal(f: PLFunction, g: PLFunction, exact: bool = False) -> bool:
     are compared with ==, so the verdict is exact only for Fraction inputs;
     float inputs decide equality of the rounded values, with no tolerance.
     """
-    fan, pairs = _refine(f, g, exact, "pl_equal")
+    fan, pairs = _refine(f, g, "pl_equal")
     for (p, q), (pf, pg) in zip(fan.cells, pairs):
         for r in (p, q):
             point = dict(zip(fan.generators, r))
@@ -465,28 +475,25 @@ def pl_equal(f: PLFunction, g: PLFunction, exact: bool = False) -> bool:
     return True
 
 
-def pl_pointwise_max(f: PLFunction, g: PLFunction, exact: bool = False) -> PLFunction:
+def pl_pointwise_max(f: PLFunction, g: PLFunction) -> PLFunction:
     """Pointwise maximum of two PLFunctions on their merged rays.
 
     On a merged sector (p, q) the difference d of the two pieces is linear,
     so the larger piece holds on the whole sector unless d(p) and d(q)
     have opposite signs; then the crossing ray |d(q)| p + |d(p)| q, where
-    d vanishes, splits it.  Wherever d(p) * d(q) <= 0 for a nonzero d,
-    the maximum may change pieces on d's line (inside the sector, or at
-    an end that no operand breaks on, such as an axis ray), so d joins
-    the hyperplanes.
+    d vanishes, splits it.  The maximum changes pieces only at these rays,
+    so its hyperplanes, the lines through its rays, list every line it
+    breaks on, an axis ray that neither operand breaks on included.
     """
-    fan, pairs = _refine(f, g, exact, "pl_pointwise_max")
+    fan, pairs = _refine(f, g, "pl_pointwise_max")
     gens = fan.generators
-    rays, angles, pieces, breaks = [], [], [], []
+    rays, angles, pieces = [], [], []
     ends = fan.angles[1:] + (8,)
     for (p, q), (pf, pg), lo, hi in zip(fan.cells, pairs, fan.angles, ends):
         d = pf.minus(pg)
         dp, dq = (d.evaluate(dict(zip(gens, r))) for r in (p, q))
         rays.append(p)
         angles.append(lo)
-        if dp * dq <= 0 and not d.is_zero:
-            breaks.append(d)
         if min(dp, dq) < 0 < max(dp, dq):
             r = tuple(abs(dq) * u + abs(dp) * v for u, v in zip(p, q))
             scale = max(abs(v) for v in r)
@@ -498,14 +505,12 @@ def pl_pointwise_max(f: PLFunction, g: PLFunction, exact: bool = False) -> PLFun
                 pieces += [pf, pg] if dp > 0 else [pg, pf]
                 continue
         pieces.append(pf if dp + dq >= 0 else pg)
-    hyps = dedup_normals(list(fan.hyperplanes) + breaks, exact)
-    out = _sorted_fan(gens, tuple(hyps), tuple(rays), tuple(angles))
-    return PLFunction(out, tuple(pieces))
+    return PLFunction(_sorted_fan(gens, tuple(rays), tuple(angles)), tuple(pieces))
 
 
-def pl_lincomb(a, f: PLFunction, b, g: PLFunction, exact: bool = False) -> PLFunction:
+def pl_lincomb(a, f: PLFunction, b, g: PLFunction) -> PLFunction:
     """a*f + b*g on the merged rays of f and g, piece by piece."""
-    fan, pairs = _refine(f, g, exact, "pl_lincomb")
+    fan, pairs = _refine(f, g, "pl_lincomb")
     return PLFunction(fan, tuple(pf.scaled(a).plus(pg.scaled(b)) for pf, pg in pairs))
 
 
@@ -537,21 +542,27 @@ def _functional_from_json(obj) -> LinearFunctional:
 def fan_to_json(fan: Fan) -> dict:
     return {
         "generators": list(fan.generators),
-        "hyperplanes": [_functional_to_json(h) for h in fan.hyperplanes],
         "rays": [[_num_to_json(v) for v in r] for r in fan.rays],
     }
 
 
 def fan_from_json(obj) -> Fan:
-    return Fan(
-        tuple(obj["generators"]),
-        tuple(_functional_from_json(h) for h in obj["hyperplanes"]),
-        tuple(tuple(_num_from_json(v) for v in r) for r in obj["rays"]),
-    )
+    """fan_to_json's shape; an earlier "hyperplanes" key is ignored.
+    Raises FanError unless there are one or two generators, every ray has
+    one entry per generator and the rays' pseudo-angles strictly ascend,
+    since lookups bisect on them."""
+    gens = _fan_generators(obj["generators"])
+    rays = tuple(tuple(_num_from_json(v) for v in r) for r in obj["rays"])
+    if any(len(r) != len(gens) for r in rays):
+        raise FanError(f"a ray over {len(gens)} generators needs {len(gens)} entries")
+    angles = tuple(map(_angle, rays))
+    if any(b <= a for a, b in zip(angles, angles[1:])):
+        raise FanError("the rays do not ascend counter-clockwise from (1, 0)")
+    return _sorted_fan(gens, rays, angles)
 
 
 def plfunction_to_json(f: PLFunction) -> dict:
-    """generators, hyperplanes, rays and one piece per sector."""
+    """generators, rays and one piece per sector."""
     out = fan_to_json(f.fan)
     out["pieces"] = [_functional_to_json(p) for p in f.pieces]
     return out
@@ -569,13 +580,12 @@ def plfunction_from_json(obj) -> PLFunction:
     if "rays" in obj:
         fan = fan_from_json(obj)
     else:
-        gens = tuple(obj["generators"])
-        hyps = tuple(_functional_from_json(h) for h in obj["hyperplanes"])
+        gens = _fan_generators(obj["generators"])
         witnesses = [tuple(_num_from_json(v) for v in c["witness"]) for c in obj["cells"]]
-        rows = [h.vector(gens) for h in hyps]
+        rows = [_functional_from_json(h).vector(gens) for h in obj["hyperplanes"]]
         exact = isinstance(witnesses[0][0], Fraction)
         rays, angles = _sorted_rays(_line_rays(rows) + _axes(len(gens), exact))
-        fan = _sorted_fan(gens, hyps, rays, angles)
+        fan = _sorted_fan(gens, rays, angles)
         walls = _sorted_rays(_line_rays(rows))[1]
 
         def cell(x):

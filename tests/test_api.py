@@ -100,6 +100,6 @@ def test_traced_counts_read_real_results():
     values = plfan.pl_value_many(f, np.ones((7, 2)))
     spans._count_points(counts, values, (f, np.ones((7, 2))), {}, None)
     assert counts["plfan.arrangement_fan.calls"] == 1
-    assert counts["plfan.hyperplanes"] == 1
+    assert counts["plfan.hyperplanes"] == 3  # the break line and the two axes
     assert counts["plfan.cells"] == len(fan.cells) == 6
     assert counts["plfan.pl_value_many.points"] == 7

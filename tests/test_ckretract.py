@@ -576,6 +576,21 @@ def test_table_walk_matches_a_witness_lookup_of_every_sector(exact):
     assert len(dropped.Sh.fan.hyperplanes) == len(dropped.table) + (2 if exact else 1)
 
 
+@pytest.mark.parametrize("exact", [False, True])
+def test_a_section_breaks_on_the_lines_of_its_table(exact):
+    """s, t, t - s and t + s, and t - c*s for every interior table point c,
+    as it rounds: 1/3 + 1e-20 is 1/3 in floats, so one line fewer."""
+    num = Fraction if exact else float
+    cases = LOOKUP_CASES + [(interval01(), pairs) for pairs in WALK_EDGE_TARGETS]
+    for K, pairs in cases:
+        b = build_section(K, H(K, *pairs), exact=exact)
+        lines = [{"one": 1}, {"id": 1}, {"id": 1, "one": -1}, {"id": 1, "one": 1}]
+        lines += [{"id": 1, "one": -num(c)} for c, _ in b.table[1:-1]]
+        want = {LinearFunctional.from_map({g: num(v) for g, v in m.items()}) for m in lines}
+        assert set(b.Sh.fan.hyperplanes) == want, (K, pairs)
+        assert len(b.Sh.fan.hyperplanes) == len(want)
+
+
 def test_segment_lookup_matches_a_walk_of_the_table():
     """At every table point, between neighbours and beyond both ends."""
     tables = [build_section(K, H(K, *pairs)).table for K, pairs in LOOKUP_CASES]
@@ -721,8 +736,7 @@ def test_exact_norm_of_a_float_section_reads_it_exactly():
     for h in targets:
         f = build_section(K, h).Sh
         exactly = PLFunction(
-            plfan.Fan(f.fan.generators, tuple(map(plfan.exact_functional, f.fan.hyperplanes)),
-                      tuple(tuple(map(Fraction, r)) for r in f.fan.rays)),
+            plfan.Fan(f.fan.generators, tuple(tuple(map(Fraction, r)) for r in f.fan.rays)),
             tuple(map(plfan.exact_functional, f.pieces)))
         got = exact_fbl_norm(f, space, exact=True)
         want = exact_fbl_norm(exactly, space, exact=True)

@@ -450,6 +450,58 @@ def test_replay_of_a_section_certificate_with_cell_witnesses(capsys):
     assert f.fan == b.Sh.fan and f.pieces == b.Sh.pieces
 
 
+def test_replay_of_a_section_certificate_that_lists_hyperplanes(capsys):
+    # written by `fblab ck-section --k "union:0,1/4;1/2,1" --h
+    # "0:2/3,1/4:-5/7,1/2:1/7,3/5:-9/11,1:1/9" --cert` when a fan stored
+    # its hyperplanes next to its rays; the norm is attained at (1, 0.6),
+    # on the interior breakpoint's ray
+    path = DATA / "ck-section-union-rays.cert.json"
+    doc = fblnorm.load_certificate(path)
+    assert "hyperplanes" in doc["function"]["plfunction"]
+    code, rep, _ = run_cli(capsys, ["replay-cert", str(path), "--json-only"])
+    assert code == 0
+    assert rep["payload"]["pass"] is True
+    assert rep["payload"]["value"] == rep["payload"]["recorded_value"] == 0.8181818181818181
+    f = plfan.plfunction_from_json(doc["function"]["plfunction"])
+    K = cli._parse_kspec("union:0,1/4;1/2,1")
+    b = ckretract.build_section(K, cli._parse_target(K, "0:2/3,1/4:-5/7,1/2:1/7,3/5:-9/11,1:1/9"))
+    assert f == b.Sh
+
+
+def _reverse(fn):
+    fn["rays"].reverse()
+    fn["pieces"].reverse()
+
+
+def _cut_rays(fn):
+    fn["rays"] = [r[:1] for r in fn["rays"]]
+
+
+def _three_generators(fn):
+    fn["generators"].append("x")
+
+
+@pytest.mark.parametrize("malform, problem", [
+    (_reverse, "do not ascend"),
+    (_cut_rays, "needs 2 entries"),
+    (_three_generators, "one or two generators"),
+])
+def test_replay_rejects_a_malformed_stored_fan(tmp_path, capsys, malform, problem):
+    """A certificate's fan comes from outside the program: out of order, or
+    with rays of the wrong length, a lookup reads arbitrary pieces, and on
+    this section the first two replayed with `pass` true."""
+    cert = tmp_path / "s.cert.json"
+    code, _, _ = run_cli(capsys, ["ck-section", "--k", "interval", "--h", "0:2,1:1",
+                                  "--cert", str(cert), "--json-only"])
+    assert code == 0
+    doc = json.loads(cert.read_text())
+    malform(doc["function"]["plfunction"])
+    cert.write_text(json.dumps(doc))
+    code, rep, err = run_cli(capsys, ["replay-cert", str(cert), "--json-only"])
+    assert code == 2 and rep is None
+    assert err.startswith("error: ") and err.count("\n") == 1 and problem in err
+
+
 def test_ck_section_union(capsys):
     code, rep, _ = run_cli(
         capsys,

@@ -1,6 +1,5 @@
 """Fans and piecewise-linear calculus: enumeration, cube sup norms, equality."""
 
-import dataclasses
 import itertools
 from bisect import bisect_right
 from fractions import Fraction
@@ -56,13 +55,25 @@ def midpoint(cell):
     return tuple(a + b for a, b in zip(p, q))
 
 
-def cell_signs(fan):
+def line_keys(hyps, exact=False):
+    """The lines of the normals hyps, each by plfan.dedup_normals's key: a
+    float normal derived from a ray may differ from the canonical input
+    normal in its last bit."""
+    return {plfan._normal_key(h, exact) for h in plfan.dedup_normals(hyps, exact)}
+
+
+def axis_lines(gens, exact=False):
+    one = Fraction(1) if exact else 1.0
+    return [LinearFunctional(((g, one),)) for g in gens]
+
+
+def cell_signs(fan, hyps=None):
     """Sign string of every sector's midpoint p + q against the hyperplanes
-    ('0' where one vanishes), in angular order."""
+    hyps, by default the fan's ('0' where one vanishes), in angular order."""
     out = []
     for cell in fan.cells:
         point = dict(zip(fan.generators, midpoint(cell)))
-        margins = [h.evaluate(point) for h in fan.hyperplanes]
+        margins = [h.evaluate(point) for h in (fan.hyperplanes if hyps is None else hyps)]
         out.append("".join("+" if m > 0 else "-" if m < 0 else "0" for m in margins))
     return out
 
@@ -80,8 +91,10 @@ def test_one_hyperplane_two_cells():
 
 
 def test_two_hyperplanes_four_quadrants():
-    fan = arrangement_fan([fn(a=1.0), fn(b=1.0)], ("a", "b"))
-    assert cell_signs(fan) == ["++", "-+", "--", "+-"]
+    normals = [fn(a=1.0), fn(b=1.0)]
+    fan = arrangement_fan(normals, ("a", "b"))
+    assert set(fan.hyperplanes) == set(normals)
+    assert cell_signs(fan, normals) == ["++", "-+", "--", "+-"]
 
 
 def test_three_generic_lines_six_sectors():
@@ -120,7 +133,7 @@ def test_fan_is_deterministic():
 
 def test_duplicate_normals_collapse():
     fan = arrangement_fan([fn(a=1.0), fn(a=2.0), fn(a=-3.0)], ("a",))
-    assert len(fan.hyperplanes) == 1
+    assert fan.hyperplanes == (fn(a=1.0),)
 
 
 def test_zero_normal_rejected():
@@ -154,11 +167,15 @@ def test_planar_fan_has_two_cells_per_line(exact):
     # two sectors per line, and two more for each axis that is not a line
     rng = np.random.default_rng(61)
     for h in (1, 1, 2, 3, 4, 5, 6, 8, 10):
-        fan = arrangement_fan(random_lines(rng, h, exact), ("a", "b"), exact=exact)
-        axis_lines = sum(len(hp.items) == 1 for hp in fan.hyperplanes)
-        assert len(fan.hyperplanes) == h
-        assert len(fan.cells) == 2 * h + 4 - 2 * axis_lines
-        assert len(set(cell_signs(fan))) == 2 * h
+        normals = random_lines(rng, h, exact)
+        fan = arrangement_fan(normals, ("a", "b"), exact=exact)
+        on_axes = sum(len(hp.items) == 1 for hp in normals)
+        # the lines, and the axes that are not among them
+        assert line_keys(fan.hyperplanes, exact) == line_keys(
+            normals + axis_lines("ab", exact), exact)
+        assert len(fan.hyperplanes) == h + 2 - on_axes
+        assert len(fan.cells) == 2 * h + 4 - 2 * on_axes
+        assert len(set(cell_signs(fan, normals))) == 2 * h
 
 
 @pytest.mark.parametrize("exact", [False, True])
@@ -194,7 +211,8 @@ def test_planar_fan_badly_scaled_lines():
     normals = [fn(a=1.0, b=1e-7), fn(b=1.0), fn(a=1.0, b=1.0 + 1e-10), fn(a=1e6, b=-1.0)]
     fan = arrangement_fan(normals, ("a", "b"))
     assert len(fan.cells) == 10  # the four lines, and the axis a = 0
-    signs = cell_signs(fan)
+    assert line_keys(fan.hyperplanes) == line_keys(normals + [fn(a=1.0)])
+    signs = cell_signs(fan, normals)
     assert len(set(signs)) == 8 and all("0" not in s for s in signs)
 
 
@@ -273,15 +291,16 @@ def test_generic_fans_match_zaslavsky_count(exact):
         gens = "abcd"[:n]
         for h in hs:
             normals = generic_normals(rng, n, h, exact)
+            hyps = plfan.dedup_normals(normals, exact)
             if n <= 2:
+                # the fan also lists the axes that are not among the lines
                 fan = arrangement_fan(normals, gens, exact=exact)
-                hyps = fan.hyperplanes
+                assert line_keys(fan.hyperplanes, exact) == line_keys(
+                    normals + axis_lines(gens, exact), exact)
                 assert len(fan.cells) <= 2 * h + 4
-                assert len(set(cell_signs(fan))) == zaslavsky_generic(n, h)
-            else:
-                hyps = plfan.dedup_normals(normals, exact)
-                if exact:
-                    assert len(set(exact_cells(gens, hyps))) == zaslavsky_generic(n, h)
+                assert len(set(cell_signs(fan, hyps))) == zaslavsky_generic(n, h)
+            elif exact:
+                assert len(set(exact_cells(gens, hyps))) == zaslavsky_generic(n, h)
             assert len(hyps) == h
 
 
@@ -298,8 +317,9 @@ def test_rank_two_arrangement_in_three_dimensions_is_planar(exact):
         m = to_maxmin(random_expr_capped(rng, ("a", "b"), max_size=12))
         f2 = stored_from_form(m, ("a", "b"), exact=exact)
         breaks = break_normals(m, ("a", "b", "c"), exact)
-        assert tuple(breaks) == f2.fan.hyperplanes
-        assert set(exact_cells(("a", "b", "c"), breaks)) == set(cell_signs(f2.fan))
+        assert line_keys(f2.fan.hyperplanes, exact) == line_keys(
+            breaks + axis_lines("ab", exact), exact)
+        assert set(exact_cells(("a", "b", "c"), breaks)) == set(cell_signs(f2.fan, breaks))
         n2 = exact_fbl_norm(m, fbl_space(("a", "b")), exact=exact)
         n3 = exact_fbl_norm(m, fbl_space(("a", "b", "c")), exact=exact)
         s2, s3 = sup_norm_on_cube(m, "ab", exact=exact), sup_norm_on_cube(m, "abc", exact=exact)
@@ -433,12 +453,12 @@ def test_pl_from_maxmin_returns_the_form():
 
 def test_fans_have_at_least_two_rays():
     with pytest.raises(FanError):
-        plfan.Fan(("a", "b", "c"), (), ())
+        plfan.Fan(("a", "b", "c"), ())
 
 
 def test_single_functional_single_piece():
     f = stored_from_form(to_maxmin(Gen("a")), ("a",))
-    assert len(f.fan.hyperplanes) == 0
+    assert f.fan.hyperplanes == (fn(a=1.0),)  # the line of the rays +1 and -1
     assert len(f.pieces) == 2  # the two half-lines
     assert {p.vector(("a",)) for p in f.pieces} == {(1.0,)}
 
@@ -452,9 +472,10 @@ def test_abs_two_pieces():
 
 def test_join_splits_on_difference():
     f = stored_from_form(to_maxmin(parse_expr("d(a) v d(b)")), ("a", "b"))
-    assert len(f.fan.hyperplanes) == 1
-    assert f.fan.hyperplanes[0].vector(("a", "b")) == (1.0, -1.0)
-    by_sign = {s: {p.vector(("a", "b")) for t, p in zip(cell_signs(f.fan), f.pieces) if t == s}
+    diff = fn(a=1.0, b=-1.0)
+    assert set(f.fan.hyperplanes) == {diff, fn(a=1.0), fn(b=1.0)}  # and the axes
+    signs = cell_signs(f.fan, [diff])
+    by_sign = {s: {p.vector(("a", "b")) for t, p in zip(signs, f.pieces) if t == s}
                for s in "+-"}
     assert by_sign == {"+": {(1.0, 0.0)}, "-": {(0.0, 1.0)}}
 
@@ -657,17 +678,17 @@ def exact_stored(text, gens):
 
 
 def test_pl_equal_join_idempotent():
-    assert pl_equal(exact_stored("d(a) v d(a)", "a"), exact_stored("d(a)", "a"), exact=True)
+    assert pl_equal(exact_stored("d(a) v d(a)", "a"), exact_stored("d(a)", "a"))
 
 
 def test_pl_equal_abs_as_join():
     a, b = exact_stored("|d(a)|", "a"), exact_stored("d(a) v -d(a)", "a")
-    assert pl_equal(a, b, exact=True)
+    assert pl_equal(a, b)
 
 
 def test_pl_not_equal_different_generators_values():
     a, b = exact_stored("d(a)", "ab"), exact_stored("d(b)", "ab")
-    assert not pl_equal(a, b, exact=True)
+    assert not pl_equal(a, b)
 
 
 def test_pl_equal_compares_both_rays_of_a_sector():
@@ -677,41 +698,43 @@ def test_pl_equal_compares_both_rays_of_a_sector():
     fan = arrangement_fan([fn(a=one), fn(b=one)], ("a", "b"), exact=True)
     f = PLFunction(fan, (fn(a=one),) * 4)
     g = PLFunction(fan, (fn(a=one, b=one),) + (fn(a=one),) * 3)
-    assert pl_equal(f, f, exact=True)
-    assert not pl_equal(f, g, exact=True)
+    assert pl_equal(f, f)
+    assert not pl_equal(f, g)
 
 
 def test_pointwise_max_matches_join():
     gens = ("a", "b")
-    fmax = pl_pointwise_max(exact_stored("d(a)", gens), exact_stored("d(b)", gens), exact=True)
-    assert pl_equal(fmax, exact_stored("d(a) v d(b)", gens), exact=True)
+    fmax = pl_pointwise_max(exact_stored("d(a)", gens), exact_stored("d(b)", gens))
+    assert pl_equal(fmax, exact_stored("d(a) v d(b)", gens))
 
 
 def test_pointwise_max_lists_a_break_on_an_axis_ray():
     # (a + b) v (a - b) = a + |b| changes pieces on the axis ray (1, 0),
     # where neither operand breaks; without b among the hyperplanes the
-    # norm of F = a + |b| - 2|a| misses the point (-1, 0), where |F| = 3
+    # norm of F = a + |b| - 2|a| misses the point (-1, 0), where |F| = 3.
+    # b is the line of that ray, and a the line of the axis ray (0, 1).
     gens = ("a", "b")
     for exact in (False, True):
         def P(s):
             return stored_from_form(to_maxmin(parse_expr(s)), gens, exact=exact)
 
-        m = pl_pointwise_max(P("d(a) + d(b)"), P("d(a) - d(b)"), exact=exact)
-        assert [h.vector(gens) for h in m.fan.hyperplanes] == [(0, 1)]
-        F = pl_lincomb(1, m, -2, P("|d(a)|"), exact=exact)
+        m = pl_pointwise_max(P("d(a) + d(b)"), P("d(a) - d(b)"))
+        assert [h.vector(gens) for h in m.fan.hyperplanes] == [(0, 1), (1, 0)]
+        F = pl_lincomb(1, m, -2, P("|d(a)|"))
         norm = exact_fbl_norm(F, linf_vertex_space(gens), exact=exact)
         assert norm.lower == norm.upper == 3
 
 
-def unlisted_breaks(f):
-    """Rays where the pieces on their two sides differ but no hyperplane
-    vanishes (exact pieces)."""
+def unlisted_breaks(f, hyps=None):
+    """Rays where the pieces on their two sides differ but no hyperplane of
+    hyps, by default the fan's, vanishes (exact pieces)."""
     gens = f.fan.generators
     out = []
     for i, r in enumerate(f.fan.rays):
         point = dict(zip(gens, r))
         if (not f.pieces[i - 1].minus(f.pieces[i]).is_zero
-                and all(h.evaluate(point) != 0 for h in f.fan.hyperplanes)):
+                and all(h.evaluate(point) != 0
+                        for h in (f.fan.hyperplanes if hyps is None else hyps))):
             out.append(r)
     return out
 
@@ -726,22 +749,20 @@ def test_results_list_every_line_they_break_on():
 
     on_axes = 0  # maxima that break on an axis ray neither operand breaks on
     for _ in range(40):
-        f, g = (stored_from_form(to_maxmin(random_expr_capped(rng, gens, 3, 12, scalar)),
-                                 gens, exact=True) for _ in range(2))
-        m = pl_pointwise_max(f, g, exact=True)
+        forms = [to_maxmin(random_expr_capped(rng, gens, 3, 12, scalar)) for _ in range(2)]
+        f, g = (stored_from_form(form, gens, exact=True) for form in forms)
+        m = pl_pointwise_max(f, g)
         assert unlisted_breaks(m) == []
-        assert unlisted_breaks(pl_lincomb(2, m, -1, f, exact=True)) == []
-        operand_lines = PLFunction(dataclasses.replace(
-            m.fan, hyperplanes=f.fan.hyperplanes + g.fan.hyperplanes), m.pieces)
-        on_axes += any(0 in r for r in unlisted_breaks(operand_lines))
+        assert unlisted_breaks(pl_lincomb(2, m, -1, f)) == []
+        operand_lines = [h for form in forms for h in break_normals(form, gens, True)]
+        on_axes += any(0 in r for r in unlisted_breaks(m, operand_lines))
     assert on_axes >= 5
 
 
 def test_lincomb_matches_expression():
     gens = ("a", "b")
-    combo = pl_lincomb(2, exact_stored("|d(a)|", gens), -1, exact_stored("d(b)", gens),
-                       exact=True)
-    assert pl_equal(combo, exact_stored("2*|d(a)| - d(b)", gens), exact=True)
+    combo = pl_lincomb(2, exact_stored("|d(a)|", gens), -1, exact_stored("d(b)", gens))
+    assert pl_equal(combo, exact_stored("2*|d(a)| - d(b)", gens))
 
 
 def sorted_union_refine(f, g):
@@ -778,15 +799,14 @@ def test_refine_is_the_sorted_union_of_both_fans(exact):
         f, g, h = (stored_from_form(to_maxmin(e), gens, exact=exact)
                    for e in (s, Join(s, t), t))
         shared += len(set(f.fan.angles) & set(g.fan.angles)) > 2 * len(gens)
-        for a, b in ((f, g), (g, f), (f, h), (h, f), (pl_pointwise_max(f, h, exact=exact), f),
-                     (g, pl_lincomb(2, f, -1, h, exact=exact))):
-            fan, pairs = plfan._refine(a, b, exact, "refine")
+        for a, b in ((f, g), (g, f), (f, h), (h, f), (pl_pointwise_max(f, h), f),
+                     (g, pl_lincomb(2, f, -1, h))):
+            fan, pairs = plfan._refine(a, b, "refine")
             rays, angles, want = sorted_union_refine(a, b)
             assert repr(fan.rays) == repr(tuple(rays))
             assert fan.angles == tuple(angles) == tuple(plfan._angle(r) for r in fan.rays)
             assert pairs == want
-            assert list(fan.hyperplanes) == plfan.dedup_normals(
-                a.fan.hyperplanes + b.fan.hyperplanes, exact)
+            assert set(fan.hyperplanes) == set(a.fan.hyperplanes + b.fan.hyperplanes)
             signed_zero_ties += repr(a.fan.rays[0]) != repr(b.fan.rays[0])
     assert shared >= 5
     assert exact or signed_zero_ties >= 5
@@ -801,35 +821,53 @@ def test_fan_json_roundtrip():
     assert fan_from_json(fan_to_json(fan)) == fan
 
 
+def test_a_fan_read_from_a_document_takes_one_or_two_generators():
+    # the earlier witness format rebuilds its rays from two coordinates of
+    # each hyperplane, so it is checked too
+    fan = {"generators": ["a", "b", "c"], "rays": [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]}
+    cells = {"generators": ["a", "b", "c"], "hyperplanes": [{"a": 1.0}],
+             "cells": [{"witness": [1.0, 0.0, 0.0]}, {"witness": [-1.0, 0.0, 0.0]}],
+             "pieces": [{"a": 1.0}, {"a": -1.0}]}
+    with pytest.raises(FanError, match="one or two generators"):
+        fan_from_json(fan)
+    with pytest.raises(FanError, match="one or two generators"):
+        plfunction_from_json(cells)
+
+
 def test_plfunction_json_roundtrip():
     f = stored_from_form(to_maxmin(parse_expr("d(a) v (d(b) + 0.5*d(a))")), ("a", "b"))
-    assert plfunction_from_json(plfunction_to_json(f)) == f
+    doc = plfunction_to_json(f)
+    assert list(doc) == ["generators", "rays", "pieces"]
+    assert plfunction_from_json(doc) == f
 
 
 def test_plfunction_json_roundtrip_exact():
     f = exact_stored("0.5*d(a) v d(b)", ("a", "b"))
     g = plfunction_from_json(plfunction_to_json(f))
     assert g == f
-    assert pl_equal(f, g, exact=True)
+    assert pl_equal(f, g)
 
 
 @pytest.mark.parametrize("exact", [False, True])
 def test_a_loaded_function_keeps_its_norm_with_a_repeated_unscaled_hyperplane(exact):
-    """A file may list a hyperplane unscaled and twice.  The norm skips the
-    division only for a normal whose lead is 1 already, so it still scales
-    and deduplicates these, and it is the clean function's (with h listed
-    first, where the file first has it)."""
+    """Earlier documents list hyperplanes, possibly unscaled and twice;
+    today's list none.  The reader takes the lines from the rays, so every
+    such document loads to the same function, with the same norm."""
     text = "(0.1*d(a) ^ d(b)) v (0.3*d(b) - 0.7*d(a)) v (-0.9*d(a) + 0.2*d(b))"
     f = stored_from_form(to_maxmin(parse_expr(text)), ("a", "b"), exact=exact)
     space = fbl_space(("a", "b"))
+    want = exact_fbl_norm(f, space, exact=exact)
+    doc = plfunction_to_json(f)
 
-    def with_hyperplanes(hyps):
-        return PLFunction(dataclasses.replace(f.fan, hyperplanes=hyps), f.pieces)
+    def listing(hyps):
+        return dict(doc, hyperplanes=[plfan._functional_to_json(h) for h in hyps])
 
-    for k, h in enumerate(f.fan.hyperplanes):
-        clean = with_hyperplanes((h,) + tuple(x for x in f.fan.hyperplanes if x != h))
-        dirty = (h.scaled(-2),) + f.fan.hyperplanes + (h.scaled(4),)
-        g = plfunction_from_json(plfunction_to_json(with_hyperplanes(dirty)))
-        want, got = (exact_fbl_norm(x, space, exact=exact) for x in (clean, g))
+    docs = [doc, listing(f.fan.hyperplanes)]
+    docs += [listing((h.scaled(-2),) + f.fan.hyperplanes + (h.scaled(4),))
+             for h in f.fan.hyperplanes]
+    for k, d in enumerate(docs):
+        g = plfunction_from_json(d)
+        got = exact_fbl_norm(g, space, exact=exact)
+        assert g == f and g.fan.hyperplanes == f.fan.hyperplanes, k
         assert (got.lower, got.upper, got.certificate, got.diagnostics) == (
             want.lower, want.upper, want.certificate, want.diagnostics), k

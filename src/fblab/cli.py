@@ -265,20 +265,24 @@ def _parse_kspec(text: str) -> ckretract.KSpec:
     if text == "twopoints":
         return ckretract.two_points()
     if text.startswith("union:"):
-        pairs = []
-        for part in text[len("union:"):].split(";"):
-            a, b = part.split(",")
-            pairs.append((Fraction(a), Fraction(b)))
-        return ckretract.union_of_intervals(pairs)
+        parts = text[len("union:"):].split(";")
+        return ckretract.union_of_intervals([_fractions(p, ",", "interval") for p in parts])
     raise ExprError(f"unknown K spec {text!r}")
 
 
 def _parse_target(K, text: str) -> ckretract.TargetFunction:
-    pairs = []
-    for part in text.split(","):
-        c, v = part.split(":")
-        pairs.append((Fraction(c), Fraction(v)))
+    pairs = [_fractions(p, ":", "breakpoint") for p in text.split(",")]
     return ckretract.target_from_pairs(K, pairs)
+
+
+def _fractions(entry: str, sep: str, what: str) -> tuple:
+    """The two fractions of 'x<sep>y'; a malformed entry raises CKError
+    naming it."""
+    try:
+        a, b = entry.split(sep)
+        return Fraction(a), Fraction(b)
+    except (ValueError, ZeroDivisionError):
+        raise ckretract.CKError(f"{what} {entry!r} is not two fractions x{sep}y") from None
 
 
 def _cmd_ck_section(args) -> int:

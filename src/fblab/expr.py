@@ -14,6 +14,15 @@ Concrete syntax (parsed by :func:`parse_expr`)::
     term    := factor ('*' factor)*
     factor  := NUMBER | '-' factor | 'd(' ident ')' | '|' lattice '|' | '(' lattice ')'
 
+Lexical rules (one regular expression, ``_TOKEN``): whitespace between
+tokens is skipped.  A NUMBER is decimal digits, then optionally ``.`` and
+more digits, then an exponent ``e``/``E`` with an optional sign only when a
+digit follows it; there is no leading ``.`` and no sign in the literal.  An
+ident is a nonempty run of ASCII letters, digits and ``_``.  ``d(`` is one
+token with no space inside, so ``d (a)`` is not a generator, while
+``d( a )`` is.  ``v`` is the join only as a whole word: ``d(a) vd(b)`` and
+``d(a) vx d(b)`` stop at the ``v``.
+
 ``v`` and ``^`` bind loosest and are mutually non-associative; ``*`` binds
 tighter than ``+``/``-``; numbers act only as scalar multipliers (there is no
 function-times-function product in this language).  Scalars are IEEE doubles.
@@ -34,6 +43,7 @@ A hard size cap guards every step.
 from __future__ import annotations
 
 import math
+import re
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
@@ -70,7 +80,7 @@ MAXMIN_CAP = 10_000
 # The tail of the error raised for a float value that is no finite float.
 FLOAT_RANGE = f"past the float range (|x| <= {sys.float_info.max:.4g})"
 
-_NAME_CHARS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
+_NAME = re.compile(r"[A-Za-z0-9_]+")
 
 
 class ExprError(ValueError):
@@ -94,7 +104,7 @@ class SpaceError(ValueError):
 
 
 def valid_generator_name(name: str) -> bool:
-    return bool(name) and all(ch in _NAME_CHARS for ch in name)
+    return _NAME.fullmatch(name) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -379,10 +389,10 @@ def to_maxmin(e: LatticeExpr, cap: int = MAXMIN_CAP) -> MaxMinForm:
     has built pass it.  A coefficient that leaves the floats (a product or
     sum of scalars past the largest float) raises ExprError.
     """
-    memo: dict = {}
+    memo: dict = {}  # by id: every node lives under e for the whole call
 
     def rec(t: LatticeExpr) -> MaxMinForm:
-        got = memo.get(t)
+        got = memo.get(id(t))
         if got is not None:
             return got
         if isinstance(t, Gen):
@@ -423,7 +433,7 @@ def to_maxmin(e: LatticeExpr, cap: int = MAXMIN_CAP) -> MaxMinForm:
         else:
             raise ExprError(f"not a lattice expression: {t!r}")
         _check_cap(m.size, cap)
-        memo[t] = m
+        memo[id(t)] = m
         return m
 
     m = rec(e)
@@ -436,136 +446,68 @@ def to_maxmin(e: LatticeExpr, cap: int = MAXMIN_CAP) -> MaxMinForm:
 # concrete syntax
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+# One token per match: a number, 'd(' with the generator name after it, a
+# word of name characters, or one other non-space character.  Whitespace
+# before a token is skipped.
+_TOKEN = re.compile(r"\s*(\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|d\(\s*[A-Za-z0-9_]*|[A-Za-z0-9_]+|\S)")
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+class _SyntaxAt(Exception):
+    """A syntax error at the next token, offset characters into it;
+    parse_expr turns it into an ExprSyntaxError with the position."""
 
-    def at_end(self) -> bool:
-        return self.peek() == ""
-
-    def expect(self, ch: str):
-        if self.peek() != ch:
-            raise ExprSyntaxError(f"expected {ch!r}", self.pos)
-        self.pos += 1
-
-    def try_char(self, ch: str) -> bool:
-        if self.peek() == ch:
-            self.pos += 1
-            return True
-        return False
-
-    def read_ident(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in _NAME_CHARS:
-            self.pos += 1
-        if self.pos == start:
-            raise ExprSyntaxError("expected a generator name", start)
-        return self.text[start:self.pos]
-
-    def try_number(self):
-        self.skip_ws()
-        start = self.pos
-        i = self.pos
-        text = self.text
-        while i < len(text) and text[i].isdigit():
-            i += 1
-        if i == self.pos:
-            return None
-        if i < len(text) and text[i] == ".":
-            i += 1
-            while i < len(text) and text[i].isdigit():
-                i += 1
-        if i < len(text) and text[i] in "eE":
-            j = i + 1
-            if j < len(text) and text[j] in "+-":
-                j += 1
-            if j < len(text) and text[j].isdigit():
-                i = j
-                while i < len(text) and text[i].isdigit():
-                    i += 1
-        value = float(text[start:i])
-        if math.isinf(value):
-            raise ExprSyntaxError("number literal overflows a float", start)
-        self.pos = i
-        return value
+    def __init__(self, message: str, offset: int = 0):
+        super().__init__(message)
+        self.offset = offset
 
 
 def parse_expr(text: str) -> LatticeExpr:
     """Parse concrete syntax into a tree; see the module docstring for grammar."""
-    sc = _Scanner(text)
-    e = _parse_lattice(sc)
-    sc.skip_ws()
-    if not sc.at_end():
-        raise ExprSyntaxError("trailing input", sc.pos)
-    return _require_expr(e, sc.pos)
+    # The tokens in reverse on top of the end marker "": pop() takes the next.
+    toks = [""] + _TOKEN.findall(text)[::-1]
+    try:
+        e = _parse_lattice(toks)
+        if toks[-1]:
+            raise _SyntaxAt("trailing input")
+        return _require_expr(e)
+    except _SyntaxAt as err:
+        starts = [m.start(1) for m in _TOKEN.finditer(text)] + [len(text)]
+        pos = starts[len(starts) - len(toks)] + err.offset
+        raise ExprSyntaxError(str(err), pos) from None
 
 
-def _require_expr(v, pos) -> LatticeExpr:
+def _require_expr(v, offset: int = 0) -> LatticeExpr:
     if isinstance(v, float):
-        raise ExprSyntaxError("expression denotes a bare constant", pos)
+        raise _SyntaxAt("expression denotes a bare constant", offset)
     return v
 
 
-def _parse_lattice(sc: _Scanner):
-    left = _parse_arith(sc)
+def _parse_lattice(toks: list):
+    left = _parse_arith(toks)
     op = None
-    while True:
-        sc.skip_ws()
-        ch = sc.peek()
-        is_join = False
-        if ch == "v":
-            # 'v' is an operator only when it stands alone; a longer word is
-            # the start of something malformed and falls through to the caller.
-            nxt = sc.pos + 1
-            if nxt >= len(sc.text) or sc.text[nxt] not in _NAME_CHARS:
-                is_join = True
-        if is_join or ch == "^":
-            kind = "v" if is_join else "^"
-            if op is None:
-                op = kind
-            elif op != kind:
-                raise ExprSyntaxError(
-                    "mixing 'v' and '^' requires parentheses", sc.pos
-                )
-            sc.pos += 1
-            right = _parse_arith(sc)
-            l = _require_expr(left, sc.pos)
-            r = _require_expr(right, sc.pos)
-            left = Join(l, r) if kind == "v" else Meet(l, r)
-        else:
-            return left
+    while toks[-1] in ("v", "^"):
+        if op not in (None, toks[-1]):
+            raise _SyntaxAt("mixing 'v' and '^' requires parentheses")
+        op = toks.pop()
+        right = _require_expr(_parse_arith(toks))
+        left = (Join if op == "v" else Meet)(_require_expr(left), right)
+    return left
 
 
-def _parse_arith(sc: _Scanner):
-    left = _parse_term(sc)
-    while True:
-        sc.skip_ws()
-        ch = sc.peek()
-        if ch == "+" or ch == "-":
-            sc.pos += 1
-            right = _parse_term(sc)
-            if ch == "-":
-                right = _negate(right)
-            left = _add(left, right, sc.pos)
-        else:
-            return left
+def _parse_arith(toks: list):
+    left = _parse_term(toks)
+    while toks[-1] in ("+", "-"):
+        sign = toks.pop()
+        right = _parse_term(toks)
+        left = _add(left, right if sign == "+" else _negate(right))
+    return left
 
 
-def _add(a, b, pos):
+def _add(a, b):
     if isinstance(a, float) or isinstance(b, float):
         if isinstance(a, float) and isinstance(b, float):
             return a + b
-        raise ExprSyntaxError("cannot add a constant to an expression", pos)
+        raise _SyntaxAt("cannot add a constant to an expression")
     return Sum(a, b)
 
 
@@ -575,14 +517,11 @@ def _negate(v):
     return Scale(-1.0, v)
 
 
-def _parse_term(sc: _Scanner):
-    factors = [_parse_factor(sc)]
-    while True:
-        sc.skip_ws()
-        if sc.try_char("*"):
-            factors.append(_parse_factor(sc))
-        else:
-            break
+def _parse_term(toks: list):
+    factors = [_parse_factor(toks)]
+    while toks[-1] == "*":
+        toks.pop()
+        factors.append(_parse_factor(toks))
     coeff = 1.0
     expr = None
     for f in factors:
@@ -591,9 +530,7 @@ def _parse_term(sc: _Scanner):
         elif expr is None:
             expr = f
         else:
-            raise ExprSyntaxError(
-                "product of two expressions is not in the language", sc.pos
-            )
+            raise _SyntaxAt("product of two expressions is not in the language")
     if expr is None:
         return coeff
     if coeff == 1.0 and len(factors) == 1:
@@ -601,33 +538,35 @@ def _parse_term(sc: _Scanner):
     return Scale(coeff, expr)
 
 
-def _parse_factor(sc: _Scanner):
-    sc.skip_ws()
-    ch = sc.peek()
-    if ch == "-":
-        sc.pos += 1
-        return _negate(_parse_factor(sc))
-    if ch == "(":
-        sc.pos += 1
-        inner = _parse_lattice(sc)
-        sc.expect(")")
-        return inner
-    if ch == "|":
-        sc.pos += 1
-        inner = _parse_lattice(sc)
-        sc.expect("|")
-        return absval(_require_expr(inner, sc.pos))
-    num = sc.try_number()
-    if num is not None:
-        return num
-    if ch == "d":
-        nxt = sc.pos + 1
-        if nxt < len(sc.text) and sc.text[nxt] == "(":
-            sc.pos += 2
-            name = sc.read_ident()
-            sc.expect(")")
-            return Gen(name)
-    raise ExprSyntaxError("expected a factor", sc.pos)
+def _parse_factor(toks: list):
+    tok = toks[-1]
+    if tok[:1].isdecimal():
+        value = float(tok)
+        if math.isinf(value):
+            raise _SyntaxAt("number literal overflows a float")
+        toks.pop()
+        return value
+    if tok[:2] == "d(":
+        name = tok[2:].lstrip()
+        if not name:
+            raise _SyntaxAt("expected a generator name", len(tok))
+        toks.pop()
+        inner, close = Gen(name), ")"
+    elif tok in ("(", "|"):
+        toks.pop()
+        inner = _parse_lattice(toks)
+        close = ")" if tok == "(" else "|"
+    elif tok == "-":
+        toks.pop()
+        return _negate(_parse_factor(toks))
+    else:
+        raise _SyntaxAt("expected a factor")
+    if toks[-1] != close:
+        raise _SyntaxAt(f"expected {close!r}")
+    if tok == "|":
+        inner = absval(_require_expr(inner, 1))
+    toks.pop()
+    return inner
 
 
 # ---------------------------------------------------------------------------

@@ -286,7 +286,6 @@ class NormBracket:
     lower: float
     certificate: DualConfig
     upper: float  # math.inf marks "no upper bound claimed"
-    exact: bool
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -379,7 +378,6 @@ def exact_fbl_norm(
         lower=lower,
         certificate=config,
         upper=upper,
-        exact=True,
         diagnostics={
             "hyperplanes": len(hyps),
             "candidate_rays": len(rays),
@@ -671,7 +669,6 @@ def oracle_lower_bound(
         lower=value,
         certificate=config,
         upper=math.inf,
-        exact=False,
         diagnostics={
             "evaluations": evals,
             "restarts": restart,

@@ -604,6 +604,16 @@ def test_bad_kspec_exits_two(capsys):
     )
     assert code == 2
     assert "error:" in err
+    # a malformed --k or --h entry is named, with no exception class name
+    for k, h, entry in [("union:0,1;", "0:1,1:1", "''"),
+                        ("interval", "0:1,1", "'1'"),
+                        ("interval", "0:1,1:1/0", "'1:1/0'"),
+                        ("union:0,1;2,x", "0:1,1:1", "'2,x'")]:
+        code, _, err = run_cli(capsys, ["ck-section", "--k", k, "--h", h, "--json-only"])
+        assert code == 2
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), err
+        assert entry in lines[0] and "Error" not in lines[0], err
 
 
 def test_exact_is_rejected_where_it_is_not_honoured(capsys):

@@ -89,6 +89,59 @@ def test_parse_rejects_an_overflowing_literal():
     assert parse_expr("1e308*d(a)") == Scale(1e308, Gen("a"))
 
 
+A, B = Gen("a"), Gen("b")
+
+
+@pytest.mark.parametrize("text, want", [
+    # constant folding and tree shapes
+    ("2*0.5*d(a)", Scale(1.0, A)),
+    ("-d(a)", Scale(-1.0, A)),
+    ("|d(a)|", absval(A)),
+    ("1.*d(a)", Scale(1.0, A)),
+    ("2.5E+1*d(a)", Scale(25.0, A)),
+    ("٣*d(a)", Scale(3.0, A)),  # an Arabic-Indic digit is a decimal digit
+    # 'v' is the join only as a whole word
+    ("d(a)v(d(b))", Join(A, B)),
+    ("d(a) vx d(b)", ("trailing input", 5)),
+    ("d(a) vd(b)", ("trailing input", 5)),
+    ("d(x1) vd(b)", ("trailing input", 6)),
+    ("2v d(a)", ("expression denotes a bare constant", 7)),
+    # 'd(' has no space inside; the name may have spaces around it
+    ("d( a )", A),
+    ("d (a)", ("expected a factor", 0)),
+    ("d()", ("expected a generator name", 2)),
+    ("d(", ("expected a generator name", 2)),
+    ("d(a", ("expected ')'", 3)),
+    ("d(a b)", ("expected ')'", 4)),
+    # numbers: an exponent only before a digit, no leading '.'
+    ("2e*d(a)", ("trailing input", 1)),
+    (".5*d(a)", ("expected a factor", 0)),
+    ("1e309*d(a)", ("number literal overflows a float", 0)),
+    ("2 * 1e309*d(a)", ("number literal overflows a float", 4)),
+    # the bare constant inside bars is reported just past the closing bar
+    ("|2| + d(a)", ("expression denotes a bare constant", 3)),
+    ("| 2 | ", ("expression denotes a bare constant", 5)),
+    ("", ("expected a factor", 0)),
+    ("d(a) v ", ("expected a factor", 7)),
+    ("d(a) v d(b) ^ d(c)", ("mixing 'v' and '^' requires parentheses", 12)),
+    ("2 + d(a)", ("cannot add a constant to an expression", 8)),
+    ("d(a)*d(b) ", ("product of two expressions is not in the language", 10)),
+    ("d(a) ?", ("trailing input", 5)),
+    # superscript digits are no decimal digits: a syntax error, not a bare
+    # ValueError from float()
+    ("²*d(a)", ("expected a factor", 0)),
+    ("1²*d(a)", ("trailing input", 1)),
+    ("d(a) + ³", ("expected a factor", 7)),
+])
+def test_parse_table(text, want):
+    if isinstance(want, tuple):
+        with pytest.raises(ExprSyntaxError) as info:
+            parse_expr(text)
+        assert (str(info.value), info.value.pos) == (f"{want[0]} (at position {want[1]})", want[1])
+    else:
+        assert parse_expr(text) == want
+
+
 @pytest.mark.parametrize("text", [
     "1e200*(1e200*d(a))", "1e200*1e200*d(a)", "1e308*d(a)+1e308*d(a)",
     "(1e308*d(a) v d(b)) + (1e308*d(a) ^ d(b))",

@@ -26,6 +26,8 @@ token with no space inside, so ``d (a)`` is not a generator, while
 ``v`` and ``^`` bind loosest and are mutually non-associative; ``*`` binds
 tighter than ``+``/``-``; numbers act only as scalar multipliers (there is no
 function-times-function product in this language).  Scalars are IEEE doubles.
+Brackets and unary minus signs nest at most ``MAX_DEPTH`` deep, and a tree
+has at most ``MAX_DEPTH`` nodes above a generator on any path.
 
 The normal form computed by :func:`to_maxmin` writes an expression as a max
 over groups of mins of linear functionals, via bottom-up distribution:
@@ -76,6 +78,11 @@ __all__ = [
 
 # The functional cap of a max-min form (to_maxmin, MaxMinForm.negated).
 MAXMIN_CAP = 10_000
+
+# The bound on the nesting of brackets and unary minus signs and on the depth
+# of a parsed tree: the parser recurses four frames per bracket and the tree
+# walkers one per node, far below Python's default recursion limit of 1000.
+MAX_DEPTH = 100
 
 # The tail of the error raised for a float value that is no finite float.
 FLOAT_RANGE = f"past the float range (|x| <= {sys.float_info.max:.4g})"
@@ -453,12 +460,14 @@ _TOKEN = re.compile(r"\s*(\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|d\(\s*[A-Za-z0-9_]*|[A-
 
 
 class _SyntaxAt(Exception):
-    """A syntax error at the next token, offset characters into it;
-    parse_expr turns it into an ExprSyntaxError with the position."""
+    """A syntax error at the next token, offset characters into it, or, if
+    at is set, at the token that was next when len(toks) was at; parse_expr
+    turns it into an ExprSyntaxError with the position."""
 
-    def __init__(self, message: str, offset: int = 0):
+    def __init__(self, message: str, offset: int = 0, at: int = 0):
         super().__init__(message)
         self.offset = offset
+        self.at = at
 
 
 def parse_expr(text: str) -> LatticeExpr:
@@ -466,13 +475,13 @@ def parse_expr(text: str) -> LatticeExpr:
     # The tokens in reverse on top of the end marker "": pop() takes the next.
     toks = [""] + _TOKEN.findall(text)[::-1]
     try:
-        e = _parse_lattice(toks)
+        e, _ = _parse_lattice(toks, 0)
         if toks[-1]:
             raise _SyntaxAt("trailing input")
         return _require_expr(e)
     except _SyntaxAt as err:
         starts = [m.start(1) for m in _TOKEN.finditer(text)] + [len(text)]
-        pos = starts[len(starts) - len(toks)] + err.offset
+        pos = starts[len(starts) - (err.at or len(toks))] + err.offset
         raise ExprSyntaxError(str(err), pos) from None
 
 
@@ -482,25 +491,43 @@ def _require_expr(v, offset: int = 0) -> LatticeExpr:
     return v
 
 
-def _parse_lattice(toks: list):
-    left = _parse_arith(toks)
+def _deeper(at: int, *depths) -> int:
+    """The depth of a node over children of the given depths; past
+    MAX_DEPTH a syntax error at the node's token, the next one when
+    len(toks) was at.  Every _parse_ function takes the nesting of the
+    brackets and unary minus signs around it and returns a constant or a
+    tree with its depth (0 for either leaf)."""
+    depth = 1 + max(depths)
+    if depth > MAX_DEPTH:
+        raise _SyntaxAt(f"expression deeper than {MAX_DEPTH} operators", at=at)
+    return depth
+
+
+def _parse_lattice(toks: list, nest: int):
+    left, depth = _parse_arith(toks, nest)
     op = None
     while toks[-1] in ("v", "^"):
         if op not in (None, toks[-1]):
             raise _SyntaxAt("mixing 'v' and '^' requires parentheses")
+        at = len(toks)
         op = toks.pop()
-        right = _require_expr(_parse_arith(toks))
-        left = (Join if op == "v" else Meet)(_require_expr(left), right)
-    return left
+        right, rdepth = _parse_arith(toks, nest)
+        left = (Join if op == "v" else Meet)(_require_expr(left), _require_expr(right))
+        depth = _deeper(at, depth, rdepth)
+    return left, depth
 
 
-def _parse_arith(toks: list):
-    left = _parse_term(toks)
+def _parse_arith(toks: list, nest: int):
+    left, depth = _parse_term(toks, nest)
     while toks[-1] in ("+", "-"):
+        at = len(toks)
         sign = toks.pop()
-        right = _parse_term(toks)
-        left = _add(left, right if sign == "+" else _negate(right))
-    return left
+        right, rdepth = _parse_term(toks, nest)
+        if sign == "-":
+            right, rdepth = _negate(right, rdepth, at)
+        left = _add(left, right)
+        depth = _deeper(at, depth, rdepth) if isinstance(left, Sum) else 0
+    return left, depth
 
 
 def _add(a, b):
@@ -511,62 +538,66 @@ def _add(a, b):
     return Sum(a, b)
 
 
-def _negate(v):
+def _negate(v, depth: int, at: int):
     if isinstance(v, float):
-        return -v
-    return Scale(-1.0, v)
+        return -v, 0
+    return Scale(-1.0, v), _deeper(at, depth)
 
 
-def _parse_term(toks: list):
-    factors = [_parse_factor(toks)]
+def _parse_term(toks: list, nest: int):
+    at = len(toks)
+    factors = [_parse_factor(toks, nest)]
     while toks[-1] == "*":
         toks.pop()
-        factors.append(_parse_factor(toks))
+        factors.append(_parse_factor(toks, nest))
     coeff = 1.0
     expr = None
-    for f in factors:
+    for f, depth in factors:
         if isinstance(f, float):
             coeff *= f
         elif expr is None:
-            expr = f
+            expr = f, depth
         else:
             raise _SyntaxAt("product of two expressions is not in the language")
     if expr is None:
-        return coeff
+        return coeff, 0
     if coeff == 1.0 and len(factors) == 1:
         return expr
-    return Scale(coeff, expr)
+    return Scale(coeff, expr[0]), _deeper(at, expr[1])
 
 
-def _parse_factor(toks: list):
+def _parse_factor(toks: list, nest: int):
     tok = toks[-1]
     if tok[:1].isdecimal():
         value = float(tok)
         if math.isinf(value):
             raise _SyntaxAt("number literal overflows a float")
         toks.pop()
-        return value
+        return value, 0
+    if tok in ("(", "|", "-") and nest == MAX_DEPTH:
+        raise _SyntaxAt(f"brackets and signs nested deeper than {MAX_DEPTH}")
+    at = len(toks)
     if tok[:2] == "d(":
         name = tok[2:].lstrip()
         if not name:
             raise _SyntaxAt("expected a generator name", len(tok))
         toks.pop()
-        inner, close = Gen(name), ")"
+        inner, depth, close = Gen(name), 0, ")"
     elif tok in ("(", "|"):
         toks.pop()
-        inner = _parse_lattice(toks)
+        inner, depth = _parse_lattice(toks, nest + 1)
         close = ")" if tok == "(" else "|"
     elif tok == "-":
         toks.pop()
-        return _negate(_parse_factor(toks))
+        return _negate(*_parse_factor(toks, nest + 1), at)
     else:
         raise _SyntaxAt("expected a factor")
     if toks[-1] != close:
         raise _SyntaxAt(f"expected {close!r}")
     if tok == "|":
-        inner = absval(_require_expr(inner, 1))
+        inner, depth = absval(_require_expr(inner, 1)), _deeper(at, depth + 1)
     toks.pop()
-    return inner
+    return inner, depth
 
 
 # ---------------------------------------------------------------------------

@@ -27,11 +27,14 @@ Exactness route.  For piecewise-linear f the sup is a finite LP:
     extreme rays, and both the objective and the constraint sums are linear
     along that decomposition.  The sup is then a finite LP over weighted
     candidate rays: maximize sum w_d |f(d)| subject to, per vertex v,
-    sum_d w_d |<d, v>| <= 1 and w >= 0.
+    sum_d w_d |<d, v>| <= 1 and w >= 0.  The constraints are even in d, so
+    d and -d have the same constraint coefficients, and weight on the one
+    with the smaller |f| can move to the other: the LP takes one column per
+    line through the origin, priced at max(|f(d)|, |f(-d)|).
 3.  Candidates.  Every extreme ray of every refined cell lies in the
     intersection of some n-1 independent hyperplanes of the refinement, so
-    the +/- null directions of all (n-1)-subsets of the hyperplane list form
-    a complete candidate set.  Extra candidates are harmless: any feasible
+    the null lines of all (n-1)-subsets of the hyperplane list form a
+    complete candidate set.  Extra candidates are harmless: any feasible
     weighting *is* an admissible family, so the LP value never exceeds the
     norm, and completeness gives the reverse inequality.
 
@@ -151,16 +154,9 @@ class AdmissibilitySpace:
 
     def representatives(self) -> tuple:
         """One vertex per antipodal pair, first-nonzero-positive orientation."""
-        seen = set()
-        reps = []
-        for v in self.ball_vertices:
-            tv = tuple(v)
-            lead = next((x for x in tv if x != 0), None)
-            canon = tv if (lead is None or lead > 0) else tuple(-x for x in tv)
-            if canon not in seen:
-                seen.add(canon)
-                reps.append(canon)
-        return tuple(reps)
+        def canon(v):
+            return tuple(v) if next((x for x in v if x != 0), 0) >= 0 else tuple(-x for x in v)
+        return tuple(dict.fromkeys(map(canon, self.ball_vertices)))
 
 
 def fbl_space(generators) -> AdmissibilitySpace:
@@ -289,26 +285,18 @@ class NormBracket:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _vertex_functionals(space: AdmissibilitySpace, exact: bool):
-    out = []
-    for v in space.representatives():
-        coeffs = {}
-        for g, c in zip(space.generators, v):
-            if c != 0:
-                coeffs[g] = as_fraction(c) if exact else float(c)
-        out.append(LinearFunctional.from_map(coeffs))
-    return out
-
-
 def exact_fbl_norm(
     f,
     space: AdmissibilitySpace,
     exact: bool = False,
 ) -> NormBracket:
     """Exact norm of f, a MaxMinForm or a stored PLFunction, by the
-    merged-family LP over candidate rays.
+    merged-family LP over candidate lines.
 
-    See the module docstring for why the LP value equals the norm.  Raises
+    See the module docstring for why the LP value equals the norm.  The
+    normals are deduplicated by exact value after canonical_normal.  Each
+    candidate line d is priced at max(|f(d)|, |f(-d)|), and its certificate
+    point lies on the side that attains it, d on a tie.  Raises
     SpaceError when the space's generators miss one of a form's or differ
     from a stored function's (plfan.pl_parts).  The certificate is the
     weighted ray family with zero weights dropped, rescaled by the worst
@@ -322,17 +310,21 @@ def exact_fbl_norm(
     n = len(gens)
     breaks, zero_sets, values, value = plfan.pl_parts(f, gens, exact)
 
-    hyps = list(breaks)
-    hyps += [p for p in zero_sets if not p.is_zero]
-    hyps += _vertex_functionals(space, exact)
-    hyps = plfan.dedup_normals(hyps, exact)
-
-    rays = candidate_rays([list(h.vector(gens)) for h in hyps], n, exact)
     reps = space.representatives()
     if exact:
         reps = [tuple(as_fraction(c) for c in v) for v in reps]
+    hyps = list(breaks)
+    hyps += [p for p in zero_sets if not p.is_zero]
+    hyps += [LinearFunctional.from_map(dict(zip(gens, v))) for v in reps]
+    hyps = list(dict.fromkeys(plfan.canonical_normal(h, exact) for h in hyps))
 
-    cvec = [abs(v) for v in values(rays)]
+    lines = candidate_rays([list(h.vector(gens)) for h in hyps], n, exact)
+    neg = [tuple(-c for c in d) for d in lines]
+    vals = values(lines + neg)
+    rays, cvec = [], []
+    for d, e, fd, fe in zip(lines, neg, vals, vals[len(lines):]):
+        rays.append(d if abs(fd) >= abs(fe) else e)
+        cvec.append(max(abs(fd), abs(fe)))
     if exact:
         rows = [[abs(sum(dc * vc for dc, vc in zip(d, v))) for d in rays] for v in reps]
     else:

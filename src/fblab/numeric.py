@@ -1,11 +1,12 @@
 """Candidate rays of hyperplane normals, in floats or exactly.
 
 A null direction of n-1 rows in R^n is found one way only: as the vector
-of the rows' signed maximal minors (candidate_rays).  Floats take the
-minors in numpy blocks, with relative rank and residual tests.  Exact mode
-reads every entry, float or Fraction, as an exact integer ratio, clears
-each row's denominators and takes the minors as Python ints by one
-fraction-free elimination (_eliminate), with no tolerance at any n.
+of the rows' signed maximal minors (candidate_rays), one direction per
+null line; the caller reads -d off d.  Floats take the minors in numpy
+blocks, with relative rank and residual tests.  Exact mode reads every
+entry, float or Fraction, as an exact integer ratio, clears each row's
+denominators and takes the minors as Python ints by one fraction-free
+elimination (_eliminate), with no tolerance at any n.
 """
 
 from __future__ import annotations
@@ -85,8 +86,9 @@ def _eliminate(mat, n):
 
 
 def _int_null_direction(rows, n):
-    """The signed maximal minors of n-1 integer rows, as a null direction
-    whose last nonzero entry is positive, or None when all minors are 0.
+    """The signed maximal minors of n-1 integer rows, scaled to a null
+    direction of sup norm 1 whose last nonzero entry is positive, in
+    Fractions, or None when all minors are 0.
 
     After _eliminate, with pivot D and free column f, row i reads D in its
     pivot column c_i and the minor with column c_i replaced by f in column
@@ -101,7 +103,8 @@ def _int_null_direction(rows, n):
     d[free] = mat[0][pivots[0]]
     for row, c in zip(mat, pivots):
         d[c] = -row[free]
-    return d if d[free] > 0 else [-v for v in d]
+    lead = max(map(abs, d)) if d[free] > 0 else -max(map(abs, d))
+    return tuple(Fraction(v, lead) for v in d)
 
 
 def _float_ray_keys(rays) -> list:
@@ -140,51 +143,37 @@ def _float_ray_block(rows, subsets):
 
 
 def candidate_rays(vectors, n, exact: bool):
-    """All +/- null directions of (n-1)-subsets of the row vectors.
+    """One direction per null line of the (n-1)-subsets of the row vectors.
 
-    Each direction is scaled to sup norm 1 and listed once, in subset
-    order, d before -d.  With n == 1 the two rays are +1 and -1.
+    Each direction is scaled to sup norm 1, oriented so that its last
+    nonzero entry is positive, and listed once, in subset order; its
+    antipode -d is not listed.  With n == 1 the one ray is +1.
 
     For a subset M of n-1 rows, d is the vector of its signed maximal
     minors d_j = (-1)^j det(M without column j), the generalized cross
-    product, up to a common factor, oriented so that its last nonzero entry
-    is positive.  Exact mode takes the minors in Python ints
-    (_int_null_direction): a subset is rank-deficient when all are 0, and
-    rays are deduplicated by their gcd-reduced integer vectors.  Float mode
-    takes (b, -a) for n == 2, else one np.linalg.det call over the stacked
-    minors of a block of _RAY_BLOCK subsets, and dedups by 10 rounded
-    digits (_float_ray_keys).  There a subset is rank-deficient when sup|d|
-    is at most _RANK_RTOL times the product of its rows' sup norms, each row
-    must satisfy |<row, d>| <= NULL_RTOL * sup|row| * sup|d|, and "nonzero"
+    product, up to a common factor.  Exact mode takes the minors in Python
+    ints (_int_null_direction): a subset is rank-deficient when all are 0,
+    and rays are deduplicated by exact value.  Float mode takes (b, -a) for
+    n == 2, else one np.linalg.det call over the stacked minors of a block
+    of _RAY_BLOCK subsets, and dedups by 10 rounded digits
+    (_float_ray_keys).  There a subset is rank-deficient when sup|d| is at
+    most _RANK_RTOL times the product of its rows' sup norms, each row must
+    satisfy |<row, d>| <= NULL_RTOL * sup|row| * sup|d|, and "nonzero"
     means above _ORIENT_RTOL * sup|d|.  Blocks bound the memory on long
     hyperplane lists; each subset is computed apart, so a ray does not
     depend on its block.
     """
     if n == 1:
-        one = Fraction(1) if exact else 1.0
-        return [(one,), (-one,)]
+        return [(Fraction(1),) if exact else (1.0,)]
     subsets = itertools.combinations(range(len(vectors)), n - 1)
-    seen = set()
-    rays = []
     if exact:
         ints = _int_rows(vectors)
-        for subset in subsets:
-            d = _int_null_direction([ints[i] for i in subset], n)
-            if d is None:
-                continue
-            g = math.gcd(*d)
-            lead = max(map(abs, d)) // g
-            for key in (tuple(v // g for v in d), tuple(-v // g for v in d)):
-                if key not in seen:
-                    seen.add(key)
-                    rays.append(tuple(Fraction(v, lead) for v in key))
-        return rays
+        found = (_int_null_direction([ints[i] for i in s], n) for s in subsets)
+        return list(dict.fromkeys(d for d in found if d is not None))
     rows = np.array(vectors, dtype=float)
+    rays = {}
     while block := list(itertools.islice(subsets, _RAY_BLOCK)):
         d = _float_ray_block(rows, np.array(block))
-        d = np.concatenate((d, -d), axis=1).reshape(-1, n)
         for key, canon in zip(_float_ray_keys(d), d.tolist()):
-            if key not in seen:
-                seen.add(key)
-                rays.append(tuple(canon))
-    return rays
+            rays.setdefault(key, tuple(canon))
+    return list(rays.values())

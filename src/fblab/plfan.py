@@ -58,7 +58,6 @@ __all__ = [
     "FanError",
     "DegenerateNormalError",
     "canonical_normal",
-    "dedup_normals",
     "arrangement_fan",
     "pl_from_maxmin",
     "pl_parts",
@@ -137,10 +136,13 @@ def canonical_normal(fn: LinearFunctional, exact: bool) -> LinearFunctional:
     """Scale so the first nonzero coefficient (generator-sorted) is +1.
 
     The items tuple of LinearFunctional is already sorted by generator name,
-    so "first nonzero" is well defined.  Raises for the zero functional.  A
-    normal whose lead is 1 already, as the line of a slice ray is, is only
-    put in the arithmetic (Fraction or float coefficients): dividing by 1
-    would change no value.
+    so "first nonzero" is well defined.  Callers deduplicate hyperplanes by
+    the exact value of this form (dict.fromkeys), with no rounded key: in
+    floats two normals of one line can differ in the last bits of their
+    quotients and then both stay, which costs a candidate, never a verdict.
+    Raises for the zero functional.  A normal whose lead is 1 already, as
+    the line of a slice ray is, is only put in the arithmetic (Fraction or
+    float coefficients): dividing by 1 would change no value.
     """
     if fn.is_zero:
         raise DegenerateNormalError("zero normal")
@@ -156,25 +158,6 @@ def canonical_normal(fn: LinearFunctional, exact: bool) -> LinearFunctional:
         )
     lead = float(lead)
     return LinearFunctional(tuple((g, float(c) / lead) for g, c in fn.items))
-
-
-def _normal_key(fn: LinearFunctional, exact: bool):
-    """Dedup key of a normal: its coefficients, exact or rounded to 12 digits."""
-    coeffs = tuple(c if exact else round(c, 12) for _, c in fn.items)
-    return tuple(g for g, _ in fn.items), coeffs
-
-
-def dedup_normals(fns, exact: bool):
-    """Canonicalize and deduplicate normals, keeping first-appearance order."""
-    seen = {}
-    out = []
-    for fn in fns:
-        cn = canonical_normal(fn, exact)
-        key = _normal_key(cn, exact)
-        if key not in seen:
-            seen[key] = True
-            out.append(cn)
-    return out
 
 
 def _angle(p):
@@ -268,14 +251,16 @@ def arrangement_fan(normals, generators, exact: bool = False) -> Fan:
     """Fan of the central arrangement of the given normals over one or two
     generators.
 
-    The rays are the sup-scaled null directions of the deduplicated lines
-    and +/-e1, +/-e2 (+1 and -1 for one generator), sorted by _angle: at
-    most 2h + 4 of them for h lines, with no LP, no sampling and no
-    tolerance, exact in Fractions.  Raises FanError for three or more
-    generators and DegenerateNormalError on a zero normal.
+    The normals are put in canonical_normal form and deduplicated by exact
+    value, as in Fan.hyperplanes.  The rays are the sup-scaled null
+    directions of those h lines and +/-e1, +/-e2 (+1 and -1 for one
+    generator), sorted by _angle: at most 2h + 4 of them, with no LP, no
+    sampling and no tolerance, exact in Fractions.  Raises FanError for
+    three or more generators and DegenerateNormalError on a zero normal.
     """
     generators = _fan_generators(generators)
-    rows = [hp.vector(generators) for hp in dedup_normals(normals, exact)]
+    lines = dict.fromkeys(canonical_normal(hp, exact) for hp in normals)
+    rows = [hp.vector(generators) for hp in lines]
     rays, angles = _sorted_rays(_line_rays(rows) + _axes(len(generators), exact))
     return _sorted_fan(generators, rays, angles)
 

@@ -530,8 +530,8 @@ def rounded_section(b):
 
 
 # Targets on [0, 1] at the edges of the float section.  1/3 and 1/3 + 1e-14
-# share the 12-digit normal key of plfan.dedup_normals but are distinct
-# floats.  The floats just below and above 0.6000000000085 are apart, but
+# agree to 12 decimals but are distinct floats, and so are the lines
+# t - s/3 and t - (1/3 + 1e-14)s.  The floats just below and above 0.6000000000085 are apart, but
 # the witness ratio of the sector between them rounds onto its lower end.
 # 1/3 and 1/3 + 1e-20 round to one float, so the sector between them is
 # empty in floats.
@@ -540,6 +540,19 @@ WALK_EDGE_TARGETS = [
     ((0, 0), (0.6000000000085, 1), (0.6000000000085001, -1), (1, 2)),
     ((0, 0), (Fraction(1, 3), 1), (Fraction(1, 3) + Fraction(1, 10**20), -1), (1, 2)),
 ]
+
+
+def test_the_norm_keeps_lines_that_agree_to_twelve_decimals():
+    """The float section of the 1/3, 1/3 + 1e-14 target breaks on
+    t - s/3 and t - (1/3 + 1e-14)s, and the zero set of its steep piece is
+    a third line between them.  Dedup by exact value keeps all three, so
+    the norm counts 8 hyperplanes; a 12-digit rounded key merged them and
+    counted 6."""
+    K = interval01()
+    b = build_section(K, H(K, *WALK_EDGE_TARGETS[0]), exact=False)
+    bracket = exact_fbl_norm(b.Sh, fbl_space(b.Sh.fan.generators))
+    assert len(b.Sh.fan.hyperplanes) == 6
+    assert bracket.diagnostics["hyperplanes"] == 8
 
 
 @pytest.mark.parametrize("exact", [False, True])

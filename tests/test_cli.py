@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fblab import ckretract, cli, fblnorm, homs, plfan
-from fblab.expr import Scale, parse_expr, support
+from fblab.expr import MAX_DEPTH, Scale, parse_expr, support
 from fblab.lp import LPError
 
 
@@ -86,7 +86,7 @@ def test_norm_join_value_two(capsys):
     assert p["lower"] == pytest.approx(p["upper"], abs=1e-9)
     assert p["generators"] == ["a", "b"]
     assert p["certificate_points"]
-    assert p["diagnostics"]["candidate_rays"] == 6  # +/- a, b and a - b
+    assert p["diagnostics"]["candidate_rays"] == 3  # the lines of a, b and a - b
     assert p["diagnostics"]["rays_used"] == len(p["certificate_points"])
 
 
@@ -542,6 +542,32 @@ def test_bad_expression_exits_two(capsys):
     code, rep, err = run_cli(capsys, ["norm", "--expr", "d(a) +", "--json-only"])
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("text", [
+    "(" * 300 + "d(a)" + ")" * 300,
+    "-" * 1200 + "d(a)",
+    " + ".join(["d(a)"] * 2000),
+], ids=["brackets", "signs", "sum"])
+def test_deep_expressions_are_syntax_errors(capsys, text):
+    """Each ended in "error: RecursionError: maximum recursion depth
+    exceeded", in the parser or, for the sum, in the tree walkers."""
+    code, rep, err = run_cli(capsys, ["norm", f"--expr={text}", "--json-only"])
+    assert code == 2
+    assert rep is None
+    assert err.startswith("error: ") and "(at position" in err
+    assert "RecursionError" not in err
+
+
+@pytest.mark.parametrize("text, norm", [
+    ("(" * MAX_DEPTH + "d(a)" + ")" * MAX_DEPTH, 1),
+    ("-" * MAX_DEPTH + "d(a)", 1),
+    (" + ".join(["d(a)"] * (MAX_DEPTH + 1)), MAX_DEPTH + 1),
+], ids=["brackets", "signs", "sum"])
+def test_expressions_at_the_depth_bound_have_their_norm(capsys, text, norm):
+    code, rep, _ = run_cli(capsys, ["norm", f"--expr={text}", "--json-only"])
+    assert code == 0
+    assert rep["payload"]["value"] == norm
 
 
 @pytest.mark.parametrize("text", [

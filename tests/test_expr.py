@@ -11,6 +11,7 @@ from fblab.expr import (
     ExprError,
     ExprSyntaxError,
     Gen,
+    MAX_DEPTH,
     MAXMIN_CAP,
     Join,
     LinearFunctional,
@@ -140,6 +141,31 @@ def test_parse_table(text, want):
         assert (str(info.value), info.value.pos) == (f"{want[0]} (at position {want[1]})", want[1])
     else:
         assert parse_expr(text) == want
+
+
+@pytest.mark.parametrize("text, pos", [
+    # the bracket or sign that opens one level too many
+    ("(" * (MAX_DEPTH + 1) + "d(a)" + ")" * (MAX_DEPTH + 1), MAX_DEPTH),
+    ("-" * (MAX_DEPTH + 1) + "d(a)", MAX_DEPTH),
+    # the operator of the node one level too deep
+    ("d(a)" + " + d(a)" * (MAX_DEPTH + 1), 7 * MAX_DEPTH + 5),
+    ("d(a)" + " v d(a)" * (MAX_DEPTH + 1), 7 * MAX_DEPTH + 5),
+    ("d(a)" + " - d(a)" * MAX_DEPTH, 7 * MAX_DEPTH - 2),  # a minus adds a Scale
+    # |e| is two nodes, e v -1*e: the outermost of MAX_DEPTH // 2 + 1 bars
+    ("|" * (MAX_DEPTH // 2 + 1) + "d(a)" + "|" * (MAX_DEPTH // 2 + 1), 0),
+])
+def test_parse_bounds_nesting_and_tree_depth(text, pos):
+    with pytest.raises(ExprSyntaxError) as info:
+        parse_expr(text)
+    assert info.value.pos == pos
+
+
+def test_parse_takes_nesting_and_tree_depth_at_the_bound():
+    assert parse_expr("(" * MAX_DEPTH + "d(a)" + ")" * MAX_DEPTH) == A
+    assert parse_expr("-" * MAX_DEPTH + "d(a)") == reduce(
+        lambda e, _: Scale(-1.0, e), range(MAX_DEPTH), A)
+    chain = parse_expr(" + ".join(["d(a)"] * (MAX_DEPTH + 1)))
+    assert parse_expr(to_text(chain)) == chain
 
 
 @pytest.mark.parametrize("text", [

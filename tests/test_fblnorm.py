@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import warnings
@@ -387,6 +388,27 @@ def test_exact_norm_sum_of_abs():
     assert config_value(F, DualConfig(((1.0, 0.0), (0.0, 1.0)))) == 2.0
 
 
+def antipodal_pairs(points):
+    """The pairs (p, q) of points with q a positive multiple of -p, read
+    exactly: rank one and a negative dot product."""
+    pts = [tuple(map(Fraction, p)) for p in points]
+    return [(p, q) for p, q in itertools.combinations(pts, 2)
+            if sum(a * b for a, b in zip(p, q)) < 0
+            and all(p[i] * q[j] == p[j] * q[i]
+                    for i, j in itertools.combinations(range(len(p)), 2))]
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_a_line_is_priced_on_the_side_of_its_larger_value(exact):
+    """f = d(a) v -2*d(a) is 1 at +1 and 2 at -1: one candidate line,
+    whose certificate point sits at -1."""
+    e = parse_expr("d(a) v -2*d(a)")
+    bracket = exact_fbl_norm(to_maxmin(e), fbl_space(("a",)), exact=exact)
+    assert bracket.upper == bracket.lower == 2
+    assert bracket.diagnostics["candidate_rays"] == 1
+    assert bracket.certificate.points == ((-1.0,),)
+
+
 def test_norm_bracket_invariants_on_random_expressions():
     rng = np.random.default_rng(47)
     gens = ("a", "b")
@@ -401,6 +423,7 @@ def test_norm_bracket_invariants_on_random_expressions():
         assert config_value(F, bracket.certificate) == pytest.approx(
             bracket.lower, abs=1e-9
         )
+        assert antipodal_pairs(bracket.certificate.points) == []
 
 
 def test_exact_norm_monotone_under_abs_domination():
@@ -467,6 +490,8 @@ def test_float_norm_matches_rational_on_badly_scaled_expressions():
         ra = exact_fbl_norm(to_maxmin(e), space, exact=True)
         assert fl.upper == pytest.approx(float(ra.upper), rel=1e-6, abs=0), to_text(e)
         assert fl.lower == pytest.approx(float(ra.upper), rel=1e-6, abs=0), to_text(e)
+        for bracket in (fl, ra):
+            assert antipodal_pairs(bracket.certificate.points) == [], to_text(e)
 
 
 # ---------------------------------------------------------------------------

@@ -45,9 +45,14 @@ def rows_of(fan):
     return np.array([[float(c) for c in h.vector(fan.generators)] for h in fan.hyperplanes])
 
 
+def canonical_lines(normals, exact=False):
+    """The normals in canonical form, each once by exact value, in order."""
+    return list(dict.fromkeys(plfan.canonical_normal(h, exact) for h in normals))
+
+
 def break_normals(m, gens, exact=False):
     """The form's break hyperplanes over gens, canonical and deduplicated."""
-    return plfan.dedup_normals(plfan.pl_parts(m, gens, exact)[0], exact)
+    return canonical_lines(plfan.pl_parts(m, gens, exact)[0], exact)
 
 
 def midpoint(cell):
@@ -56,10 +61,15 @@ def midpoint(cell):
 
 
 def line_keys(hyps, exact=False):
-    """The lines of the normals hyps, each by plfan.dedup_normals's key: a
-    float normal derived from a ray may differ from the canonical input
-    normal in its last bit."""
-    return {plfan._normal_key(h, exact) for h in plfan.dedup_normals(hyps, exact)}
+    """The lines of the normals hyps, canonical, by generators and
+    coefficients, the float ones rounded to 12 decimals: a float normal
+    derived from a ray may differ from the canonical input normal in its
+    last bit."""
+    def key(h):
+        coeffs = tuple(c for _, c in h.items)
+        rounded = coeffs if exact else tuple(np.round(coeffs, 12).tolist())
+        return tuple(g for g, _ in h.items), rounded
+    return {key(h) for h in canonical_lines(hyps, exact)}
 
 
 def axis_lines(gens, exact=False):
@@ -291,7 +301,7 @@ def test_generic_fans_match_zaslavsky_count(exact):
         gens = "abcd"[:n]
         for h in hs:
             normals = generic_normals(rng, n, h, exact)
-            hyps = plfan.dedup_normals(normals, exact)
+            hyps = canonical_lines(normals, exact)
             if n <= 2:
                 # the fan also lists the axes that are not among the lines
                 fan = arrangement_fan(normals, gens, exact=exact)

@@ -4,8 +4,9 @@ An expression denotes a positively homogeneous, piecewise-linear function of
 finitely many dual coordinates.  The atoms are generators ``d(a)`` (the
 evaluation functional of the free abstraction at ``a``); expressions are
 closed under scalar multiples, sums, joins ``v`` and meets ``^``.  Absolute
-value is sugar: ``|e|`` desugars to ``e v (-1*e)`` at parse time, so the tree
-grammar has exactly five node kinds.
+value is sugar: ``|e|`` is ``e v (-1*e)`` over one shared ``e``, parsed and
+printed as ``|e|``, so the tree grammar has exactly five node kinds.  Every
+walker, ``==`` and ``hash`` included, visits each distinct node once.
 
 Concrete syntax (parsed by :func:`parse_expr`)::
 
@@ -80,8 +81,9 @@ __all__ = [
 MAXMIN_CAP = 10_000
 
 # The bound on the nesting of brackets and unary minus signs and on the depth
-# of a parsed tree: the parser recurses four frames per bracket and the tree
-# walkers one per node, far below Python's default recursion limit of 1000.
+# of a parsed tree.  It guards only the parser, which recurses four frames per
+# bracket, far below Python's default recursion limit of 1000; the tree
+# walkers keep an explicit stack.
 MAX_DEPTH = 100
 
 # The tail of the error raised for a float value that is no finite float.
@@ -118,8 +120,31 @@ def valid_generator_name(name: str) -> bool:
 # expression trees
 
 
-@dataclass(frozen=True)
-class Gen:
+class _Node:
+    """The base of the five node kinds.  ==, hash and repr fold over the
+    distinct nodes, so a subtree shared by two parents costs one visit.
+    Equality numbers the nodes of both trees in one table keyed by (kind,
+    name or factor, the children's numbers): equal trees get one number."""
+
+    def __eq__(self, other):
+        if not isinstance(other, _Node):
+            return NotImplemented
+        table: dict = {}
+
+        def number(t, payload, kids):
+            return table.setdefault((type(t), payload, *kids), len(table))
+
+        return self is other or _fold(self, number) == _fold(other, number)
+
+    def __hash__(self):
+        return _fold(self, lambda t, payload, kids: hash((type(t), payload, *kids)))
+
+    def __repr__(self):
+        return to_text(self)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Gen(_Node):
     name: str
 
     def __post_init__(self):
@@ -127,26 +152,26 @@ class Gen:
             raise ExprError(f"invalid generator name {self.name!r}")
 
 
-@dataclass(frozen=True)
-class Scale:
+@dataclass(frozen=True, eq=False, repr=False)
+class Scale(_Node):
     factor: float
     child: "LatticeExpr"
 
 
-@dataclass(frozen=True)
-class Sum:
+@dataclass(frozen=True, eq=False, repr=False)
+class Sum(_Node):
     left: "LatticeExpr"
     right: "LatticeExpr"
 
 
-@dataclass(frozen=True)
-class Join:
+@dataclass(frozen=True, eq=False, repr=False)
+class Join(_Node):
     left: "LatticeExpr"
     right: "LatticeExpr"
 
 
-@dataclass(frozen=True)
-class Meet:
+@dataclass(frozen=True, eq=False, repr=False)
+class Meet(_Node):
     left: "LatticeExpr"
     right: "LatticeExpr"
 
@@ -159,19 +184,38 @@ def absval(e: LatticeExpr) -> LatticeExpr:
     return Join(e, Scale(-1.0, e))
 
 
+def _fold(e: LatticeExpr, step):
+    """e's value under step(node, name or factor, child values), computed
+    once per distinct node (by id: every node lives under e for the whole
+    call), children first, with an explicit stack rather than recursion."""
+    vals: dict = {}
+    stack = [(e, None, None)]
+    while stack:
+        t, payload, kids = stack.pop()
+        if kids is not None:  # t's children are done
+            vals[id(t)] = step(t, payload, [vals[id(k)] for k in kids])
+        elif id(t) in vals:
+            continue
+        elif isinstance(t, Gen):
+            vals[id(t)] = step(t, t.name, ())
+        elif isinstance(t, Scale):
+            stack += [(t, t.factor, (t.child,)), (t.child, None, None)]
+        elif isinstance(t, (Sum, Join, Meet)):
+            stack += [(t, None, (t.left, t.right)), (t.right, None, None), (t.left, None, None)]
+        else:
+            raise ExprError(f"not a lattice expression: {t!r}")
+    return vals[id(e)]
+
+
 def support(e: LatticeExpr) -> frozenset:
     """Syntactic support: every generator mentioned in the tree.
 
     Zero scalars do not shrink the support; 0*d(a) still depends on a
     syntactically.
     """
-    if isinstance(e, Gen):
-        return frozenset((e.name,))
-    if isinstance(e, Scale):
-        return support(e.child)
-    if isinstance(e, (Sum, Join, Meet)):
-        return support(e.left) | support(e.right)
-    raise ExprError(f"not a lattice expression: {e!r}")
+    names = set()
+    _fold(e, lambda t, payload, kids: names.add(payload) if isinstance(t, Gen) else None)
+    return frozenset(names)
 
 
 def evaluate(e: LatticeExpr, point: Mapping[str, float]) -> float:
@@ -181,20 +225,20 @@ def evaluate(e: LatticeExpr, point: Mapping[str, float]) -> float:
     missing coordinate raises ExprError.  Evaluation is exact for 0/1
     coordinates and integer scalars, and positively homogeneous in general.
     """
-    if isinstance(e, Gen):
-        try:
-            return float(point[e.name])
-        except KeyError:
-            raise ExprError(f"point is missing coordinate {e.name!r}") from None
-    if isinstance(e, Scale):
-        return e.factor * evaluate(e.child, point)
-    if isinstance(e, Sum):
-        return evaluate(e.left, point) + evaluate(e.right, point)
-    if isinstance(e, Join):
-        return max(evaluate(e.left, point), evaluate(e.right, point))
-    if isinstance(e, Meet):
-        return min(evaluate(e.left, point), evaluate(e.right, point))
-    raise ExprError(f"not a lattice expression: {e!r}")
+
+    def step(t, payload, kids):
+        if isinstance(t, Gen):
+            try:
+                return float(point[payload])
+            except KeyError:
+                raise ExprError(f"point is missing coordinate {payload!r}") from None
+        if isinstance(t, Scale):
+            return payload * kids[0]
+        if isinstance(t, Sum):
+            return kids[0] + kids[1]
+        return max(kids) if isinstance(t, Join) else min(kids)
+
+    return _fold(e, step)
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +257,7 @@ class LinearFunctional:
 
     @staticmethod
     def from_map(coeffs: Mapping[str, float]) -> "LinearFunctional":
-        pruned = tuple(sorted((g, c) for g, c in coeffs.items() if c != 0))
-        return LinearFunctional(pruned)
+        return LinearFunctional(tuple(sorted((g, c) for g, c in coeffs.items() if c != 0)))
 
     def vector(self, generators) -> tuple:
         d = dict(self.items)
@@ -275,22 +318,6 @@ class MaxMinForm:
         if missing:
             raise SpaceError(f"generators {list(generators)} miss {missing} of the function")
 
-    def matrix(self, generators):
-        """(row matrix of all functionals, list of per-group row-index arrays).
-
-        Intended for vectorized evaluation: stack functional rows once, then
-        value(points) = max over groups of min over the group's rows.
-        """
-        rows = []
-        group_idx = []
-        for g in self.groups:
-            idx = []
-            for f in g:
-                idx.append(len(rows))
-                rows.append([float(c) for c in f.vector(generators)])
-            group_idx.append(np.array(idx, dtype=int))
-        return np.array(rows, dtype=float), group_idx
-
     def negated(self, cap: int) -> "MaxMinForm":
         """The form of -f, with no group that contains another.
 
@@ -332,20 +359,21 @@ class MaxMinForm:
 class MaxMinEvaluator:
     """Vectorized evaluator of a max-min form over a fixed generator order.
 
-    Each group's row indices are padded with its own first index to one
-    width, so a single fancy index gathers every group; min and max do not
-    round, so the padding changes no value.  A finite point whose value is
-    not a finite float raises OverflowError (finite_values).
+    The functionals of all groups are stacked as rows, and each group's row
+    indices are padded with its own first index to one width, so a single
+    fancy index gathers every group; min and max do not round, so the
+    padding changes no value.  A finite point whose value is not a finite
+    float raises OverflowError (finite_values).
     """
 
     def __init__(self, m: MaxMinForm, generators):
         m.check_generators(generators)
         self.generators = tuple(generators)
-        self.rows, group_idx = m.matrix(self.generators)
-        width = max(len(idx) for idx in group_idx)
-        self.idx = np.array(
-            [np.concatenate((idx, np.full(width - len(idx), idx[0]))) for idx in group_idx]
-        )
+        self.rows = np.array([f.vector(self.generators) for g in m.groups for f in g], dtype=float)
+        width = max(len(g) for g in m.groups)
+        starts = np.cumsum([0] + [len(g) for g in m.groups])
+        self.idx = np.array([[s + (j if j < len(g) else 0) for j in range(width)]
+                             for s, g in zip(starts, m.groups)])
 
     def __call__(self, x) -> float:
         x = np.asarray(x, dtype=float)
@@ -375,10 +403,6 @@ def _dedup_group(group: Iterable[LinearFunctional]) -> tuple:
     return tuple(sorted(dict.fromkeys(group), key=lambda f: f.items))
 
 
-def _dedup_groups(groups: Iterable[tuple]) -> tuple:
-    return tuple(dict.fromkeys(groups))
-
-
 def _check_cap(n_functionals: int, cap: int):
     if n_functionals > cap:
         raise MaxMinSizeError(
@@ -387,7 +411,7 @@ def _check_cap(n_functionals: int, cap: int):
 
 
 def to_maxmin(e: LatticeExpr, cap: int = MAXMIN_CAP) -> MaxMinForm:
-    """Normal form of an expression, with subterm memoization and a size cap.
+    """Normal form of an expression, one step per distinct node, with a size cap.
 
     c*t for c < 0 is t's form negated (MaxMinForm.negated), then scaled by
     |c|.  The cap bounds the total functional count (sum of group sizes) of
@@ -396,54 +420,39 @@ def to_maxmin(e: LatticeExpr, cap: int = MAXMIN_CAP) -> MaxMinForm:
     has built pass it.  A coefficient that leaves the floats (a product or
     sum of scalars past the largest float) raises ExprError.
     """
-    memo: dict = {}  # by id: every node lives under e for the whole call
 
-    def rec(t: LatticeExpr) -> MaxMinForm:
-        got = memo.get(id(t))
-        if got is not None:
-            return got
+    def step(t, payload, kids) -> MaxMinForm:
         if isinstance(t, Gen):
-            m = MaxMinForm(((LinearFunctional(((t.name, 1.0),)),),))
+            m = MaxMinForm(((LinearFunctional(((payload, 1.0),)),),))
         elif isinstance(t, Scale):
-            child = rec(t.child)
-            c = float(t.factor)
+            c = float(payload)
             if c == 0:
                 m = MaxMinForm(((ZERO_FUNCTIONAL,),))
             else:
-                m = child if c > 0 else child.negated(cap)
+                m = kids[0] if c > 0 else kids[0].negated(cap)
                 if abs(c) != 1:
                     m = MaxMinForm(tuple(tuple(f.scaled(abs(c)) for f in g) for g in m.groups))
         elif isinstance(t, Sum):
-            a, b = rec(t.left), rec(t.right)
+            a, b = kids
             _check_cap(a.size * b.size, cap)
-            groups = []
-            for ga in a.groups:
-                for gb in b.groups:
-                    groups.append(
-                        _dedup_group(fa.plus(fb) for fa in ga for fb in gb)
-                    )
-            m = MaxMinForm(_dedup_groups(groups))
+            m = MaxMinForm(tuple(dict.fromkeys(
+                _dedup_group(fa.plus(fb) for fa in ga for fb in gb)
+                for ga in a.groups for gb in b.groups)))
         elif isinstance(t, Join):
-            a, b = rec(t.left), rec(t.right)
-            m = MaxMinForm(_dedup_groups(a.groups + b.groups))
-        elif isinstance(t, Meet):
-            a, b = rec(t.left), rec(t.right)
-            groups, size = {}, 0
-            for ga in a.groups:
-                for gb in b.groups:
-                    g = _dedup_group(ga + gb)
-                    if g not in groups:
-                        groups[g] = None
-                        size += len(g)
-                        _check_cap(size, cap)
-            m = MaxMinForm(tuple(groups))
+            m = MaxMinForm(tuple(dict.fromkeys(kids[0].groups + kids[1].groups)))
         else:
-            raise ExprError(f"not a lattice expression: {t!r}")
+            a, b = kids
+            groups, size = {}, 0
+            for g in (_dedup_group(ga + gb) for ga in a.groups for gb in b.groups):
+                if g not in groups:
+                    groups[g] = None
+                    size += len(g)
+                    _check_cap(size, cap)
+            m = MaxMinForm(tuple(groups))
         _check_cap(m.size, cap)
-        memo[id(t)] = m
         return m
 
-    m = rec(e)
+    m = _fold(e, step)
     if not all(math.isfinite(c) for g in m.groups for f in g for _, c in f.items):
         raise ExprError("a coefficient of the max-min form is not finite")
     return m
@@ -603,42 +612,30 @@ def _parse_factor(toks: list, nest: int):
 # ---------------------------------------------------------------------------
 # printing (round-trips through parse_expr to a structurally equal tree)
 
-_LV_LATTICE, _LV_SUM, _LV_TERM, _LV_FACTOR = 0, 1, 2, 3
-
-
-def _level(e: LatticeExpr) -> int:
-    if isinstance(e, Gen):
-        return _LV_FACTOR
-    if isinstance(e, Scale):
-        return _LV_TERM
-    if isinstance(e, Sum):
-        return _LV_SUM
-    return _LV_LATTICE
+# A node prints as (text, level, lattice kind); a child whose level is
+# below what its place takes is bracketed.  Levels: 0 a join or meet (kind
+# 'v' or '^'), 1 a sum, 2 a scale, 3 a generator or bars.
 
 
 def to_text(e: LatticeExpr) -> str:
-    return _fmt(e, _LV_LATTICE, None)
+    return _fold(e, _text)[0]
 
 
-def _fmt(e: LatticeExpr, ctx: int, lattice_kind) -> str:
-    if isinstance(e, Gen):
-        s = f"d({e.name})"
-    elif isinstance(e, Scale):
-        s = f"{e.factor!r}*{_fmt(e.child, _LV_FACTOR, None)}"
-    elif isinstance(e, Sum):
-        s = f"{_fmt(e.left, _LV_SUM, None)} + {_fmt(e.right, _LV_TERM, None)}"
-    elif isinstance(e, (Join, Meet)):
-        kind = "v" if isinstance(e, Join) else "^"
-        left = _fmt(e.left, _LV_LATTICE, kind)
-        right = _fmt(e.right, _LV_SUM, None)
-        s = f"{left} {kind} {right}"
-    else:
-        raise ExprError(f"not a lattice expression: {e!r}")
-    lvl = _level(e)
-    if lvl < ctx:
-        return f"({s})"
-    if lvl == _LV_LATTICE and ctx == _LV_LATTICE and lattice_kind is not None:
-        mine = "v" if isinstance(e, Join) else "^"
-        if mine != lattice_kind:
-            return f"({s})"
-    return s
+def _bracket(kid, level: int, kind=None) -> str:
+    """A child's text where level, or a join or meet of kind, fits bare."""
+    text, lvl, k = kid
+    return text if lvl >= level or k is not None and k == kind else f"({text})"
+
+
+def _text(t, payload, kids) -> tuple:
+    if isinstance(t, Gen):
+        return f"d({payload})", 3, None
+    if isinstance(t, Scale):
+        return f"{payload!r}*{_bracket(kids[0], 3)}", 2, None
+    if isinstance(t, Sum):
+        return f"{_bracket(kids[0], 1)} + {_bracket(kids[1], 2)}", 1, None
+    neg = t.right
+    if isinstance(t, Join) and isinstance(neg, Scale) and neg.factor == -1 and neg.child is t.left:
+        return f"|{kids[0][0]}|", 3, None
+    kind = "v" if isinstance(t, Join) else "^"
+    return f"{_bracket(kids[0], 1, kind)} {kind} {_bracket(kids[1], 1)}", 0, kind

@@ -1,6 +1,10 @@
 """Expression layer: grammar, evaluation, normal form, text round trips."""
 
+import os
+import subprocess
+import sys
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +30,9 @@ from fblab.expr import (
     to_maxmin,
     to_text,
 )
-from exprgen import random_expr_capped, random_point
+from exprgen import random_expr, random_expr_capped, random_point
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 # ---------------------------------------------------------------------------
@@ -425,3 +431,126 @@ def test_homogeneity_property(e, lam):
     assert abs(evaluate(e, scaled) - lam * evaluate(e, p)) <= 1e-10 * (
         1.0 + abs(evaluate(e, p))
     )
+
+
+# ---------------------------------------------------------------------------
+# shared subtrees: every walker visits a distinct node once
+
+
+def test_bars_print_as_bars_over_one_shared_child():
+    assert to_text(absval(A)) == "|d(a)|"
+    assert to_text(Join(A, Scale(-1.0, Gen("a")))) == "d(a) v -1.0*d(a)"
+    for text in ("||d(a)| + -2.0*d(b)|", "|d(a) v d(b)| ^ d(c)", "0.5*|d(a)|"):
+        assert to_text(parse_expr(text)) == text
+
+
+def test_fifty_nested_bars_compare_and_take_their_norm():
+    # |e| shares e, so a walker that revisits shared nodes takes 2**50 steps
+    # here; the child process keeps such a walker from hanging the suite
+    script = """if True:
+        import contextlib, io, json
+        from fblab import cli
+        from fblab.expr import parse_expr
+        text = "|" * 50 + "d(a)" + "|" * 50
+        e, f = parse_expr(text), parse_expr(text)
+        assert e is not f and e == f and hash(e) == hash(f)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.run(["norm", "--expr", text, "--json-only"]) == 0
+        rep = json.loads(out.getvalue())
+        assert rep["payload"]["upper"] == 1.0, rep["payload"]
+        assert rep["config"]["expr"] == rep["payload"]["expr"] == text
+    """
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=30, env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
+
+
+def test_walkers_take_a_chain_far_past_max_depth():
+    def chain():
+        return reduce(lambda e, _: Scale(-1.0, e), range(5000), A)
+
+    e = chain()
+    assert support(e) == {"a"}
+    assert evaluate(e, {"a": 0.5}) == 0.5
+    assert to_maxmin(e).groups == ((LinearFunctional((("a", 1.0),)),),)
+    assert e == chain() and hash(e) == hash(chain())
+    assert e != Scale(-1.0, e)
+
+
+def ref_support(e):
+    if isinstance(e, Gen):
+        return {e.name}
+    if isinstance(e, Scale):
+        return ref_support(e.child)
+    return ref_support(e.left) | ref_support(e.right)
+
+
+def ref_evaluate(e, point):
+    if isinstance(e, Gen):
+        return point[e.name]
+    if isinstance(e, Scale):
+        return e.factor * ref_evaluate(e.child, point)
+    a, b = ref_evaluate(e.left, point), ref_evaluate(e.right, point)
+    return a + b if isinstance(e, Sum) else max(a, b) if isinstance(e, Join) else min(a, b)
+
+
+def ref_equal(e, g):
+    if type(e) is not type(g):
+        return False
+    if isinstance(e, Gen):
+        return e.name == g.name
+    if isinstance(e, Scale):
+        return e.factor == g.factor and ref_equal(e.child, g.child)
+    return ref_equal(e.left, g.left) and ref_equal(e.right, g.right)
+
+
+def positions(e):
+    """Every position of e in pre-order; a shared node once per position."""
+    if isinstance(e, Gen):
+        return [e]
+    if isinstance(e, Scale):
+        return [e] + positions(e.child)
+    return [e] + positions(e.left) + positions(e.right)
+
+
+def unshared(e, edit=lambda t: None):
+    """A copy with a fresh node at every position, except where edit(t)
+    gives the copy of a position t."""
+    got = edit(e)
+    if got is not None:
+        return got
+    if isinstance(e, Gen):
+        return Gen(e.name)
+    if isinstance(e, Scale):
+        return Scale(e.factor, unshared(e.child, edit))
+    return type(e)(unshared(e.left, edit), unshared(e.right, edit))
+
+
+def edit_one(copy, kind, change, rng):
+    """copy, an unshared tree, with change applied at one of its positions
+    of kind, drawn at random; None if it has none."""
+    spots = [t for t in positions(copy) if isinstance(t, kind)]
+    if not spots:
+        return None
+    spot = spots[int(rng.integers(len(spots)))]
+    return unshared(copy, lambda t: change(t) if t is spot else None)
+
+
+def test_walkers_agree_with_a_recursive_referee():
+    rng = np.random.default_rng(23)
+    gens = ("a", "b", "c")
+    for _ in range(150):
+        e = random_expr(rng, gens, depth=5)
+        copy = unshared(e)
+        assert support(e) == ref_support(e)
+        p = random_point(rng, gens)
+        assert evaluate(e, p) == ref_evaluate(e, p)
+        assert ref_equal(parse_expr(to_text(e)), e)
+        assert e == copy and hash(e) == hash(copy) and ref_equal(e, copy)
+        renamed = edit_one(copy, Gen, lambda t: Gen(t.name + "x"), rng)
+        assert e != renamed and not ref_equal(e, renamed)
+        rescaled = edit_one(copy, Scale, lambda t: Scale(t.factor + 0.5, t.child), rng)
+        if rescaled is not None:
+            assert e != rescaled and not ref_equal(e, rescaled)

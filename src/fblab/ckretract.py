@@ -36,6 +36,7 @@ lattice-homomorphism laws of S in Fractions.
 
 from __future__ import annotations
 
+import numbers
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -200,18 +201,14 @@ def target_join(h1: TargetFunction, h2: TargetFunction) -> TargetFunction:
     if h1.K != h2.K:
         raise CKError("join needs a common K")
     pts = _merged_points(h1, h2)
-    out = set()
-    for p in pts:
-        out.add(p)
-    for p0, p1 in zip(pts, pts[1:]):
-        if not any(a <= p0 and p1 <= b for a, b in h1.K.intervals):
-            continue
-        d0 = h1.value(p0) - h2.value(p0)
-        d1 = h1.value(p1) - h2.value(p1)
-        if d0 * d1 < 0:
-            out.add(p0 + (p1 - p0) * d0 / (d0 - d1))
-    bps = tuple((p, max(h1.value(p), h2.value(p))) for p in sorted(out))
-    return TargetFunction(h1.K, bps)
+    v1, v2 = [h1.value(p) for p in pts], [h2.value(p) for p in pts]
+    bps = dict(zip(pts, map(max, v1, v2)))
+    diffs = [a - b for a, b in zip(v1, v2)]
+    for p0, p1, d0, d1 in zip(pts, pts[1:], diffs, diffs[1:]):
+        if d0 * d1 < 0 and any(a <= p0 and p1 <= b for a, b in h1.K.intervals):
+            c = p0 + (p1 - p0) * d0 / (d0 - d1)
+            bps[c] = max(h1.value(c), h2.value(c))
+    return TargetFunction(h1.K, tuple(sorted(bps.items())))
 
 
 def target_lincomb(a, h1: TargetFunction, b, h2: TargetFunction) -> TargetFunction:
@@ -387,46 +384,87 @@ def verify_norm_bound(b: SectionBundle) -> dict:
     }
 
 
-def _dense_agree(f: plfan.PLFunction, g: plfan.PLFunction, samples: int) -> float:
-    rng = np.random.default_rng(0)
-    pts = rng.uniform(-1.0, 1.0, (samples, 2))
-    fv = plfan.pl_value_many(f, pts)
-    gv = plfan.pl_value_many(g, pts)
-    return float(np.max(np.abs(fv - gv))) if samples else 0.0
+def _law_verdicts(S1, S2, Sj, Sl) -> tuple:
+    """(join law, linear law) for the exact sections S1, S2, Sj and Sl, in
+    one linear merge of their fans' cached angles (verify_hom_laws).
+
+    Every fan starts at the ray (1, 0).  Each step takes the smallest angle
+    still waiting and advances every fan whose next ray has it; a merged
+    sector then lies in the sector of each fan that starts at the last ray
+    it gave, so its piece there is read off the count of rays taken.
+    """
+    fs = (S1, S2, Sj, Sl)
+    angles = [f.fan.angles for f in fs]
+    coeffs = [[p.vector(GENERATORS) for p in f.pieces] for f in fs]
+    taken = [0, 0, 0, 0]
+    rays, cells = [], []
+    while live := [k for k in range(4) if taken[k] < len(angles[k])]:
+        a = min(angles[k][taken[k]] for k in live)
+        for k in live:
+            if angles[k][taken[k]] == a:
+                ray = fs[k].fan.rays[taken[k]]
+                taken[k] += 1
+        rays.append(ray)
+        cells.append([coeffs[k][taken[k] - 1] for k in range(4)])
+    join = linear = True
+    for p, q, (c1, c2, cj, cl) in zip(rays, rays[1:] + rays[:1], cells):
+        if linear and cl != (2 * c1[0] - c2[0], 2 * c1[1] - c2[1]):
+            linear = False
+        if join:
+            d0, d1 = c1[0] - c2[0], c1[1] - c2[1]
+            dp, dq = d0 * p[0] + d1 * p[1], d0 * q[0] + d1 * q[1]
+            join = dp * dq >= 0 and cj == (c1 if dp + dq >= 0 else c2)
+        if not (join or linear):
+            break
+    return join, linear
 
 
 def verify_hom_laws(K: KSpec, pairs: Sequence, samples: int = 10_000) -> dict:
     """S(h1 v h2) = S(h1) v S(h2) and S(2*h1 - h2) = 2*S(h1) - S(h2), in
     Fractions.
 
-    All four sections are built exactly.  Joins are built both ways:
-    through the target functions (crossing breakpoints inserted) and
-    through pl_pointwise_max; combinations through target_lincomb and
-    pl_lincomb, in the sections' own Fractions.  Each law is decided by
-    pl_equal on the merged rays, and `pass` is both laws.  As a float
-    cross-check only, both sides are also evaluated at `samples` random
-    points of [-1, 1]^2 (seed 0), and the largest differences are reported
-    as join_sample_dev and linear_sample_dev.
+    The sections S1 = S(h1), S2 = S(h2), Sj = S(target_join(h1, h2)) and
+    Sl = S(target_lincomb(2, h1, -1, h2)) are built exactly, and one merge
+    of their rays decides both laws (_law_verdicts).  Every section's fan
+    holds the four axis rays, so every merged sector (p, q), the wrapping
+    one included, is narrower than pi: p and q span the plane, and each
+    section is one linear piece there.  That piece is compared at both p
+    and q, which for two linear pieces is equality of their coefficients.
+    One value per merged ray would not do: a stored function need not be
+    continuous across a ray, and a piece wrong only inside its sector would
+    pass.  The linear law holds iff Sl = 2*S1 - S2 on every sector.  The
+    join law holds iff Sj = max(S1, S2) at both ends of every sector and
+    S1 - S2 never has strictly opposite signs at p and q: with such a sign
+    change max(S1, S2) bends inside the sector, where Sj cannot.  `pass`
+    is both laws, reported as join_pl_equal and linear_pl_equal.
+
+    As a float cross-check only, the four sections are evaluated at
+    `samples` random points of [-1, 1]^2 (seed 0, drawn once per call):
+    join_sample_dev is max |Sj - max(S1, S2)| and linear_sample_dev
+    max |Sl - (2*S1 - S2)| over them, 0.0 when samples is 0.  Raises
+    ValueError unless samples is an integer of at least 0.
     """
+    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) or samples < 0:
+        raise ValueError(f"samples must be an integer of at least 0, got {samples!r}")
+    pts = np.random.default_rng(0).uniform(-1.0, 1.0, (samples, 2))
+    where = plfan._angles(pts)
     results = []
     for h1, h2 in pairs:
-        b1 = build_section(K, h1, exact=True)
-        b2 = build_section(K, h2, exact=True)
-        bj = build_section(K, target_join(h1, h2), exact=True)
-        pmax = plfan.pl_pointwise_max(b1.Sh, b2.Sh)
-        join_exact = plfan.pl_equal(bj.Sh, pmax)
-
-        bl = build_section(K, target_lincomb(2, h1, -1, h2), exact=True)
-        plin = plfan.pl_lincomb(2, b1.Sh, -1, b2.Sh)
-        lin_exact = plfan.pl_equal(bl.Sh, plin)
-
+        targets = (h1, h2, target_join(h1, h2), target_lincomb(2, h1, -1, h2))
+        S = [build_section(K, h, exact=True).Sh for h in targets]
+        join, linear = _law_verdicts(*S)
+        join_dev = linear_dev = 0.0
+        if samples:
+            v1, v2, vj, vl = (plfan._values_at(f, pts, where) for f in S)
+            join_dev = float(np.max(np.abs(vj - np.maximum(v1, v2))))
+            linear_dev = float(np.max(np.abs(vl - (2 * v1 - v2))))
         results.append(
             {
-                "join_pl_equal": join_exact,
-                "join_sample_dev": _dense_agree(bj.Sh, pmax, samples),
-                "linear_pl_equal": lin_exact,
-                "linear_sample_dev": _dense_agree(bl.Sh, plin, samples),
-                "pass": join_exact and lin_exact,
+                "join_pl_equal": join,
+                "join_sample_dev": join_dev,
+                "linear_pl_equal": linear,
+                "linear_sample_dev": linear_dev,
+                "pass": join and linear,
             }
         )
     return {"pass": all(r["pass"] for r in results), "pairs": results}

@@ -23,6 +23,10 @@ them, and pl_pointwise_max splits a sector (p, q) where the difference d
 of the two pieces changes sign, at the crossing ray |d(q)| p + |d(p)| q.
 Pieces always come from the operands and are never solved for, so all
 three are exact in Fractions and stay accurate in floats in thin sectors.
+No library code calls these operations any more: the section hom laws are
+decided in one merge of the four sections' rays (ckretract.verify_hom_laws),
+and only the tests, as a referee, and the benchmark's traced spans reach
+them.
 A stored function is linear on every sector, so it breaks only on the
 lines through its rays: a fan's hyperplanes are derived from them.
 
@@ -400,9 +404,16 @@ def pl_value_many(f: PLFunction, points: np.ndarray) -> np.ndarray:
     np.searchsorted on the pseudo-angle and each piece applied elementwise,
     with the arithmetic of pl_value, so a point's value does not depend on
     the other points."""
-    fan = f.fan
     pts = np.asarray(points, dtype=float)
-    cells = np.searchsorted(np.array(fan.angles, dtype=float), _angles(pts), side="right") - 1
+    return _values_at(f, pts, _angles(pts))
+
+
+def _values_at(f: PLFunction, pts: np.ndarray, where: np.ndarray) -> np.ndarray:
+    """pl_value_many at the float rows pts whose _angles are where, so that
+    callers evaluating several functions at one sample find its angles
+    once."""
+    fan = f.fan
+    cells = np.searchsorted(np.array(fan.angles, dtype=float), where, side="right") - 1
     coeffs = np.array([[float(c) for c in p.vector(fan.generators)] for p in f.pieces])[cells]
     out = np.zeros(len(pts))
     for j in range(pts.shape[1]):

@@ -24,7 +24,7 @@ from fblab.ckretract import (
     verify_section,
 )
 from fblab.ckretract import _segment, _segments
-from fblab import plfan
+from fblab import ckretract, plfan
 from fblab.expr import LinearFunctional
 from fblab.plfan import PLFunction, pl_value, pl_value_many
 from fblab.fblnorm import DualConfig, admissible, config_value, exact_fbl_norm, fbl_space
@@ -815,39 +815,158 @@ def test_float_pointwise_max_in_a_thin_sector():
     assert pl_value(plfan.pl_pointwise_max(b1.Sh, b2.Sh), x) == pytest.approx(5 / 6, rel=1e-12)
 
 
-def _bump_top_piece(build):
-    """build's result with the piece at its largest |value| on its sector's
-    rays scaled by 1 + 1e-8."""
+def _bump_top_piece(b):
+    """The bundle b with the piece of Sh at its largest |value| on its
+    sector's rays scaled by 1 + 1e-8."""
+    f = b.Sh
 
-    def bumped(*args, **kwargs):
-        f = build(*args, **kwargs)
+    def top(i):
+        return max(abs(f.pieces[i].evaluate(dict(zip(f.fan.generators, r))))
+                   for r in f.fan.cells[i])
 
-        def top(i):
-            return max(abs(f.pieces[i].evaluate(dict(zip(f.fan.generators, r))))
-                       for r in f.fan.cells[i])
-
-        j = max(range(len(f.pieces)), key=top)
-        pieces = list(f.pieces)
-        pieces[j] = LinearFunctional.from_map(
-            {g: c * (1 + Fraction(1, 10**8)) for g, c in pieces[j].items}
-        )
-        return dataclasses.replace(f, pieces=tuple(pieces))
-
-    return bumped
+    j = max(range(len(f.pieces)), key=top)
+    return _with_piece(b, j, f.pieces[j].scaled(1 + Fraction(1, 10**8)))
 
 
-@pytest.mark.parametrize("build, law", [
+@pytest.mark.parametrize("referee, law", [
     ("pl_pointwise_max", "join_pl_equal"), ("pl_lincomb", "linear_pl_equal"),
 ])
 @pytest.mark.parametrize("big", [10**6, 10**9, 10**12])
 @pytest.mark.parametrize("K, mid", LARGE_PAIR_SPACES)
-def test_hom_laws_catch_a_relative_bump_of_one_piece(K, mid, big, build, law,
+def test_hom_laws_catch_a_relative_bump_of_one_piece(K, mid, big, referee, law,
                                                      monkeypatch):
+    """The join section or the combination section, as built, with one piece
+    bumped: its own law fails, as the stored-function referee finds too,
+    and the other law still holds."""
     h1, h2 = _large_pair(K, mid, big)
-    monkeypatch.setattr(plfan, build, _bump_top_piece(getattr(plfan, build)))
+    join = referee == "pl_pointwise_max"
+    bumped = target_join(h1, h2) if join else target_lincomb(2, h1, -1, h2)
+    build = ckretract.build_section
+
+    def build_bumped(K, h, exact=False):
+        b = build(K, h, exact)
+        return _bump_top_piece(b) if h == bumped else b
+
+    monkeypatch.setattr(ckretract, "build_section", build_bumped)
     rep = verify_hom_laws(K, [(h1, h2)])
     assert not rep["pass"], rep
-    assert not rep["pairs"][0][law], rep
+    assert [k for k in ("join_pl_equal", "linear_pl_equal")
+            if not rep["pairs"][0][k]] == [law], rep
+    S1, S2, S = (build_bumped(K, h, exact=True).Sh for h in (h1, h2, bumped))
+    other = plfan.pl_pointwise_max(S1, S2) if join else plfan.pl_lincomb(2, S1, -1, S2)
+    assert not plfan.pl_equal(S, other)
+
+
+def _join_without_crossings(h1, h2):
+    """max(h1, h2) at the breakpoints of h1 and h2 only: where h1 - h2
+    changes sign between two of them, the crossing point is missing."""
+    pts = sorted({p for p, _ in h1.breakpoints + h2.breakpoints})
+    return target_from_pairs(h1.K, [(p, max(h1.value(p), h2.value(p))) for p in pts])
+
+
+def _double_minus(f, g):
+    return plfan.pl_lincomb(2, f, -1, g)
+
+
+def test_hom_law_verdicts_match_the_stored_function_referee(monkeypatch):
+    """On 102 seeded pairs over [0,1], {0,1} and unions of 2-3 intervals,
+    each verdict of verify_hom_laws equals pl_equal against pl_pointwise_max
+    or pl_lincomb of S(h1) and S(h2): for the four sections as built, for
+    each of them with one random piece bumped, and for a join section whose
+    target lacks its crossing points.  verify_hom_laws builds S(h1), S(h2),
+    the join's and the combination's sections in that order; the stand-in
+    build hands out each variant's sections and checks the targets.  The
+    variants share most sections, so each referee call runs once per pair
+    and operands."""
+    rng = np.random.default_rng(1901)
+    bump = LinearFunctional.from_map({"one": Fraction(1, 10**8)})
+    queue, memo = [], {}
+
+    def build_next(K, h, exact=False):
+        want, b = queue.pop(0)
+        assert exact and h == want
+        return b
+
+    def referee(f, *args):
+        key = (f, *map(id, args))
+        if key not in memo:
+            memo[key] = f(*args)
+        return memo[key]
+
+    build = ckretract.build_section
+    monkeypatch.setattr(ckretract, "build_section", build_next)
+    verdicts = {True: 0, False: 0}
+    missed_crossings = 0
+    for n in range(102):
+        K = (interval01(), two_points(), None)[n % 3] or _random_union_target(rng)[0]
+        h1, h2 = _random_target_on(rng, K), _random_target_on(rng, K)
+        targets = (h1, h2, target_join(h1, h2), target_lincomb(2, h1, -1, h2))
+        built = [build(K, h, exact=True) for h in targets]
+        variants = [built]
+        for k, b in enumerate(built):  # one random piece's "one" raised by 1e-8
+            j = int(rng.integers(len(b.Sh.pieces)))
+            bumped = _with_piece(b, j, b.Sh.pieces[j].plus(bump))
+            variants.append(built[:k] + [bumped] + built[k + 1:])
+        free = _join_without_crossings(h1, h2)
+        variants.append(built[:2] + [build(K, free, exact=True)] + built[3:])
+        memo.clear()  # ids are unique among live objects only
+        for bundles in variants:
+            queue[:] = zip(targets, bundles)
+            pair = verify_hom_laws(K, [(h1, h2)], samples=0)["pairs"][0]
+            assert not queue
+            S1, S2, Sj, Sl = (b.Sh for b in bundles)
+            pmax = referee(plfan.pl_pointwise_max, S1, S2)
+            assert pair["join_pl_equal"] == referee(plfan.pl_equal, Sj, pmax)
+            plin = referee(_double_minus, S1, S2)
+            assert pair["linear_pl_equal"] == referee(plfan.pl_equal, Sl, plin)
+            verdicts[pair["pass"]] += 1
+        missed_crossings += free != targets[2]
+    assert verdicts[True] >= 120 and verdicts[False] >= 400, verdicts
+    assert missed_crossings >= 50
+
+
+@pytest.mark.parametrize("K, h1, h2", [
+    (interval01(), ((0, Fraction(5, 4)), (1, -2)), ((0, -1), (1, 1))),
+    (union_of_intervals([(0, Fraction(1, 3)), (Fraction(1, 2), 1)]),
+     ((0, 1), (Fraction(1, 3), -1), (Fraction(1, 2), 0), (1, 2)),
+     ((0, -1), (Fraction(1, 3), 1), (Fraction(1, 2), 0), (1, 2))),
+])
+def test_join_section_without_its_crossing_ray_fails_the_join_law_only(K, h1, h2,
+                                                                        monkeypatch):
+    """Sj built from max(h1, h2) at the targets' own breakpoints lacks the
+    ray where S(h1) - S(h2) changes sign, so max(S1, S2) bends inside one
+    of its sectors: the join law fails, and the linear law still holds."""
+    h1, h2 = H(K, *h1), H(K, *h2)
+    assert _join_without_crossings(h1, h2) != target_join(h1, h2)
+    monkeypatch.setattr(ckretract, "target_join", _join_without_crossings)
+    pair = verify_hom_laws(K, [(h1, h2)], samples=2000)["pairs"][0]
+    assert pair["join_pl_equal"] is False and pair["linear_pl_equal"] is True
+    assert pair["pass"] is False
+    assert pair["join_sample_dev"] > 1e-3 and pair["linear_sample_dev"] <= 1e-12
+
+
+@pytest.mark.parametrize("samples", [-1, 2.5, True, False, "10", None, 1e3])
+def test_hom_laws_reject_bad_samples_before_any_work(samples, monkeypatch):
+    K = interval01()
+    h1, h2 = H(K, (0, 0), (1, 1)), H(K, (0, 1), (1, 0))
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a section was built")
+
+    monkeypatch.setattr(ckretract, "build_section", no_build)
+    with pytest.raises(ValueError, match="samples must be an integer of at least 0"):
+        verify_hom_laws(K, [(h1, h2)], samples=samples)
+
+
+@pytest.mark.parametrize("samples", [0, 1, np.int64(7)])
+def test_hom_laws_take_any_integer_samples_of_at_least_zero(samples):
+    K = interval01()
+    h1, h2 = H(K, (0, 0), (1, 1)), H(K, (0, 1), (1, 0))
+    pair = verify_hom_laws(K, [(h1, h2)], samples=samples)["pairs"][0]
+    assert pair["pass"]
+    assert pair["join_sample_dev"] <= 1e-12 and pair["linear_sample_dev"] <= 1e-12
+    if samples == 0:
+        assert pair["join_sample_dev"] == pair["linear_sample_dev"] == 0.0
 
 
 def test_join_with_negation_is_abs():

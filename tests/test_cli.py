@@ -399,6 +399,8 @@ def test_extract_perturbed(capsys):
 
 
 def test_extract_exhaustion_exits_one(capsys):
+    """Exhaustion alone exits 1: the summary names its note and gives the
+    lower-bound checks' own verdict, which passes in the second run."""
     code, rep, _ = run_cli(
         capsys, ["extract-l1", "--n", "3", "--len", "5", "--json-only"]
     )
@@ -406,6 +408,18 @@ def test_extract_exhaustion_exits_one(capsys):
     p = rep["payload"]
     assert p["exhausted"] is True
     assert p["exhaustion_note"]
+    code, rep, err = run_cli(
+        capsys, ["extract-l1", "--instance", "disjoint", "--n", "2", "--eps", "0.5",
+                 "--len", "9"]
+    )
+    assert code == 1
+    p = rep["payload"]
+    assert p["exhausted"] is True
+    assert len(p["verifications"]) == 5 and all(v["pass"] for v in p["verifications"])
+    note = "ran out of stages while selecting term 3"
+    assert p["exhaustion_note"] == note
+    assert f"EXHAUSTED: {note}; all lower-bound checks pass" in err
+    assert "FAIL" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Candidate rays of hyperplane normals, in floats or exactly.
 
-A null direction of n-1 rows in R^n is found one way only: as the vector
-of the rows' signed maximal minors (candidate_rays), one direction per
-null line; the caller reads -d off d.  Floats take the minors in numpy
-blocks, with relative rank and residual tests.  Exact mode reads every
-entry, float or Fraction, as an exact integer ratio, clears each row's
-denominators and takes the minors as Python ints by one fraction-free
-elimination (_eliminate), with no tolerance at any n.
+candidate_rays gives one direction per null line of the (n-1)-subsets of
+the rows, listed in the order of the first subset that cuts the line out;
+the caller reads -d off d.  Floats take each subset's signed maximal minors
+in numpy blocks, with relative rank and residual tests.  Exact mode reads
+every entry, float or Fraction, as an exact integer ratio, makes each row a
+primitive integer vector and finds the lines by ordered restriction in
+Python ints (_lines), with no tolerance at any n.  The order matters: the
+norm LP (fblnorm) pivots by Bland's rule over columns in this order, so
+another order can take other pivots to another optimal certificate.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from fractions import Fraction
 import numpy as np
 
 __all__ = [
-    "NULL_RTOL",
     "as_fraction",
     "candidate_rays",
 ]
@@ -39,72 +40,60 @@ def as_fraction(v) -> Fraction:
     return v if isinstance(v, Fraction) else Fraction(v)
 
 
+def _primitive(ints) -> tuple:
+    """The integer vector divided by the gcd of its entries, signed so that
+    its last nonzero entry is positive; the zero vector stays zero.
+    """
+    g = math.gcd(*ints) or 1
+    if next((v for v in reversed(ints) if v), 0) < 0:
+        g = -g
+    return tuple(v // g for v in ints)
+
+
 def _int_rows(rows) -> list:
-    """Each row times the positive rational that makes it a primitive
-    integer vector; floats and Fractions are read exactly (as_integer_ratio).
+    """Each row as the primitive integer vector of its hyperplane, with its
+    last nonzero entry positive (_primitive): the entries, float or
+    Fraction, are read exactly (as_integer_ratio) and cleared by their lcm.
     """
     out = []
     for row in rows:
         ratios = [v.as_integer_ratio() for v in row]
         den = math.lcm(*(q for _, q in ratios))
-        ints = [p * (den // q) for p, q in ratios]
-        g = math.gcd(*ints) or 1
-        out.append([v // g for v in ints])
+        out.append(_primitive([p * (den // q) for p, q in ratios]))
     return out
 
 
-def _eliminate(mat, n):
-    """Fraction-free Gauss-Jordan elimination (Bareiss) of integer rows.
+def _lines(rows, n) -> list:
+    """The null lines of the (n-1)-subsets of integer rows in R^n, n >= 2,
+    each as its primitive form, in the order of the lexicographically
+    first subset whose null line it is.
 
-    The list mat is permuted and its rows replaced, never changed in place.
-    Each step's division by the previous pivot is exact, so every entry
-    stays an integer minor of the input; on return every pivot row holds the
-    same pivot D, +/- the determinant of the pivot rows on the pivot
-    columns, in its pivot column and 0 in the other pivot columns.  Returns
-    the pivot columns; their count is the rank.
+    Zero rows are dropped and repeats kept once, first.  Row a, with last
+    nonzero coordinate p, restricts every later row b to the hyperplane
+    <a, x> = 0 in the coordinates q != p: b'_q = a_p b_q - b_p a_q.  The
+    lines of the restricted rows lift back by x_q = a_p l_q for q != p and
+    x_p = -sum_{q != p} a_q l_q.  The first subset of a line L takes the
+    rows through L greedily: its first row is the first row through L, and
+    as b' depends on restricted rows exactly when b depends on a and their
+    rows, the rest is the first subset of L among the restricted rows,
+    which by induction is where a's branch lists L first.  Earlier branches
+    lie in other hyperplanes, so first-kept deduplication gives the subset
+    order.  At n == 2, row (u, v) gives the line (-v, u).
     """
-    m = len(mat)
-    pivots = []
-    prev = 1
-    for col in range(n):
-        r = len(pivots)
-        if r == m:
-            break
-        i = next((i for i in range(r, m) if mat[i][col]), None)
-        if i is None:
-            continue
-        mat[r], mat[i] = mat[i], mat[r]
-        top = mat[r]
-        p = top[col]
-        for k in range(m):
-            if k != r:
-                a = mat[k][col]
-                mat[k] = [(p * x - a * y) // prev for x, y in zip(mat[k], top)]
-        prev = p
-        pivots.append(col)
-    return pivots
-
-
-def _int_null_direction(rows, n):
-    """The signed maximal minors of n-1 integer rows, scaled to a null
-    direction of sup norm 1 whose last nonzero entry is positive, in
-    Fractions, or None when all minors are 0.
-
-    After _eliminate, with pivot D and free column f, row i reads D in its
-    pivot column c_i and the minor with column c_i replaced by f in column
-    f (Cramer), so d_f = D and d_{c_i} = -(row i)_f.  Entries after f are 0.
-    """
-    mat = list(rows)
-    pivots = _eliminate(mat, n)
-    if len(pivots) < n - 1:
-        return None
-    free = next(c for c in range(n) if c not in pivots)
-    d = [0] * n
-    d[free] = mat[0][pivots[0]]
-    for row, c in zip(mat, pivots):
-        d[c] = -row[free]
-    lead = max(map(abs, d)) if d[free] > 0 else -max(map(abs, d))
-    return tuple(Fraction(v, lead) for v in d)
+    rows = list(dict.fromkeys(r for r in rows if any(r)))
+    if n == 2:
+        return [_primitive((-v, u)) for u, v in rows]
+    found = []
+    for i, a in enumerate(rows):
+        p = max(q for q, v in enumerate(a) if v)
+        rest = a[:p] + a[p + 1:]
+        sub = (_primitive([a[p] * bq - b[p] * aq for bq, aq in zip(b[:p] + b[p + 1:], rest)])
+               for b in rows[i + 1:])
+        for line in _lines(sub, n - 1):
+            x = [a[p] * v for v in line]
+            x.insert(p, -sum(c * v for c, v in zip(rest, line)))
+            found.append(_primitive(x))
+    return list(dict.fromkeys(found))
 
 
 def _float_ray_keys(rays) -> list:
@@ -149,15 +138,18 @@ def candidate_rays(vectors, n, exact: bool):
     nonzero entry is positive, and listed once, in subset order; its
     antipode -d is not listed.  With n == 1 the one ray is +1.
 
-    For a subset M of n-1 rows, d is the vector of its signed maximal
-    minors d_j = (-1)^j det(M without column j), the generalized cross
-    product, up to a common factor.  Exact mode takes the minors in Python
-    ints (_int_null_direction): a subset is rank-deficient when all are 0,
-    and rays are deduplicated by exact value.  Float mode takes (b, -a) for
-    n == 2, else one np.linalg.det call over the stacked minors of a block
-    of _RAY_BLOCK subsets, and dedups by 10 rounded digits
-    (_float_ray_keys).  There a subset is rank-deficient when sup|d| is at
-    most _RANK_RTOL times the product of its rows' sup norms, each row must
+    Exact mode restricts the rows one hyperplane at a time in Python ints
+    (_lines), the restriction A^H of deletion-restriction (Orlik & Terao,
+    Arrangements of Hyperplanes, 1.3) taken in row order, which lists the
+    lines in the same subset order as the float route; the norm LP's Bland
+    pivots follow its columns' order, so another order could end at another
+    certificate.  Rays are deduplicated by exact value.  Float mode takes,
+    for a subset M of n-1 rows, the vector of its signed maximal minors
+    d_j = (-1)^j det(M without column j), the generalized cross product:
+    (b, -a) for n == 2, else one np.linalg.det call over the stacked minors
+    of a block of _RAY_BLOCK subsets, deduplicated by 10 rounded digits
+    (_float_ray_keys).  A subset is rank-deficient when sup|d| is at most
+    _RANK_RTOL times the product of its rows' sup norms, each row must
     satisfy |<row, d>| <= NULL_RTOL * sup|row| * sup|d|, and "nonzero"
     means above _ORIENT_RTOL * sup|d|.  Blocks bound the memory on long
     hyperplane lists; each subset is computed apart, so a ray does not
@@ -165,11 +157,10 @@ def candidate_rays(vectors, n, exact: bool):
     """
     if n == 1:
         return [(Fraction(1),) if exact else (1.0,)]
-    subsets = itertools.combinations(range(len(vectors)), n - 1)
     if exact:
-        ints = _int_rows(vectors)
-        found = (_int_null_direction([ints[i] for i in s], n) for s in subsets)
-        return list(dict.fromkeys(d for d in found if d is not None))
+        return [tuple(Fraction(v, max(map(abs, d))) for v in d)
+                for d in _lines(_int_rows(vectors), n)]
+    subsets = itertools.combinations(range(len(vectors)), n - 1)
     rows = np.array(vectors, dtype=float)
     rays = {}
     while block := list(itertools.islice(subsets, _RAY_BLOCK)):

@@ -4,7 +4,7 @@ Layers, bottom up:
 
   expr      lattice expressions over named generators, max-min normal form
   lp        slack-basis simplex for the norm LP, float or exact rational
-  plfan     stored piecewise-linear functions on 1-D and 2-D fans, and
+  plfan     stored piecewise-linear functions on 2-D fans, and
             the break rows, zero sets and values that the norm and the cube
             sup norm read from a max-min form or a stored function
   fblnorm   exact norms by LP over candidate rays, oracle lower bounds,

@@ -7,7 +7,9 @@ only the randomized subcommands take), never on wall time, which is
 reported outside the payload.
 
 Exit codes: 0 on pass, 1 when a checked property fails, 2 on usage errors
-and on any other error, which is reported as one line on stderr.
+and on any other error, which is reported as one line on stderr.  Every
+subcommand body returns (payload, ok, summary), and run alone prints the
+report and the summary and turns ok into the exit code.
 """
 
 from __future__ import annotations
@@ -57,13 +59,6 @@ def _report(args, payload, started: float) -> dict:
     }
 
 
-def _emit(args, payload, started: float, ok: bool, summary: str) -> int:
-    print(json.dumps(_report(args, payload, started), allow_nan=False))
-    if not args.json_only:
-        print(summary, file=sys.stderr)
-    return 0 if ok else 1
-
-
 def _space_for(name: str, gens):
     if name == "l1":
         return fblnorm.fbl_space(gens)
@@ -84,8 +79,7 @@ def _write_cert_if_asked(args, space, config, claimed, mode, function_payload):
 # subcommand bodies
 
 
-def _cmd_norm(args) -> int:
-    started = time.monotonic()
+def _cmd_norm(args) -> tuple:
     e = parse_expr(args.expr)
     gens = tuple(sorted(support(e)))
     space = _space_for(args.space, gens)
@@ -110,14 +104,10 @@ def _cmd_norm(args) -> int:
         "diagnostics": bracket.diagnostics,
         "certificate_path": cert_path,
     }
-    return _emit(
-        args, payload, started, ok,
-        f"norm {to_text(e)} over {args.space}: {upper!r}",
-    )
+    return payload, ok, f"norm {to_text(e)} over {args.space}: {upper!r}"
 
 
-def _cmd_oracle(args) -> int:
-    started = time.monotonic()
+def _cmd_oracle(args) -> tuple:
     e = parse_expr(args.expr)
     gens = tuple(sorted(support(e)))
     space = _space_for(args.space, gens)
@@ -139,15 +129,13 @@ def _cmd_oracle(args) -> int:
         "certificate_points": [list(p) for p in bracket.certificate.points],
         "certificate_path": cert_path,
     }
-    return _emit(
-        args, payload, started, True,
+    return payload, True, (
         f"oracle lower bound for {to_text(e)}: {bracket.lower!r} "
-        f"({bracket.diagnostics['evaluations']} evaluations)",
+        f"({bracket.diagnostics['evaluations']} evaluations)"
     )
 
 
-def _cmd_lemma34(args) -> int:
-    started = time.monotonic()
+def _cmd_lemma34(args) -> tuple:
     e = parse_expr(args.expr)
     rep = fblnorm.check_lemma34(e, args.gen, budget=args.budget, seed=args.seed)
     payload = {
@@ -160,10 +148,9 @@ def _cmd_lemma34(args) -> int:
         "certificate_points": [list(p) for p in rep["certificate"].points],
     }
     verdict = "pass" if rep["pass"] else "FAIL"
-    return _emit(
-        args, payload, started, rep["pass"],
+    return payload, rep["pass"], (
         f"product bound {to_text(e)} * |d({args.gen})|: best lower "
-        f"{rep['best_lower']!r} vs sup {rep['sup_norm']!r} -> {verdict}",
+        f"{rep['best_lower']!r} vs sup {rep['sup_norm']!r} -> {verdict}"
     )
 
 
@@ -176,8 +163,7 @@ PHI_LAW_PAIRS = (
 )
 
 
-def _cmd_phi_demo(args) -> int:
-    started = time.monotonic()
+def _cmd_phi_demo(args) -> tuple:
     inst = homs.build_phi(args.n)
     images = {}
     basis_ok = True
@@ -205,23 +191,18 @@ def _cmd_phi_demo(args) -> int:
             "verdicts": verdicts,
         },
     }
-    if not args.json_only:
-        for g, a in zip(inst.generators, inst.subsets):
-            print(f"  {g:>12}  A={set(a)}", file=sys.stderr)
-        for n in range(1, args.n + 1):
-            print(f"  chi_{n} = {inst.chi_points[n - 1]}", file=sys.stderr)
+    lines = [f"  {g:>12}  A={set(a)}" for g, a in zip(inst.generators, inst.subsets)]
+    lines += [f"  chi_{n} = {p}" for n, p in enumerate(inst.chi_points, 1)]
     law_text = ", ".join(f"{law} {'pass' if ok else 'FAIL'}"
                          for law, ok in verdicts.items())
-    return _emit(
-        args, payload, started, basis_ok and laws["pass"],
+    return payload, basis_ok and laws["pass"], "\n".join(lines + [
         f"subset family at N={args.n}: {len(inst.generators)} generators, "
         f"basis lift {'exact' if basis_ok else 'FAILED'}, "
         f"hom laws on {len(pairs)} pairs: {law_text}",
-    )
+    ])
 
 
-def _cmd_extract(args) -> int:
-    started = time.monotonic()
+def _cmd_extract(args) -> tuple:
     if args.instance == "disjoint":
         inp = ellone.build_disjoint_instance(args.n)
     else:
@@ -253,10 +234,9 @@ def _cmd_extract(args) -> int:
                else "all lower-bound checks pass")
     if res.exhausted:
         verdict = f"EXHAUSTED: {res.exhaustion_note}; {verdict}"
-    return _emit(
-        args, payload, started, not (res.exhausted or failed),
+    return payload, not (res.exhausted or failed), (
         f"extracted {got}/{args.len} terms from the {args.instance} family: "
-        f"indices {list(res.selected)}; {verdict}",
+        f"indices {list(res.selected)}; {verdict}"
     )
 
 
@@ -286,8 +266,7 @@ def _fractions(entry: str, sep: str, what: str) -> tuple:
         raise ckretract.CKError(f"{what} {entry!r} is not two fractions x{sep}y") from None
 
 
-def _cmd_ck_section(args) -> int:
-    started = time.monotonic()
+def _cmd_ck_section(args) -> tuple:
     K = _parse_kspec(args.k)
     h = _parse_target(K, args.h)
     bundle = ckretract.build_section(K, h)
@@ -313,23 +292,20 @@ def _cmd_ck_section(args) -> int:
         "norm_bound": nb,
         "certificate_path": cert_path,
     }
-    return _emit(
-        args, payload, started, ok,
+    return payload, ok, (
         f"section over {K.kind}: identity worst dev {sec['worst_deviation']:.2e}, "
         f"norm {nb['norm_upper']!r} <= sup|h| {nb['h_sup']!r} "
-        f"-> {'pass' if ok else 'FAIL'}",
+        f"-> {'pass' if ok else 'FAIL'}"
     )
 
 
-def _cmd_replay(args) -> int:
-    started = time.monotonic()
+def _cmd_replay(args) -> tuple:
     cert = fblnorm.load_certificate(args.file)
     rep = fblnorm.replay_certificate(cert)
-    return _emit(
-        args, rep, started, rep["pass"],
+    return rep, rep["pass"], (
         f"replay {args.file}: value {rep['value']!r} "
         f"{'==' if rep['value_matches'] else '!='} recorded, "
-        f"admissible={rep['admissible']} -> {'pass' if rep['pass'] else 'FAIL'}",
+        f"admissible={rep['admissible']} -> {'pass' if rep['pass'] else 'FAIL'}"
     )
 
 
@@ -425,14 +401,19 @@ def run(argv) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    started = time.monotonic()
     try:
-        return args.func(args)
+        payload, ok, summary = args.func(args)
+        print(json.dumps(_report(args, payload, started), allow_nan=False))
     except (ValueError, OSError, KeyError, plfan.FanError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    if not args.json_only:
+        print(summary, file=sys.stderr)
+    return 0 if ok else 1
 
 
 def main() -> None:

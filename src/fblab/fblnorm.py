@@ -194,10 +194,9 @@ class AdmissibilityReport:
     worst_vertex: Optional[tuple]
 
 
-def admissible(
-    config: DualConfig, space: AdmissibilitySpace, tol: float = ADMISSIBILITY_TOL
-) -> AdmissibilityReport:
-    """Check sum_i |<x_i, v>| <= 1 + tol against every ball vertex.
+def admissible(config: DualConfig, space: AdmissibilitySpace) -> AdmissibilityReport:
+    """Check sum_i |<x_i, v>| <= 1 + ADMISSIBILITY_TOL against every ball
+    vertex.
 
     A non-finite sum is not admissible, and neither is a family with a
     point whose length is not the generator count (its sum is NaN).  For
@@ -224,7 +223,7 @@ def admissible(
         if s > worst:
             worst = s
             worst_v = tuple(v)
-    return AdmissibilityReport(worst <= 1.0 + tol, worst, worst_v)
+    return AdmissibilityReport(worst <= 1.0 + ADMISSIBILITY_TOL, worst, worst_v)
 
 
 def config_value(F, config: DualConfig) -> float:
@@ -448,11 +447,15 @@ def oracle_lower_bound(
     the member the move changes; an F without batch is called row by row.
     F being positively homogeneous of the given degree, a configuration's
     value is its sum of |F| at the unscaled members over sigma**degree,
-    sigma its largest vertex sum, so a move costs F at one row.  A slot's
-    current value comes from the same call as its moves, and every
-    comparison is relative, so for F scaled by 2**j the search and the
-    certificate are the same and the bound is 2**j times as large, bit for
-    bit.
+    sigma its largest vertex sum, so a move costs F at one row.  The rows
+    are taken times 2**-e, 2**e past every member's largest entry plus 1,
+    which puts them in the cube, so no row takes F past its sup there; a
+    configuration's value does not depend on that scale, and a power of
+    two leaves its bits as they are except where values of F are
+    subnormal.  A slot's current value comes from the same call as its
+    moves, and every comparison is relative, so for F scaled by 2**j the
+    search and the certificate are the same and the bound is 2**j times as
+    large, bit for bit.
 
     budget counts evaluations: 1 per start and 1 per move visited, up to and
     including the move kept.  The slots take their counts in slot order, a
@@ -587,7 +590,10 @@ def oracle_lower_bound(
         row = c // n  # member s * k + i of Xk
         Y = np.take(Xk, row, axis=0)
         Y[np.arange(len(f)), c % n] = cand.reshape(-1)[f]
-        P = np.concatenate((Xk, Y))
+        # Every row is a member, or one with a coordinate moved to 0, +/-1 or
+        # by at most 1, so 2**-e puts it in the cube.
+        e = math.frexp(float(np.abs(Xk).max()) + 1.0)[1]
+        P = np.ldexp(np.concatenate((Xk, Y)), -e)
         A = np.abs(reps @ P.T)  # vertex sums of every row, vertices first
         Fa = np.abs(np.asarray(F.batch(P) if has_batch else [F(p) for p in P], dtype=float))
         calls += 1

@@ -7,8 +7,9 @@ line a*s + b*t = 0 of an arrangement.  The rays are sorted
 counter-clockwise from (1, 0) by a square pseudo-angle, the position of
 the direction on the boundary of [-1, 1]^2 (_angle): no trigonometry, and
 exact in Fractions.  Cell i is the sector from rays[i] to rays[i + 1], and
-a stored PLFunction attaches one linear piece per cell.  With one
-generator the rays are +1 and -1 and the cells the two half-lines.
+a stored PLFunction attaches one linear piece per cell.  Fans take exactly
+two generators: the only stored functions are the C(K) sections over
+("one", "id") (ckretract.build_section).
 
 A point is located by bisecting on its pseudo-angle, with no tolerance; a
 point exactly on a ray takes the sector that starts there (its
@@ -89,11 +90,8 @@ class DegenerateNormalError(FanError):
 
 @dataclass(frozen=True)
 class Fan:
-    """Sorted rays of a fan over one or two generators.
-
-    Every fan has at least two rays: +1 and -1 over one generator, and at
-    least the four axis rays over two.
-    """
+    """Sorted rays of a fan over two generators, among them the four axis
+    rays."""
 
     generators: tuple
     rays: tuple  # sup-scaled, counter-clockwise from (1, 0), each once
@@ -104,10 +102,7 @@ class Fan:
 
     @property
     def cells(self) -> tuple:
-        """The sectors (rays[i], rays[i + 1]) in angular order; with one
-        generator the half-lines (r, r)."""
-        if self.rays and len(self.rays[0]) == 1:
-            return tuple((r, r) for r in self.rays)
+        """The sectors (rays[i], rays[i + 1]) in angular order."""
         return tuple(zip(self.rays, self.rays[1:] + self.rays[:1]))
 
     @cached_property
@@ -118,19 +113,18 @@ class Fan:
 
     @cached_property
     def hyperplanes(self) -> tuple:
-        """The line through every ray, with normal (-r[1], r[0]) (the
-        coordinate itself over one generator), canonical and each once by
-        exact value, in ray order; Fraction rays give Fraction lines."""
-        g, exact = self.generators, isinstance(self.rays[0][0], Fraction)
-        maps = ({g[0]: 1} if len(r) == 1 else {g[0]: -r[1], g[1]: r[0]} for r in self.rays)
+        """The line through every ray, with normal (-r[1], r[0]), canonical
+        and each once by exact value, in ray order; Fraction rays give
+        Fraction lines."""
+        (a, b), exact = self.generators, isinstance(self.rays[0][0], Fraction)
         return tuple(dict.fromkeys(
-            canonical_normal(LinearFunctional.from_map(m), exact) for m in maps))
+            canonical_normal(LinearFunctional.from_map({a: -y, b: x}), exact)
+            for x, y in self.rays))
 
 
 @dataclass(frozen=True)
 class PLFunction:
-    """A stored function: one linear piece per cell of a fan over one or
-    two generators."""
+    """A stored function: one linear piece per cell of a fan."""
 
     fan: Fan
     pieces: tuple  # LinearFunctional per cell, aligned with fan.cells
@@ -166,14 +160,14 @@ def canonical_normal(fn: LinearFunctional, exact: bool) -> LinearFunctional:
 
 def _angle(p):
     """Counter-clockwise position of the direction p on the boundary of
-    [-1, 1]^2, from (1, 0), in [0, 8); a one-generator p reads as (p[0], 0).
+    [-1, 1]^2, from (1, 0), in [0, 8).
 
     Monotone in the angle, exact in Fractions, and _angles gives the same
     floats for many points at once.  A sup-scaled ray has +/-1 where this
     divides, and dividing by +/-1 is exact in both arithmetics, so its
     quotient is read off as the numerator or its negative.
     """
-    x, y = (p[0], p[1]) if len(p) == 2 else (p[0], 0 * p[0])  # a zero of its type
+    x, y = p
     if x > 0 and x >= abs(y):
         q = y if x == 1 else y / x
         return q if y >= 0 else 8 + q
@@ -187,9 +181,8 @@ def _angle(p):
 
 
 def _angles(P: np.ndarray) -> np.ndarray:
-    """_angle of every row of a float (m, 1) or (m, 2) array."""
-    x = P[:, 0]
-    y = P[:, 1] if P.shape[1] == 2 else np.zeros_like(x)
+    """_angle of every row of a float (m, 2) array."""
+    x, y = P[:, 0], P[:, 1]
     ax, ay = np.abs(x), np.abs(y)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.select(
@@ -208,21 +201,18 @@ def pl_sector(fan: Fan, point) -> int:
 
 
 def _line_rays(rows) -> list:
-    """The two sup-scaled directions of every row's line: its null
-    directions +/-(-b, a) in two dimensions, the half-lines in one."""
+    """The two sup-scaled null directions +/-(-b, a) of every row's line."""
     rays = []
-    for row in rows:
-        scale = max(abs(v) for v in row)
-        r = (row[0] / scale,) if len(row) == 1 else (-row[1] / scale, row[0] / scale)
-        rays += [r, tuple(-v for v in r)]
+    for a, b in rows:
+        scale = max(abs(a), abs(b))
+        x, y = -b / scale, a / scale
+        rays += [(x, y), (-x, -y)]
     return rays
 
 
-def _axes(n: int, exact: bool) -> list:
+def _axes(exact: bool) -> list:
     one = Fraction(1) if exact else 1.0
     zero = one - one
-    if n == 1:
-        return [(one,), (-one,)]
     return [(one, zero), (zero, one), (-one, zero), (zero, -one)]
 
 
@@ -237,10 +227,10 @@ def _sorted_rays(rays) -> tuple:
 
 
 def _fan_generators(generators) -> tuple:
-    """generators as a tuple; raises FanError unless there are one or two."""
+    """generators as a tuple; raises FanError unless there are two."""
     generators = tuple(generators)
-    if not 1 <= len(generators) <= 2:
-        raise FanError(f"fans take one or two generators, not {len(generators)}")
+    if len(generators) != 2:
+        raise FanError(f"fans take two generators, not {len(generators)}")
     return generators
 
 
@@ -252,20 +242,20 @@ def _sorted_fan(generators, rays, angles) -> Fan:
 
 
 def arrangement_fan(normals, generators, exact: bool = False) -> Fan:
-    """Fan of the central arrangement of the given normals over one or two
+    """Fan of the central arrangement of the given normals over two
     generators.
 
     The normals are put in canonical_normal form and deduplicated by exact
     value, as in Fan.hyperplanes.  The rays are the sup-scaled null
-    directions of those h lines and +/-e1, +/-e2 (+1 and -1 for one
-    generator), sorted by _angle: at most 2h + 4 of them, with no LP, no
-    sampling and no tolerance, exact in Fractions.  Raises FanError for
-    three or more generators and DegenerateNormalError on a zero normal.
+    directions of those h lines and +/-e1, +/-e2, sorted by _angle: at
+    most 2h + 4 of them, with no LP, no sampling and no tolerance, exact in
+    Fractions.  Raises FanError unless there are two generators, and
+    DegenerateNormalError on a zero normal.
     """
     generators = _fan_generators(generators)
     lines = dict.fromkeys(canonical_normal(hp, exact) for hp in normals)
     rows = [hp.vector(generators) for hp in lines]
-    rays, angles = _sorted_rays(_line_rays(rows) + _axes(len(generators), exact))
+    rays, angles = _sorted_rays(_line_rays(rows) + _axes(exact))
     return _sorted_fan(generators, rays, angles)
 
 
@@ -544,8 +534,8 @@ def fan_to_json(fan: Fan) -> dict:
 
 def fan_from_json(obj) -> Fan:
     """fan_to_json's shape; an earlier "hyperplanes" key is ignored.
-    Raises FanError unless there are one or two generators, every ray has
-    one entry per generator and the rays' pseudo-angles strictly ascend,
+    Raises FanError unless there are two generators, every ray has one
+    entry per generator and the rays' pseudo-angles strictly ascend,
     since lookups bisect on them."""
     gens = _fan_generators(obj["generators"])
     rays = tuple(tuple(_num_from_json(v) for v in r) for r in obj["rays"])
@@ -580,7 +570,7 @@ def plfunction_from_json(obj) -> PLFunction:
         witnesses = [tuple(_num_from_json(v) for v in c["witness"]) for c in obj["cells"]]
         rows = [_functional_from_json(h).vector(gens) for h in obj["hyperplanes"]]
         exact = isinstance(witnesses[0][0], Fraction)
-        rays, angles = _sorted_rays(_line_rays(rows) + _axes(len(gens), exact))
+        rays, angles = _sorted_rays(_line_rays(rows) + _axes(exact))
         fan = _sorted_fan(gens, rays, angles)
         walls = _sorted_rays(_line_rays(rows))[1]
 

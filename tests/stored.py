@@ -3,7 +3,7 @@
 The library's norm and cube sup read a max-min form directly; only the
 C(K) sections need stored pieces.  The algebra of stored functions
 (pl_equal, pl_pointwise_max, pl_lincomb, JSON) is tested here on forms
-turned into stored functions over one or two generators.
+turned into stored functions over two generators, the only fans there are.
 """
 
 from fblab import plfan

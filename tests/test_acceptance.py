@@ -196,11 +196,10 @@ def test_criterion_5_extraction_lower_bounds(acceptance_log, cert_store):
             rows = tuple(
                 tuple(float(y.get(g, 0.0)) for g in inp.L) for y in res.ys
             )
-            adm = fblnorm.admissible(
-                fblnorm.DualConfig(rows), fblnorm.fbl_space(inp.L), tol=0.0
-            )
-            if not (disjoint and adm.ok):
-                bad.append((label, eps, "family", disjoint, adm.ok))
+            adm = fblnorm.admissible(fblnorm.DualConfig(rows), fblnorm.fbl_space(inp.L))
+            within_one = adm.worst_sum <= 1.0  # admissible with no tolerance
+            if not (disjoint and within_one):
+                bad.append((label, eps, "family", disjoint, within_one))
             for _ in range(100):
                 lam = [float(v) for v in rng.uniform(-2.0, 2.0, length)]
                 rep = ellone.verify_lower_bound(res, inp.fs, lam)

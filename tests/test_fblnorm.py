@@ -549,16 +549,20 @@ def test_oracle_certificate_is_sound():
 
 
 def test_oracle_raises_when_a_configuration_leaves_the_floats():
-    """Each value of F is a finite float at these members, but two members
-    near 1 sum past the float range.  This came back as a lower bound of
-    1e308 computed from overflowed and NaN sums, after numpy warnings."""
+    """F has norm 1e308: members drift to |x| near 2, where F passes the
+    float range, so the search values its rows scaled into the cube and
+    finds the norm.  This came back as a lower bound of 1e308 computed from
+    overflowed and NaN sums, after numpy warnings, and then as an
+    OverflowError.  A norm of 2e308, past the float range, still raises."""
     def F(x):
         return 1e308 * abs(float(x[0]))
 
+    twice = expr_evaluator(parse_expr("1e308*(|d(a)| v |d(b)|)"), ("a", "b"))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        assert oracle_lower_bound(F, fbl_space(("a",)), budget=2000, seed=0).lower == 1e308
         with pytest.raises(OverflowError, match="configuration's value is past the float range"):
-            oracle_lower_bound(F, fbl_space(("a",)), budget=2000, seed=0)
+            oracle_lower_bound(twice, fbl_space(("a", "b")), budget=2000, seed=0)
 
 
 def test_oracle_rejects_inhomogeneous_evaluator():

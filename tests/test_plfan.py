@@ -11,7 +11,7 @@ import pytest
 
 from fblab.expr import (
     MAXMIN_CAP, Gen, Join, LinearFunctional, MaxMinEvaluator, MaxMinSizeError, Meet, Scale,
-    SpaceError, Sum, absval, parse_expr, to_maxmin,
+    SpaceError, Sum, parse_expr, to_maxmin,
 )
 from fblab import plfan
 from fblab.fblnorm import exact_fbl_norm, fbl_space, linf_vertex_space
@@ -92,14 +92,6 @@ def cell_signs(fan, hyps=None):
 # arrangement enumeration
 
 
-def test_one_hyperplane_two_cells():
-    for num, exact in ((float, False), (Fraction, True)):
-        fan = arrangement_fan([fn(a=num(1)), fn(a=num(-3))], ("a",), exact=exact)
-        assert cell_signs(fan) == ["+", "-"]
-        assert fan.rays == ((num(1),), (num(-1),))
-        assert fan.cells == (((num(1),), (num(1),)), ((num(-1),), (num(-1),)))
-
-
 def test_two_hyperplanes_four_quadrants():
     normals = [fn(a=1.0), fn(b=1.0)]
     fan = arrangement_fan(normals, ("a", "b"))
@@ -142,18 +134,20 @@ def test_fan_is_deterministic():
 
 
 def test_duplicate_normals_collapse():
-    fan = arrangement_fan([fn(a=1.0), fn(a=2.0), fn(a=-3.0)], ("a",))
-    assert fan.hyperplanes == (fn(a=1.0),)
+    # three normals of the line a + b = 0: its two rays and the four axes
+    fan = arrangement_fan([fn(a=1.0, b=1.0), fn(a=2.0, b=2.0), fn(a=-3.0, b=-3.0)], ("a", "b"))
+    assert len(fan.rays) == 6
+    assert fan.hyperplanes == (fn(b=1.0), fn(a=1.0), fn(a=1.0, b=1.0))
 
 
 def test_zero_normal_rejected():
     with pytest.raises(DegenerateNormalError):
-        arrangement_fan([fn(a=0.0)], ("a",))
+        arrangement_fan([fn(a=0.0)], ("a", "b"))
 
 
-def test_fans_take_one_or_two_generators():
-    for gens in ((), ("a", "b", "c")):
-        with pytest.raises(FanError):
+def test_fans_take_two_generators():
+    for gens in ((), ("a",), ("a", "b", "c")):
+        with pytest.raises(FanError, match="fans take two generators"):
             arrangement_fan([fn(a=1.0)], gens)
 
 
@@ -292,17 +286,17 @@ def zaslavsky_generic(n, h):
 
 @pytest.mark.parametrize("exact", [False, True])
 def test_generic_fans_match_zaslavsky_count(exact):
-    # one and two generators: the fan's cells; three and four: the exact
+    # two generators: the fan's cells; three and four: the exact
     # enumeration that the cube sup references below rely on.  Both
     # parameters draw the same integer normals, and the enumeration's LPs
     # are exact in either arithmetic, so it runs once, on the Fractions.
     rng = np.random.default_rng(73)
-    for n, hs in ((1, (1,)), (2, (1, 2, 3, 5, 8)), (3, (1, 2, 3, 4, 5, 7)), (4, (2, 4, 5))):
+    for n, hs in ((2, (1, 2, 3, 5, 8)), (3, (1, 2, 3, 4, 5, 7)), (4, (2, 4, 5))):
         gens = "abcd"[:n]
         for h in hs:
             normals = generic_normals(rng, n, h, exact)
             hyps = canonical_lines(normals, exact)
-            if n <= 2:
+            if n == 2:
                 # the fan also lists the axes that are not among the lines
                 fan = arrangement_fan(normals, gens, exact=exact)
                 assert line_keys(fan.hyperplanes, exact) == line_keys(
@@ -396,7 +390,7 @@ def test_point_on_a_ray_takes_the_sector_that_starts_there():
 
 def division_angle(p):
     """_angle with a division in every branch."""
-    x, y = (p[0], p[1]) if len(p) == 2 else (p[0], 0)
+    x, y = p
     if x > 0 and x >= abs(y):
         return y / x if y >= 0 else 8 + y / x
     if y > 0 and y >= abs(x):
@@ -420,12 +414,10 @@ def test_angle_reads_unit_divisors_off_as_the_division_would():
     floats = [tuple(v / 7 for v in r) for r in raw]
     floats += [tuple(v / max(abs(c) for c in r) for v in r) for r in floats]
     floats += [(x, y) for x in (1.0, -1.0, 0.0, -0.0, 0.5) for y in (1.0, -1.0, 0.0, -0.0)]
-    one = [(Fraction(v),) for v in (1, -1, 3, -3)] + [(v,) for v in (1.0, -1.0, 2.5, -2.5)]
-    for p in fractions + floats + one:
+    for p in fractions + floats:
         got, want = plfan._angle(p), division_angle(p)
         assert (type(got), repr(got)) == (type(want), repr(want)), p
-    for points in (floats, [p for p in one if isinstance(p[0], float)]):
-        assert [plfan._angle(p) for p in points] == plfan._angles(np.array(points)).tolist()
+    assert [plfan._angle(p) for p in floats] == plfan._angles(np.array(floats)).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -464,20 +456,6 @@ def test_pl_from_maxmin_returns_the_form():
 def test_fans_have_at_least_two_rays():
     with pytest.raises(FanError):
         plfan.Fan(("a", "b", "c"), ())
-
-
-def test_single_functional_single_piece():
-    f = stored_from_form(to_maxmin(Gen("a")), ("a",))
-    assert f.fan.hyperplanes == (fn(a=1.0),)  # the line of the rays +1 and -1
-    assert len(f.pieces) == 2  # the two half-lines
-    assert {p.vector(("a",)) for p in f.pieces} == {(1.0,)}
-
-
-def test_abs_two_pieces():
-    f = stored_from_form(to_maxmin(absval(Gen("a"))), ("a",))
-    by_ray = dict(zip(f.fan.rays, f.pieces))
-    assert by_ray[(1.0,)].vector(("a",)) == (1.0,)
-    assert by_ray[(-1.0,)].vector(("a",)) == (-1.0,)
 
 
 def test_join_splits_on_difference():
@@ -688,11 +666,11 @@ def exact_stored(text, gens):
 
 
 def test_pl_equal_join_idempotent():
-    assert pl_equal(exact_stored("d(a) v d(a)", "a"), exact_stored("d(a)", "a"))
+    assert pl_equal(exact_stored("d(a) v d(a)", "ab"), exact_stored("d(a)", "ab"))
 
 
 def test_pl_equal_abs_as_join():
-    a, b = exact_stored("|d(a)|", "a"), exact_stored("d(a) v -d(a)", "a")
+    a, b = exact_stored("|d(a)|", "ab"), exact_stored("d(a) v -d(a)", "ab")
     assert pl_equal(a, b)
 
 
@@ -804,11 +782,12 @@ def test_refine_is_the_sorted_union_of_both_fans(exact):
 
     shared = 0  # pairs with a ray of both operands off the axes
     signed_zero_ties = 0
-    for gens in ("a",) * 5 + ("ab",) * 25:
+    gens = ("a", "b")
+    for _ in range(25):
         s, t = (random_expr_capped(rng, gens, 3, 12, scalar) for _ in range(2))
         f, g, h = (stored_from_form(to_maxmin(e), gens, exact=exact)
                    for e in (s, Join(s, t), t))
-        shared += len(set(f.fan.angles) & set(g.fan.angles)) > 2 * len(gens)
+        shared += len(set(f.fan.angles) & set(g.fan.angles)) > 4
         for a, b in ((f, g), (g, f), (f, h), (h, f), (pl_pointwise_max(f, h), f),
                      (g, pl_lincomb(2, f, -1, h))):
             fan, pairs = plfan._refine(a, b, "refine")
@@ -831,17 +810,20 @@ def test_fan_json_roundtrip():
     assert fan_from_json(fan_to_json(fan)) == fan
 
 
-def test_a_fan_read_from_a_document_takes_one_or_two_generators():
-    # the earlier witness format rebuilds its rays from two coordinates of
-    # each hyperplane, so it is checked too
-    fan = {"generators": ["a", "b", "c"], "rays": [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]}
-    cells = {"generators": ["a", "b", "c"], "hyperplanes": [{"a": 1.0}],
-             "cells": [{"witness": [1.0, 0.0, 0.0]}, {"witness": [-1.0, 0.0, 0.0]}],
-             "pieces": [{"a": 1.0}, {"a": -1.0}]}
-    with pytest.raises(FanError, match="one or two generators"):
-        fan_from_json(fan)
-    with pytest.raises(FanError, match="one or two generators"):
-        plfunction_from_json(cells)
+def test_a_fan_read_from_a_document_takes_two_generators():
+    # over one generator and over three, in today's format and in the
+    # earlier witness format, which rebuilds its rays from two coordinates
+    # of each hyperplane
+    for gens in ("a", "abc"):
+        ray, back = ([s * float(g == "a") for g in gens] for s in (1, -1))
+        fan = {"generators": list(gens), "rays": [ray, back]}
+        cells = {"generators": list(gens), "hyperplanes": [{"a": 1.0}],
+                 "cells": [{"witness": ray}, {"witness": back}]}
+        pieces = {"pieces": [{"a": 1.0}, {"a": -1.0}]}
+        for read, doc in ((fan_from_json, fan), (plfunction_from_json, dict(fan, **pieces)),
+                          (plfunction_from_json, dict(cells, **pieces))):
+            with pytest.raises(FanError, match=f"fans take two generators, not {len(gens)}"):
+                read(doc)
 
 
 def test_plfunction_json_roundtrip():
